@@ -26,7 +26,7 @@ from .densities import arcsine_law, kesten_mckay_law, pdf_table
 from .emit import csv_bytes, json_bytes, svg_histogram
 from .errors import (CapacityError, DimensionError, HaarlabError,
                      InsufficientSamplesError, NoReductionError,
-                     NotSelfAdjointError, SingularGramError, WordParseError)
+                     NotSelfAdjointError, WordParseError)
 from .exact import to_complex_rows
 from .haar_expect import (HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
@@ -54,14 +54,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """Flag value if given on the command line, else config, else default."""
+def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None,
+            required: bool = False):
+    """Flag value if given on the command line, else config, else default.
+    A required value found in neither place is a usage error."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+    if val is None:
+        val = cfg.get(key, default)
+    if val is None and required:
+        raise WordParseError(f"--{key} is required (flag or config key)")
+    return val
 
 
 def _load_constants(pairs, cfg: dict) -> dict:
@@ -114,8 +116,8 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
 
 def cmd_wg(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    n = int(_merged(args, cfg, "n"))
-    N = int(_merged(args, cfg, "N"))
+    n = int(_merged(args, cfg, "n", required=True))
+    N = int(_merged(args, cfg, "N", required=True))
     tbl = wg_table(n, N)
     kind = "pseudo-inverse" if tbl.pseudo else "exact"
     print(f"# Weingarten table n={n} N={N} ({kind})")
@@ -173,10 +175,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
     sym = Sum((HaarU(), HaarU(-1, -1)))
     panels = [
-        ("arcsine", arcsine_law(), EnsembleSpec(N, sym, self_adjoint=True),
+        ("arcsine", arcsine_law(), EnsembleSpec(N, sym),
          seed, "spectrum of U + U*"),
         ("sum_law", kesten_mckay_law(),
-         EnsembleSpec(N, Sum((sym, Variant(sym, -1, 1))), self_adjoint=True),
+         EnsembleSpec(N, Sum((sym, Variant(sym, -1, 1)))),
          seed ^ 0x5A5A, "spectrum of U + U* + (U + U*)^t"),
     ]
     summary = {"N": N, "replicas": replicas, "seed": seed, "bins": bins,
@@ -210,7 +212,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    N = int(_merged(args, cfg, "N"))
+    N = int(_merged(args, cfg, "N", required=True))
     replicas = int(_merged(args, cfg, "replicas", 100))
     seed = int(_merged(args, cfg, "seed", 0))
     outdir = _merged(args, cfg, "outdir")
@@ -364,9 +366,8 @@ def main(argv=None) -> int:
     except (WordParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, SingularGramError, DimensionError,
-            NoReductionError, NotSelfAdjointError, InsufficientSamplesError,
-            ValueError) as exc:
+    except (CapacityError, DimensionError, NoReductionError,
+            NotSelfAdjointError, InsufficientSamplesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

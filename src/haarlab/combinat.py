@@ -171,10 +171,6 @@ class Permutation:
         return f"Permutation[{cyc}]"
 
 
-def cycle_decomposition(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
-    return sigma.cycles()
-
-
 def count_cycles(sigma: Permutation) -> int:
     return len(sigma.cycles())
 
@@ -417,29 +413,6 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         yield SetPartition([tuple(b) for b in blocks])
 
 
-def enumerate_partitions_max2(n: int) -> Iterator[SetPartition]:
-    """Set partitions of [n] whose blocks have at most two elements."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > PARTITION_POINT_CAP:
-        raise CapacityError(
-            f"partition enumeration for n={n} exceeds cap {PARTITION_POINT_CAP}")
-
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not points:
-            yield ()
-            return
-        first, rest = points[0], points[1:]
-        for tail in rec(rest):
-            yield ((first,),) + tail
-        for i, other in enumerate(rest):
-            for tail in rec(rest[:i] + rest[i + 1:]):
-                yield ((first, other),) + tail
-
-    for blocks in rec(tuple(range(1, n + 1))):
-        yield SetPartition(blocks)
-
-
 def is_noncrossing(partition: SetPartition | Pairing) -> bool:
     """Brute four-index crossing test: a < b < c < d with a,c in one
     block and b,d in another means a crossing."""
@@ -484,10 +457,6 @@ def moebius_cycle_type(lengths: Iterable[int]) -> int:
     for l in lengths:
         out *= (-1) ** (l - 1) * catalan(l - 1)
     return out
-
-
-def moebius_perm(sigma: Permutation) -> int:
-    return moebius_cycle_type(sigma.cycle_type())
 
 
 def moebius_partition_to_top(pi: SetPartition | int) -> int:
@@ -577,10 +546,3 @@ def pi_epsilon(p: Pairing) -> tuple[Permutation, tuple[int, ...]]:
     pi = Permutation.from_cycles(n, cycles, signed=False)
     return pi, tuple(eps[1:])
 
-
-def hat(sigma: Permutation) -> Pairing:
-    """The pairing on [2n] matching i with 2n+1-sigma(i)."""
-    if sigma.signed:
-        raise ValueError("hat expects an unsigned permutation")
-    n = sigma.n
-    return Pairing([(i, 2 * n + 1 - sigma(i)) for i in range(1, n + 1)])

@@ -80,13 +80,6 @@ def moment_by_quadrature(law: LimitLaw, k: int) -> float:
 # ----------------------------------------------------------------------
 # moment / free-cumulant transforms over non-crossing partitions
 
-def _nc_product(values: dict, pi, kind: dict) -> Fraction:
-    out = Fraction(1)
-    for block in pi.blocks:
-        out *= kind[len(block)]
-    return out
-
-
 def free_cumulants_from_moments(moments: Sequence, order: int) -> list:
     """Invert m_n = sum over NC(n) of block-products of cumulants, by
     peeling the full-block partition off the sum for each n in turn."""

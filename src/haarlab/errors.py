@@ -19,14 +19,6 @@ class CapacityError(HaarlabError):
     """
 
 
-class SingularGramError(HaarlabError):
-    """The Gram system of the requested Weingarten table is singular.
-
-    Happens exactly when the matrix dimension is smaller than the
-    tensor order (N < n).
-    """
-
-
 class DimensionError(HaarlabError):
     """Matrix dimensions do not match the requested computation."""
 

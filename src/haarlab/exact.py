@@ -1,4 +1,4 @@
-"""Exact rational-complex scalars, matrices and linear solves.
+"""Exact rational-complex scalars and matrices.
 
 Everything in this module is built on fractions.Fraction so that the
 Weingarten tables and the trace-expectation engine stay exact.  The
@@ -10,7 +10,7 @@ single-band matrices cheap without any special-case flags.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionError
 
@@ -157,12 +157,6 @@ def mat_mul(a: QCMatrix, b: QCMatrix) -> QCMatrix:
     return tuple(out)
 
 
-def mat_add(a: QCMatrix, b: QCMatrix) -> QCMatrix:
-    if mat_dim(a) != mat_dim(b):
-        raise DimensionError("shape mismatch in matrix sum")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: QCMatrix, b: QCMatrix) -> QCMatrix:
     if mat_dim(a) != mat_dim(b):
         raise DimensionError("shape mismatch in matrix difference")
@@ -203,74 +197,3 @@ def mat_is_identity(a: QCMatrix) -> bool:
 def to_complex_rows(a: QCMatrix) -> list[list[complex]]:
     return [[complex(x) for x in row] for row in a]
 
-
-# -- exact linear algebra over Fraction -------------------------------
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def solve_exact(a: Sequence[Sequence[Fraction]],
-                b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly.  Raises ValueError if
-    the matrix is singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
-           for i, row in enumerate(a)]
-    aug, pivots = _rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ValueError("singular system")
-    return [aug[i][n] for i in range(n)]
-
-
-def solve_consistent(a: Sequence[Sequence[Fraction]],
-                     b: Sequence[Fraction]) -> list[Fraction]:
-    """One solution of a consistent (possibly singular) square system,
-    with all free variables set to zero."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
-           for i, row in enumerate(a)]
-    aug, pivots = _rref(aug)
-    if n in pivots:
-        # a pivot in the augmented column means 0 = 1 somewhere
-        raise ValueError("inconsistent system")
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
-def nullspace_exact(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of a square matrix, exact."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    rows, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis

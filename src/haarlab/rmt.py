@@ -120,7 +120,6 @@ class Product(Node):
 class EnsembleSpec:
     N: int
     root: Node
-    self_adjoint: bool = False
 
 
 def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:

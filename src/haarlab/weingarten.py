@@ -1,35 +1,34 @@
 """Exact unitary Weingarten weights at concrete dimension N.
 
-The order-n table is obtained by inverting the Gram system
-G(sigma, tau) = N^{#(sigma tau^-1)} over the rationals.  Since the
-weight is a class function, the system is collapsed to one unknown per
-cycle type (p(6) = 11 unknowns instead of 720) before solving; the
-collapse is exact because each row of the full system sums the same
-value over a conjugacy class.
+The order-n table comes from the character formula
 
-For N >= n the collapsed matrix is invertible and wg_exact solves it
-directly.  For N < n the Gram system is singular; wg_pseudo solves the
-(always consistent) normal equations instead and projects the result
-onto the orthogonal complement of the kernel, which reproduces the
-least-squares weight.  Any solution of the normal equations integrates
-identically - kernel elements of the Gram operator vanish as operators
-on the n-fold tensor power, so they contribute zero to every entry
-expectation - but the projected representative is canonical and matches
-the classical pseudo-inverse values.  The trace-expectation engine uses
-wg_table, which picks whichever path applies.
+    Wg_N(sigma) = (1/n!^2) sum_{lambda |- n, l(lambda) <= N}
+                  chi^lambda(1)^2 chi^lambda(sigma) / s_lambda(1^N)
+
+(Collins & Sniady, CMP 264, 2006), with the characters chi^lambda from
+the Murnaghan-Nakayama rule and s_lambda(1^N) from the hook-content
+formula.  The weight is a class function, so one value per cycle type
+is enough.
+
+Restricting the sum to partitions with at most N rows is what makes the
+formula valid for every N >= 1.  For N >= n no partition is dropped and
+the table inverts the Gram matrix G(sigma, tau) = N^{#(sigma tau^-1)}.
+For N < n that matrix is singular; the dropped partitions span its
+kernel, so the table is its Moore-Penrose pseudo-inverse.  Kernel
+elements vanish as operators on the n-fold tensor power, so pairing sums
+over the pseudo-inverse still give the true Haar moments.  gram_entry
+is kept as an independent oracle for the tests and acceptance checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from .combinat import Pairing, Permutation, moebius_cycle_type, pq_cycle_pairs
-from .errors import CapacityError, SingularGramError
-from .exact import nullspace_exact, solve_consistent, solve_exact
+from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 6
 
@@ -60,65 +59,6 @@ def normalize_cycle_type(cycle_type: Iterable[int]) -> CycleType:
     return ct
 
 
-def representative_of_type(cycle_type: CycleType) -> Permutation:
-    """A permutation of [n] with the given cycle type (consecutive blocks)."""
-    n = sum(cycle_type)
-    cycles = []
-    start = 1
-    for length in cycle_type:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    return Permutation.from_cycles(n, cycles)
-
-
-def class_size(cycle_type: CycleType) -> int:
-    """Number of permutations of the given cycle type."""
-    n = sum(cycle_type)
-    denom = 1
-    for length, mult in _multiplicities(cycle_type).items():
-        denom *= (length ** mult) * math.factorial(mult)
-    return math.factorial(n) // denom
-
-
-def _multiplicities(cycle_type: CycleType) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for part in cycle_type:
-        mult[part] = mult.get(part, 0) + 1
-    return mult
-
-
-def _count_cycles_images(images: Sequence[int]) -> int:
-    n = len(images)
-    seen = [False] * n
-    count = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
-    return count
-
-
-def _cycle_type_images(images: Sequence[int]) -> CycleType:
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def gram_entry(sigma: Permutation, tau: Permutation, N: int) -> int:
     """N raised to the number of cycles of sigma tau^{-1}."""
     if sigma.n != tau.n or sigma.signed or tau.signed:
@@ -132,7 +72,8 @@ class WeingartenTable:
     """Exact Weingarten weights of one order at one dimension.
 
     values maps every cycle type of n to a Fraction.  pseudo marks
-    tables computed through the least-squares path (N < n).
+    tables with N < n, which are pseudo-inverses of a singular Gram
+    matrix.
     """
 
     n: int
@@ -146,58 +87,40 @@ class WeingartenTable:
         return self.values[normalize_cycle_type(key)]
 
 
-def _collapsed_system(n: int, N: int) -> tuple[list[CycleType], list[list[Fraction]], list[Fraction]]:
-    """Class-collapsed Gram system: one row/column per cycle type.
+def _character(beta: frozenset[int], mu: CycleType) -> int:
+    """chi^lambda(mu) by the Murnaghan-Nakayama rule.
 
-    Row lambda, column mu holds sum over tau of type mu of
-    N^{#(sigma_lambda tau^{-1})} for a fixed representative
-    sigma_lambda.  The right side is the indicator of the identity type.
+    lambda is given by its beta-set {lambda_i + l - i}.  Removing a
+    border strip of length r moves one bead from b down to the free
+    position b - r; the sign is -1 to the number of beads jumped over.
     """
-    types = integer_partitions(n)
-    col = {t: j for j, t in enumerate(types)}
-    reps = [representative_of_type(t) for t in types]
-    rep_images = [[r(i) for i in range(1, n + 1)] for r in reps]
-    k = len(types)
-    matrix = [[Fraction(0)] * k for _ in range(k)]
-    for tau in itertools.permutations(range(1, n + 1)):
-        # tau^{-1} as an image list
-        inv = [0] * n
-        for i, v in enumerate(tau):
-            inv[v - 1] = i + 1
-        j = col[_cycle_type_images(tau)]
-        for i, sig in enumerate(rep_images):
-            comp = [sig[inv[x] - 1] for x in range(n)]
-            matrix[i][j] += Fraction(N ** _count_cycles_images(comp))
-    identity_type = (1,) * n
-    rhs = [Fraction(1) if t == identity_type else Fraction(0) for t in types]
-    return types, matrix, rhs
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            height = sum(1 for c in beta if b - r < c < b)
+            total += (-1) ** height * _character(beta - {b} | {b - r}, rest)
+    return total
+
+
+def _schur_at_ones(lam: CycleType, N: int) -> Fraction:
+    """s_lambda(1^N) = prod over cells of (N + content) / hook length."""
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= N + j - i
+            den *= (row - j) + (cols[j] - i) - 1
+    return Fraction(num, den)
 
 
 def wg_exact(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
-    """The order-n Weingarten table at dimension N, by exact inversion.
+    """The order-n Weingarten table at dimension N, for every N >= 1.
 
-    Requires N >= n; below that the Gram system is singular and a
-    SingularGramError is raised (see wg_pseudo for that regime).
-    """
-    if n < 1:
-        raise ValueError("order n must be at least 1")
-    if n > cap:
-        raise CapacityError(f"Weingarten order {n} exceeds cap {cap}")
-    if N < n:
-        raise SingularGramError(
-            f"Gram system of order {n} is singular at dimension N={N} < n")
-    types, matrix, rhs = _collapsed_system(n, N)
-    sol = solve_exact(matrix, rhs)
-    return WeingartenTable(n=n, N=N, values=dict(zip(types, sol)), pseudo=False)
-
-
-def wg_pseudo(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
-    """Least-squares Weingarten table, valid for every N >= 1.
-
-    Solves the normal equations T^2 w = T b of the collapsed system and
-    removes the kernel component (minimal norm in the class-size
-    weighted inner product, i.e. over functions on the full group).
-    Agrees with wg_exact whenever N >= n.
+    Sums the character formula over partitions with at most N rows;
+    for N < n that is the pseudo-inverse table.
     """
     if n < 1:
         raise ValueError("order n must be at least 1")
@@ -205,42 +128,34 @@ def wg_pseudo(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
         raise CapacityError(f"Weingarten order {n} exceeds cap {cap}")
     if N < 1:
         raise ValueError("dimension N must be at least 1")
-    types, matrix, rhs = _collapsed_system(n, N)
-    k = len(types)
-    t2 = [[sum(matrix[i][l] * matrix[l][j] for l in range(k))
-           for j in range(k)] for i in range(k)]
-    tb = [sum(matrix[i][l] * rhs[l] for l in range(k)) for i in range(k)]
-    w = solve_consistent(t2, tb)
-    kernel = nullspace_exact(matrix)
-    if kernel:
-        weights = [Fraction(class_size(t)) for t in types]
+    types = integer_partitions(n)
+    values = dict.fromkeys(types, Fraction(0))
+    for lam in types:
+        if len(lam) > N:
+            continue
+        beta = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
+        dim = _character(beta, (1,) * n)
+        weight = (Fraction(dim * dim, math.factorial(n) ** 2)
+                  / _schur_at_ones(lam, N))
+        for mu in types:
+            values[mu] += weight * _character(beta, mu)
+    return WeingartenTable(n=n, N=N, values=values, pseudo=N < n)
 
-        def dot(u, v):
-            return sum(wt * a * b for wt, a, b in zip(weights, u, v))
 
-        ortho: list[list[Fraction]] = []
-        for vec in kernel:
-            v = list(vec)
-            for u in ortho:
-                coef = dot(v, u) / dot(u, u)
-                v = [a - coef * b for a, b in zip(v, u)]
-            ortho.append(v)
-        for u in ortho:
-            coef = dot(w, u) / dot(u, u)
-            w = [a - coef * b for a, b in zip(w, u)]
-    return WeingartenTable(n=n, N=N, values=dict(zip(types, w)), pseudo=N < n)
+# perfbench/tracer.py wraps both module attributes by name, so the old
+# pseudo-inverse entry point stays as an alias of the one builder.
+wg_pseudo = wg_exact
 
 
 _TABLE_CACHE: dict[tuple[int, int, int], WeingartenTable] = {}
 
 
 def wg_table(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
-    """Cached table used by the expectation engine; exact inversion when
-    available, least-squares weights when N < n."""
+    """Cached table used by the expectation engine."""
     key = (n, N, cap)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = wg_exact(n, N, cap) if N >= n else wg_pseudo(n, N, cap)
+        table = wg_exact(n, N, cap)
         _TABLE_CACHE[key] = table
     return table
 

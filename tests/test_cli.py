@@ -25,6 +25,15 @@ def test_wg_prints_table_and_dumps(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [["wg", "--N", "5"], ["wg", "--n", "2"],
+                                  ["simulate", "--word", "Tr(U)"]])
+def test_missing_required_value_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is required" in err
+    assert "Traceback" not in err
+
+
 def test_moment_exact_value(capsys):
     assert main(["moment", "tr(U Uc)", "--N", "7"]) == 0
     assert "exact: 1/7" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Rational complex arithmetic and the exact linear solvers."""
+"""Rational complex arithmetic and exact matrix helpers."""
 
 from fractions import Fraction
 
@@ -6,8 +6,7 @@ import pytest
 
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, as_qc, identity_qc, mat_conj,
                            mat_is_identity, mat_mul, mat_trace, mat_transpose,
-                           nullspace_exact, qc_matrix, solve_consistent,
-                           solve_exact, to_complex_rows)
+                           qc_matrix, to_complex_rows)
 
 
 def test_qc_field_ops():
@@ -65,32 +64,3 @@ def test_matrix_helpers():
     assert mat_conj(j)[0][0] == QC(Fraction(0), Fraction(-1))
     assert to_complex_rows(j) == [[1j]]
 
-
-def test_solve_exact_known_system():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_exact(a, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-
-
-def test_solve_exact_rejects_singular():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(ValueError):
-        solve_exact(a, [Fraction(1), Fraction(2)])
-
-
-def test_solve_consistent_and_nullspace():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    x = solve_consistent(a, [Fraction(3), Fraction(6)])
-    assert [sum(r * v for r, v in zip(row, x)) for row in a] \
-        == [Fraction(3), Fraction(6)]
-    basis = nullspace_exact(a)
-    assert len(basis) == 1
-    v = basis[0]
-    assert all(sum(r * c for r, c in zip(row, v)) == 0 for row in a)
-    with pytest.raises(ValueError):
-        solve_consistent(a, [Fraction(3), Fraction(7)])
-
-
-def test_nullspace_of_invertible_is_empty():
-    a = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    assert nullspace_exact(a) == []

@@ -90,7 +90,7 @@ def test_phased_shift_transpose_traces():
 
 
 def test_realize_and_spectrum():
-    spec = EnsembleSpec(16, Sum((HaarU(), HaarU(-1, -1))), self_adjoint=True)
+    spec = EnsembleSpec(16, Sum((HaarU(), HaarU(-1, -1))))
     m = realize(spec, seed=4)
     s = spectrum(m, seed=4, replica=0)
     assert s.N == 16
@@ -105,7 +105,7 @@ def test_spectrum_rejects_non_hermitian():
 
 
 def test_spectral_replicas_and_pooling():
-    spec = EnsembleSpec(8, Sum((HaarU(), HaarU(-1, -1))), self_adjoint=True)
+    spec = EnsembleSpec(8, Sum((HaarU(), HaarU(-1, -1))))
     samples = spectral_replicas(spec, 5, seed=0)
     assert len(samples) == 5
     assert {s.replica for s in samples} == set(range(5))

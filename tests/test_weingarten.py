@@ -3,17 +3,15 @@ pseudo-inverse regime, leading asymptotics, CSV dump."""
 
 import io
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
 from haarlab.combinat import Pairing, Permutation, count_cycles
 from haarlab.errors import CapacityError
-from haarlab.weingarten import (class_size, dump_table_csv, gram_entry,
+from haarlab.weingarten import (dump_table_csv, gram_entry,
                                 integer_partitions, normalize_cycle_type,
-                                phi, representative_of_type, wg_leading,
-                                wg_table)
+                                phi, wg_leading, wg_table)
 
 
 def _perms(n):
@@ -25,17 +23,6 @@ def test_integer_partitions():
     assert list(integer_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                            (1, 1, 1, 1)]
     assert normalize_cycle_type([1, 3, 2]) == (3, 2, 1)
-
-
-def test_class_sizes_sum_to_group_order():
-    for n in range(1, 6):
-        total = sum(class_size(ct) for ct in integer_partitions(n))
-        assert total == math.factorial(n)
-
-
-def test_representative_has_the_right_type():
-    for ct in integer_partitions(5):
-        assert representative_of_type(ct).cycle_type() == ct
 
 
 def test_gram_entry():
@@ -60,7 +47,8 @@ def test_low_order_closed_forms(N):
     assert t3[(3,)] == Fraction(2, d)
 
 
-@pytest.mark.parametrize("n,N", [(1, 1), (2, 3), (3, 3), (3, 7), (4, 4)])
+@pytest.mark.parametrize("n,N", [(1, 1), (2, 3), (3, 3), (3, 7), (4, 4),
+                                 (5, 5)])
 def test_gram_identity(n, N):
     # sum_tau N^{#(sigma tau^-1)} Wg(tau) = [sigma = id], every sigma
     table = wg_table(n, N)
@@ -68,6 +56,12 @@ def test_gram_identity(n, N):
         total = sum(Fraction(gram_entry(sigma, tau, N))
                     * table[tau.cycle_type()] for tau in _perms(n))
         assert total == (1 if sigma == Permutation.identity(n) else 0)
+
+
+def _convolve(f, g, perms):
+    # (f * g)(sigma) = sum_tau f(tau) g(tau^-1 sigma) in the group algebra
+    return {sigma: sum(f[tau] * g[tau.inverse() * sigma] for tau in perms)
+            for sigma in perms}
 
 
 def test_pseudo_inverse_regime():
@@ -80,6 +74,21 @@ def test_pseudo_inverse_regime():
         total = sum(table[(sigma * tau.inverse()).cycle_type()]
                     for sigma in _perms(n) for tau in _perms(n))
         assert total == 1
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3),
+                                 (5, 2), (5, 4)])
+def test_pseudo_inverse_is_moore_penrose(n, N):
+    # N < n: the Gram element G(sigma) = N^#(sigma) is singular, and the
+    # table is its Moore-Penrose pseudo-inverse W: G W G = G, W G W = W.
+    perms = list(_perms(n))
+    ident = Permutation.identity(n)
+    table = wg_table(n, N)
+    assert table.pseudo
+    gram = {s: Fraction(gram_entry(s, ident, N)) for s in perms}
+    wg = {s: table[s] for s in perms}
+    assert _convolve(_convolve(gram, wg, perms), gram, perms) == gram
+    assert _convolve(_convolve(wg, gram, perms), wg, perms) == wg
 
 
 def test_pseudo_flag_off_in_regular_regime():
