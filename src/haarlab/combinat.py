@@ -190,7 +190,7 @@ class Pairing:
         for blk in blocks:
             if len(blk) != 2:
                 raise ValueError(f"block {set(blk)} is not a pair")
-            a, b = sorted(blk, key=_leader_key)
+            a, b = blk
             if a in partner or b in partner:
                 raise ValueError("blocks are not disjoint")
             partner[a] = b
@@ -520,26 +520,38 @@ def pi_epsilon(p: Pairing) -> tuple[Permutation, tuple[int, ...]]:
     """The permutation/sign pair encoding the constrained index sum of a
     signed pairing.
 
-    Forms p*delta, groups its cycles into mate pairs, keeps the leader
-    representative of each pair, and reads each representative cycle
-    (l_1, ..., l_r) as the cycle (|l_1|, ..., |l_r|) with signs
-    eps_{|l_k|} = sign(l_k).  Returns (pi, eps) with pi unsigned on [n]
-    and eps a tuple indexed by position 1..n.
+    Walks p*delta, k -> p(-k), in leader order 1, -1, 2, -2, ...  The
+    mate of a cycle (l_1, ..., l_r) is (-l_r, ..., -l_1), so the first
+    unseen point always starts the leader representative of its mate
+    pair, and marking |l| for every visited l marks the mate as well.
+    Each representative (l_1, ..., l_r) is read as the cycle
+    (|l_1|, ..., |l_r|) with signs eps_{|l_k|} = sign(l_k); this is the
+    grouping pq_cycle_pairs(p, Pairing.delta(n)) spells out.  Returns
+    (pi, eps) with pi unsigned on [n] and eps a tuple indexed by
+    position 1..n.
     """
     if not p.signed:
         raise ValueError("pi_epsilon expects a pairing of the signed domain")
     n = p.n
-    pairs = pq_cycle_pairs(p, Pairing.delta(n))
+    partner = p._partner
     eps = [0] * (n + 1)
     cycles = []
-    for rep, _mate in pairs:
-        tilde = tuple(abs(l) for l in rep)
-        if len(set(tilde)) != len(tilde):
-            raise RuntimeError("representative cycle repeats a magnitude")
-        for l in rep:
-            if eps[abs(l)]:
-                raise RuntimeError("magnitude covered by two representatives")
-            eps[abs(l)] = 1 if l > 0 else -1
+    for start in range(1, n + 1):
+        if eps[start]:  # start and -start lie on an earlier mate pair
+            continue
+        tilde = []
+        k = start
+        while True:
+            m = abs(k)
+            if eps[m]:
+                raise RuntimeError(
+                    "representative cycle repeats a magnitude" if m in tilde
+                    else "magnitude covered by two representatives")
+            eps[m] = 1 if k > 0 else -1
+            tilde.append(m)
+            k = partner[-k]
+            if k == start:
+                break
         cycles.append(tilde)
     if any(e == 0 for e in eps[1:]):
         raise RuntimeError("representatives do not cover every magnitude")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .combinat import SetPartition, enumerate_partitions, moebius_partition_to_top
 from .errors import InsufficientSamplesError, MissingMomentError

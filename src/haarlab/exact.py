@@ -186,6 +186,21 @@ def mat_trace(a: QCMatrix) -> QC:
     return t
 
 
+def mat_trace_product(a: QCMatrix, b: QCMatrix) -> QC:
+    """Tr(ab) without forming ab: one pass over the entries of a,
+    skipping its zeros like mat_mul does."""
+    n, k = mat_dim(a)
+    k2, m = mat_dim(b)
+    if k != k2 or m != n:
+        raise DimensionError(f"Tr of a {n}x{k} times a {k2}x{m} matrix")
+    t = QC_ZERO
+    for i in range(n):
+        for l, ail in enumerate(a[i]):
+            if ail and b[l][i]:
+                t = t + ail * b[l][i]
+    return t
+
+
 def mat_is_identity(a: QCMatrix) -> bool:
     n, m = mat_dim(a)
     if n != m:

@@ -8,8 +8,14 @@ per-word permutation gamma and the transpose signs eps build the index
 relabeling phi = eps gamma delta, and each pair of eta-compatible
 pairings (p, q) contributes its Weingarten weight Phi_N(p, q) times the
 trace product read off pi_epsilon of the conjugated involution
-phi^-1 p delta q delta phi.  Everything stays in rational-complex
-arithmetic; nothing is floated.
+phi^-1 p delta q delta phi.
+
+Per pair the engine does one walk for pi_epsilon and one for Phi_N,
+and reduces (pi, eps) to a trace key: the number of constant-free
+cycles plus the constant-carrying cycles.  It counts pairs as integers
+per (trace key, weight), evaluates each distinct key's trace once, and
+does the rational-complex arithmetic once per (key, weight).
+Everything stays exact; nothing is floated.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ import csv
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .combinat import Pairing, Permutation, enumerate_alpha_pairings, pi_epsilon
 from .errors import CapacityError, DimensionError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_is_identity,
-                    mat_mul, mat_scale, mat_sub, mat_trace, mat_transpose,
-                    qc_matrix)
+                    mat_mul, mat_scale, mat_sub, mat_trace, mat_trace_product,
+                    mat_transpose, qc_matrix)
 from .weingarten import DEFAULT_ORDER_CAP, phi
 
 
@@ -202,22 +208,39 @@ def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | No
             for u, b in out]
 
 
-def _cycle_trace(pi: Permutation, lam: Sequence[int],
-                 mats: Sequence[QCMatrix | None], N: int) -> QC:
-    """Tr_pi of the letters mats with transposes applied per lam; a None
-    letter is the identity."""
-    total = QC_ONE
+def _trace_key(pi: Permutation, lam: Sequence[int],
+               mats: Sequence[QCMatrix | None]) -> tuple:
+    """What Tr_pi of the letters depends on: the number of cycles with no
+    constant (each contributes N) and the sorted constant-carrying
+    cycles, each a tuple of (letter, transposed) rotated to start at its
+    smallest letter."""
+    free = 0
+    carried = []
     for cyc in pi.cycles():
-        prod: QCMatrix | None = None
-        for j in cyc:
-            b = mats[j - 1]
-            if b is None:
-                continue
-            if lam[j - 1] == -1:
-                b = mat_transpose(b)
-            prod = b if prod is None else mat_mul(prod, b)
-        factor = QC(N) if prod is None else mat_trace(prod)
-        total = total * factor
+        word = [(j, lam[j - 1] == -1) for j in cyc if mats[j - 1] is not None]
+        if not word:
+            free += 1
+            continue
+        i = word.index(min(word))
+        carried.append(tuple(word[i:] + word[:i]))
+    return free, tuple(sorted(carried))
+
+
+def _key_trace(key: tuple, mats: Sequence[QCMatrix | None], N: int) -> QC:
+    """The trace product a _trace_key stands for; a None letter is the
+    identity."""
+    free, carried = key
+    total = QC(N ** free)
+    for cycle in carried:
+        factors = [mat_transpose(mats[j - 1]) if transposed else mats[j - 1]
+                   for j, transposed in cycle]
+        if len(factors) == 1:
+            total = total * mat_trace(factors[0])
+        else:
+            prod = factors[0]
+            for b in factors[1:-1]:
+                prod = mat_mul(prod, b)
+            total = total * mat_trace_product(prod, factors[-1])
         if not total:
             break
     return total
@@ -279,26 +302,34 @@ def expected_trace_product(expr: TraceProductExpr,
         phi_map[-l] = eps[g - 1] * g
     phi_inv = {v: k for k, v in phi_map.items()}
 
-    points = list(range(1, M + 1)) + list(range(-M, 0))
+    # tau = phi^-1 (p delta q delta) phi sends x to phi^-1 p phi(x) when
+    # phi(x) > 0 and to phi^-1 delta q delta phi(x) otherwise: the points
+    # split into a half whose partners p fixes and a half whose partners
+    # q fixes.  Each block is listed from both of its points; Pairing
+    # keeps one copy.
+    on_p = [x for x in phi_map if phi_map[x] > 0]
+    on_q = [x for x in phi_map if phi_map[x] < 0]
     pairings = list(enumerate_alpha_pairings(eta))
-    trace_cache: dict[tuple, QC] = {}
-    total = QC_ZERO
-    for p in pairings:
-        for q in pairings:
-            # tau = phi^-1 (p delta q delta) phi, a pairing of [+-M]
-            blocks = set()
-            for x in points:
-                y = phi_map[x]
-                y = p(y) if y > 0 else -q(-y)
-                blocks.add(frozenset((x, phi_inv[y])))
-            pi, lam = pi_epsilon(Pairing(blocks))
-            key = (pi, lam)
-            val = trace_cache.get(key)
+    p_blocks = [[(x, phi_inv[p(phi_map[x])]) for x in on_p] for p in pairings]
+    q_blocks = [[(x, phi_inv[-q(-phi_map[x])]) for x in on_q] for q in pairings]
+
+    # integer pair counts per (trace key, weight); each distinct key's
+    # trace is evaluated once, and pairs whose trace vanishes skip phi
+    traces: dict[tuple, QC] = {}
+    counts: dict[tuple, int] = {}
+    for p, pb in zip(pairings, p_blocks):
+        for q, qb in zip(pairings, q_blocks):
+            pi, lam = pi_epsilon(Pairing(pb + qb))
+            key = _trace_key(pi, lam, mats)
+            val = traces.get(key)
             if val is None:
-                val = _cycle_trace(pi, lam, mats, N)
-                trace_cache[key] = val
+                val = traces[key] = _key_trace(key, mats, N)
             if val:
-                total = total + val * QC(phi(p, q, N, cap))
+                cell = (key, phi(p, q, N, cap))
+                counts[cell] = counts.get(cell, 0) + 1
+    total = QC_ZERO
+    for (key, weight), count in counts.items():
+        total = total + traces[key] * QC(weight * count)
     return const_factor * total * QC(norm_divisor)
 
 
@@ -579,6 +610,9 @@ def load_matrix_csv(path: str) -> QCMatrix:
                 raise WordParseError(f"bad matrix row {line!r} in {path}") from exc
             if r < 1 or c < 1:
                 raise WordParseError(f"matrix indices are 1-based: {line!r}")
+            if re_den == 0 or im_den == 0:
+                raise WordParseError(
+                    f"zero denominator in matrix row {line!r} in {path}")
             entries[(r, c)] = QC(Fraction(re_num, re_den), Fraction(im_num, im_den))
             dim = max(dim, r, c)
     if dim == 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TextIO
 
-from .combinat import Pairing, Permutation, moebius_cycle_type, pq_cycle_pairs
+from .combinat import Pairing, Permutation, moebius_cycle_type
 from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 6
@@ -173,14 +173,35 @@ def phi(p: Pairing, q: Pairing, N: int, cap: int = DEFAULT_ORDER_CAP) -> Fractio
 
     Decomposes pq into mate-pair cycles and evaluates the order-(n/2)
     weight at the cycle type formed by the representative cycle
-    lengths.
+    lengths.  One walk of pq on [n] does it: the mate of a cycle c is
+    q c^{-1} q, whose points are the q-partners of c's points, so each
+    cycle started at the smallest unseen point is a representative and
+    the walk marks its mate as it goes.  pq_cycle_pairs spells out the
+    same grouping.
     """
     if p.signed or q.signed:
         raise ValueError("phi expects pairings of an unsigned domain")
-    pairs = pq_cycle_pairs(p, q)
-    lengths = normalize_cycle_type(len(rep) for rep, _ in pairs)
-    m = sum(lengths)
-    return wg_table(m, N, cap)[lengths]
+    if p.n != q.n:
+        raise ValueError("p and q must live on the same domain")
+    seen = [False] * (p.n + 1)
+    lengths = []
+    for start in range(1, p.n + 1):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while True:
+            mate = q(k)
+            if seen[k] or seen[mate]:
+                raise RuntimeError("mate point already seen; pq cycles "
+                                   "do not pair up")
+            seen[k] = seen[mate] = True
+            length += 1
+            k = p(mate)
+            if k == start:
+                break
+        lengths.append(length)
+    return wg_table(sum(lengths), N, cap)[lengths]
 
 
 def dump_table_csv(out: TextIO, tables: Iterable[WeingartenTable]) -> None:

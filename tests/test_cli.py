@@ -48,6 +48,15 @@ def test_moment_with_constant(tmp_path, capsys):
     assert "exact: 25/2" in capsys.readouterr().out
 
 
+def test_constant_with_zero_denominator_is_parse_error(tmp_path, capsys):
+    mat = tmp_path / "z.csv"
+    mat.write_text("1,1,1,0,0,1\n")
+    assert main(["moment", "Tr(U A U*)", "--constant", f"A={mat}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_moment_monte_carlo_agrees(capsys):
     assert main(["moment", "Tr(U)Tr(Uc)", "--N", "6", "--mc", "600",
                  "--seed", "5"]) == 0

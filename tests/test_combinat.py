@@ -170,3 +170,36 @@ def test_pi_epsilon_of_delta():
 def test_pi_epsilon_rejects_unsigned():
     with pytest.raises(ValueError):
         pi_epsilon(Pairing([(1, 2), (3, 4)]))
+
+
+def _pi_epsilon_from_mate_pairs(p):
+    """pi_epsilon spelled out through pq_cycle_pairs(p, delta)."""
+    n = p.n
+    eps = [0] * (n + 1)
+    cycles = []
+    for rep, _mate in pq_cycle_pairs(p, Pairing.delta(n)):
+        for l in rep:
+            eps[abs(l)] = 1 if l > 0 else -1
+        cycles.append(tuple(abs(l) for l in rep))
+    return Permutation.from_cycles(n, cycles), tuple(eps[1:])
+
+
+def test_pi_epsilon_walk_matches_mate_pair_oracle():
+    seen = 0
+    for n in range(1, 6):
+        for p in enumerate_pairings(n, signed=True):
+            assert pi_epsilon(p) == _pi_epsilon_from_mate_pairs(p)
+            seen += 1
+    assert seen == 1 + 3 + 15 + 105 + 945
+
+
+def test_pi_epsilon_guards_a_corrupt_partner_map():
+    # the walk only trusts the partner map; break its involution
+    p = Pairing.delta(2)
+    p._partner[-1] = -1  # 1 -> p(-1) = -1 revisits magnitude 1
+    with pytest.raises(RuntimeError, match="repeats a magnitude"):
+        pi_epsilon(p)
+    p = Pairing.delta(2)
+    p._partner[-2] = 1  # 2 -> p(-2) = 1 lands on the first representative
+    with pytest.raises(RuntimeError, match="covered by two"):
+        pi_epsilon(p)

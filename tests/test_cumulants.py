@@ -1,6 +1,5 @@
 """Classical moment-cumulant transforms and the empirical estimator."""
 
-import math
 from fractions import Fraction
 
 import numpy as np

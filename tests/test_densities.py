@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from haarlab.densities import (LimitLaw, arcsine_law,
-                               free_cumulants_from_moments,
+from haarlab.densities import (arcsine_law, free_cumulants_from_moments,
                                free_self_convolution, kesten_mckay_law,
                                moment_by_quadrature,
                                moments_from_free_cumulants, pdf_table)

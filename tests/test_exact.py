@@ -1,12 +1,15 @@
 """Rational complex arithmetic and exact matrix helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from haarlab.errors import DimensionError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, as_qc, identity_qc, mat_conj,
-                           mat_is_identity, mat_mul, mat_trace, mat_transpose,
-                           qc_matrix, to_complex_rows)
+                           mat_is_identity, mat_mul, mat_trace,
+                           mat_trace_product, mat_transpose, qc_matrix,
+                           to_complex_rows)
 
 
 def test_qc_field_ops():
@@ -64,3 +67,29 @@ def test_matrix_helpers():
     assert mat_conj(j)[0][0] == QC(Fraction(0), Fraction(-1))
     assert to_complex_rows(j) == [[1j]]
 
+
+
+def test_mat_trace_product_matches_trace_of_product():
+    rng = random.Random(11)
+
+    def rand_matrix(rows, cols):
+        # about a third of the entries zero, to exercise the skips
+        return qc_matrix([[QC(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                              Fraction(rng.choice([0, 0, rng.randint(-2, 2)]),
+                                       rng.randint(1, 3)))
+                           if rng.random() < 0.7 else 0
+                           for _ in range(cols)] for _ in range(rows)])
+
+    for rows, inner in [(1, 1), (2, 2), (3, 3), (2, 3), (3, 1), (4, 2)]:
+        for _ in range(5):
+            a, b = rand_matrix(rows, inner), rand_matrix(inner, rows)
+            assert mat_trace_product(a, b) == mat_trace(mat_mul(a, b))
+            assert mat_trace_product(b, a) == mat_trace(mat_mul(b, a))
+
+
+def test_mat_trace_product_rejects_shape_mismatch():
+    a = qc_matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionError):
+        mat_trace_product(a, a)
+    with pytest.raises(DimensionError):
+        mat_trace_product(a, qc_matrix([[1, 2], [3, 4]]))

@@ -1,21 +1,27 @@
 """The exact trace-expectation engine: entry products, closed-form
 moments, word simplification, the grammar, the invariance gap."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from haarlab.combinat import Pairing, enumerate_alpha_pairings, pi_epsilon
 from haarlab.errors import DimensionError, WordParseError
-from haarlab.exact import QC, QC_ONE, QC_ZERO, qc_matrix, to_complex_rows
+from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
+                           mat_trace, mat_transpose, qc_matrix,
+                           to_complex_rows)
 from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  TraceProductExpr, TraceWord,
+                                 _rotate_to_haar_form,
                                  entry_product_expectation,
                                  expected_trace_product, first_order_limit,
                                  invariance_counterexample, is_simplified,
                                  load_matrix_csv, parse_trace_product,
                                  simplify_word)
 from haarlab.rmt import sample_haar_unitary
+from haarlab.weingarten import phi
 
 U = HaarLetter(1, 1)
 UT = HaarLetter(-1, 1)
@@ -345,3 +351,131 @@ def test_load_matrix_csv_rejects_zero_based(tmp_path):
     p.write_text("row,col,re_num,re_den,im_num,im_den\n0,0,1,1,0,1\n")
     with pytest.raises(WordParseError):
         load_matrix_csv(str(p))
+
+
+# -- the pairing-sum kernel against the per-pair object loop ------------
+
+def _per_pair_oracle(expr, cap=6):
+    """E Tr(w) by the per-pair object loop: one frozenset-block Pairing,
+    pi_epsilon and a full trace product for every pair (p, q)."""
+    N = expr.N
+    const_factor = QC_ONE
+    segments = []
+    norm = Fraction(1)
+    for word in expr.words:
+        if word.normalized:
+            norm /= N
+        if word.haar_count() == 0:
+            prod = None
+            for l in word.letters:
+                prod = l.resolved() if prod is None \
+                    else mat_mul(prod, l.resolved())
+            const_factor = const_factor * mat_trace(prod)
+        else:
+            segments.append(_rotate_to_haar_form(word.letters))
+    if not segments:
+        return const_factor * QC(norm)
+    flat = [pair for seg in segments for pair in seg]
+    M = len(flat)
+    eta = [u.eta for u, _ in flat]
+    if sum(eta) != 0:
+        return QC_ZERO
+    eps = [u.eps for u, _ in flat]
+    mats = [b for _, b in flat]
+    gamma = [0] * (M + 1)
+    start = 1
+    for seg in segments:
+        idx = list(range(start, start + len(seg)))
+        for a, b in zip(idx, idx[1:] + idx[:1]):
+            gamma[a] = b
+        start += len(seg)
+    phi_map = {}
+    for l in range(1, M + 1):
+        phi_map[l] = -eps[l - 1] * l
+        phi_map[-l] = eps[gamma[l] - 1] * gamma[l]
+    phi_inv = {v: k for k, v in phi_map.items()}
+
+    def cycle_trace(pi, lam):
+        total = QC_ONE
+        for cyc in pi.cycles():
+            prod = None
+            for j in cyc:
+                b = mats[j - 1]
+                if b is None:
+                    continue
+                if lam[j - 1] == -1:
+                    b = mat_transpose(b)
+                prod = b if prod is None else mat_mul(prod, b)
+            total = total * (QC(N) if prod is None else mat_trace(prod))
+        return total
+
+    pairings = list(enumerate_alpha_pairings(eta))
+    total = QC_ZERO
+    for p in pairings:
+        for q in pairings:
+            blocks = set()
+            for x in phi_map:
+                y = phi_map[x]
+                y = p(y) if y > 0 else -q(-y)
+                blocks.add(frozenset((x, phi_inv[y])))
+            val = cycle_trace(*pi_epsilon(Pairing(blocks)))
+            if val:
+                total = total + val * QC(phi(p, q, N, cap))
+    return const_factor * total * QC(norm)
+
+
+def _random_expr(rng):
+    order = rng.choice([1, 1, 2, 2, 2, 3, 3, 3, 3, 4])
+    # dense 4 x 4 constants make the order-4 oracle slow; N < 4 keeps
+    # order 4 in the pseudo-inverse regime all the same
+    N = rng.randint(1, 3 if order == 4 else 4)
+    haar = [rng.choice([U, UT]) for _ in range(order)] + \
+        [rng.choice([UC, US]) for _ in range(order)]
+    if rng.random() < 0.1:  # unbalanced: the expectation vanishes
+        haar[0] = rng.choice([UC, US])
+    rng.shuffle(haar)
+    pool = [ConstantLetter("I", identity_qc(N))]
+    for name in "AB":
+        mat = [[QC(rng.randint(-2, 2), rng.choice([0, 0, rng.randint(-1, 1)]))
+                for _ in range(N)] for _ in range(N)]
+        pool.append(ConstantLetter(name, mat))
+        pool.append(ConstantLetter(name, mat, transpose=True))
+    # one chunk per Haar letter, some followed by a constant; the chunks
+    # are split into one to three trace factors
+    chunks = [[u] + ([rng.choice(pool)] if rng.random() < 0.4 else [])
+              for u in haar]
+    cuts = sorted(rng.sample(range(1, len(chunks)),
+                             min(rng.randint(0, 2), len(chunks) - 1)))
+    words = []
+    for a, b in zip([0] + cuts, cuts + [len(chunks)]):
+        letters = [l for chunk in chunks[a:b] for l in chunk]
+        words.append(_word(letters, rng.random() < 0.3))
+    if rng.random() < 0.1:
+        words.append(_word([rng.choice(pool[1:])]))
+    return _expr(words, N)
+
+
+def test_kernel_matches_per_pair_oracle_on_random_words():
+    rng = random.Random(2024)
+    nonzero = 0
+    for _ in range(200):
+        e = _random_expr(rng)
+        got = expected_trace_product(e)
+        assert got == _per_pair_oracle(e), e
+        nonzero += bool(got)
+    assert nonzero > 100
+
+
+def test_constant_free_order5_evaluates_few_traces(monkeypatch):
+    from haarlab import haar_expect
+    keys = []
+    key_trace = haar_expect._key_trace
+
+    def counting(key, mats, N):
+        keys.append(key)
+        return key_trace(key, mats, N)
+
+    monkeypatch.setattr(haar_expect, "_key_trace", counting)
+    e = _expr([_word([U] * 5), _word([UC] * 5)], 8)
+    assert expected_trace_product(e) == QC(5)
+    assert len(keys) == len(set(keys)) <= 5

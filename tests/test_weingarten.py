@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from haarlab.combinat import Pairing, Permutation, count_cycles
+from haarlab.combinat import (Pairing, Permutation, count_cycles,
+                              enumerate_pairings, pq_cycle_pairs)
 from haarlab.errors import CapacityError
 from haarlab.weingarten import (dump_table_csv, gram_entry,
                                 integer_partitions, normalize_cycle_type,
@@ -144,3 +145,26 @@ def test_dump_table_csv_layout():
     assert lines[1] == "2,2,5,-1,120"
     assert lines[2] == "2,1+1,5,1,24"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_phi_walk_matches_mate_pair_oracle(N):
+    for m in range(1, 4):
+        pairings = list(enumerate_pairings(2 * m))
+        for p in pairings:
+            for q in pairings:
+                lengths = [len(rep) for rep, _mate in pq_cycle_pairs(p, q)]
+                assert phi(p, q, N) == wg_table(m, N)[lengths]
+
+
+def test_phi_rejects_mismatched_domains():
+    with pytest.raises(ValueError):
+        phi(Pairing([(1, 2)]), Pairing([(1, 2), (3, 4)]), 5)
+
+
+def test_phi_guards_a_corrupt_partner_map():
+    p = Pairing([(1, 2), (3, 4)])
+    q = Pairing([(1, 2), (3, 4)])
+    q._partner[3] = 2  # the mate of 3 would be 2, already marked from 1
+    with pytest.raises(RuntimeError, match="mate point already seen"):
+        phi(p, q, 5)
