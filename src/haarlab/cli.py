@@ -66,6 +66,25 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None,
     return val
 
 
+def _int_option(args: argparse.Namespace, cfg: dict, key: str, default=None,
+                required: bool = False, minimum: int | None = None):
+    """_merged, read as an integer (None stays None).  A value that is
+    not an integer, or one below minimum, is a usage error naming the
+    key."""
+    val = _merged(args, cfg, key, default, required)
+    if val is None:
+        return None
+    try:
+        if isinstance(val, bool) or (isinstance(val, float) and val % 1):
+            raise ValueError
+        num = int(val)
+    except (TypeError, ValueError, OverflowError):
+        raise WordParseError(f"{key} must be an integer, got {val!r}") from None
+    if minimum is not None and num < minimum:
+        raise WordParseError(f"{key} must be at least {minimum}, got {num}")
+    return num
+
+
 def _load_constants(pairs, cfg: dict) -> dict:
     consts = {}
     for name, path in (cfg.get("constants") or {}).items():
@@ -116,8 +135,8 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
 
 def cmd_wg(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    n = int(_merged(args, cfg, "n", required=True))
-    N = int(_merged(args, cfg, "N", required=True))
+    n = _int_option(args, cfg, "n", required=True)
+    N = _int_option(args, cfg, "N", required=True)
     tbl = wg_table(n, N)
     kind = "pseudo-inverse" if tbl.pseudo else "exact"
     print(f"# Weingarten table n={n} N={N} ({kind})")
@@ -138,14 +157,12 @@ def cmd_wg(args: argparse.Namespace) -> int:
 def cmd_moment(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     consts = _load_constants(args.constant, cfg)
-    n_dim = _merged(args, cfg, "N")
-    expr = parse_trace_product(args.word, consts,
-                               int(n_dim) if n_dim is not None else None)
+    expr = parse_trace_product(args.word, consts, _int_option(args, cfg, "N"))
     value = expected_trace_product(expr)
     print(f"exact: {value}")
-    replicas = int(_merged(args, cfg, "mc", 0) or 0)
+    replicas = _int_option(args, cfg, "mc", 0)
     if replicas:
-        seed = int(_merged(args, cfg, "seed", 0))
+        seed = _int_option(args, cfg, "seed", 0, minimum=0)
         mean, se = _mc_trace_product(expr, replicas, seed)
         dev = abs(mean - complex(value))
         print(f"monte carlo (R={replicas}, seed={seed}): "
@@ -161,10 +178,10 @@ def _write(path: str, data: bytes) -> None:
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    N = int(_merged(args, cfg, "N", 256))
-    replicas = int(_merged(args, cfg, "replicas", 10))
-    seed = int(_merged(args, cfg, "seed", 0))
-    bins = int(_merged(args, cfg, "bins", 60))
+    N = _int_option(args, cfg, "N", 256)
+    replicas = _int_option(args, cfg, "replicas", 10)
+    seed = _int_option(args, cfg, "seed", 0, minimum=0)
+    bins = _int_option(args, cfg, "bins", 60)
     outdir = _merged(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")
@@ -212,9 +229,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    N = int(_merged(args, cfg, "N", required=True))
-    replicas = int(_merged(args, cfg, "replicas", 100))
-    seed = int(_merged(args, cfg, "seed", 0))
+    N = _int_option(args, cfg, "N", required=True)
+    replicas = _int_option(args, cfg, "replicas", 100)
+    seed = _int_option(args, cfg, "seed", 0, minimum=0)
     outdir = _merged(args, cfg, "outdir")
     consts = _load_constants(args.constant, cfg)
     words = _merged(args, cfg, "observables")
@@ -275,7 +292,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = int(args.seed or 0)
+    seed = _int_option(args, {}, "seed", 0, minimum=0)
     try:
         results = verify_mod.run_suite(args.suite, seed)
     except KeyError as exc:

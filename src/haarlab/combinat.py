@@ -332,12 +332,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self._blocks)
 
-    def block_of(self, k: int) -> frozenset:
-        for b in self._blocks:
-            if k in b:
-                return b
-        raise ValueError(f"{k} not in ground set")
-
     def join(self, other: "SetPartition") -> "SetPartition":
         """Finest common coarsening (the lattice join)."""
         if self.ground != other.ground:
@@ -360,13 +354,6 @@ class SetPartition:
             groups.setdefault(find(k), set()).add(k)
         return SetPartition(groups.values())
 
-    def restrict(self, subset: Iterable[int]) -> "SetPartition":
-        s = set(subset)
-        if not s <= set(self.ground):
-            raise ValueError("restriction set is not contained in the ground set")
-        blocks = [b & s for b in self._blocks if b & s]
-        return SetPartition(blocks)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetPartition):
             return NotImplemented
@@ -383,10 +370,6 @@ class SetPartition:
 
 def join(pi: SetPartition, rho: SetPartition) -> SetPartition:
     return pi.join(rho)
-
-
-def restrict(pi: SetPartition, subset: Iterable[int]) -> SetPartition:
-    return pi.restrict(subset)
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:

@@ -2,9 +2,11 @@
 [-2, 2] and its free additive self-convolution, which is the Kesten-McKay
 law with two degrees of freedom on [-2*sqrt(3), 2*sqrt(3)].
 
-The closed-form Kesten-McKay density is never trusted on its own; at
-construction it is checked against moments obtained from the
-non-crossing-partition cumulant oracle, and a mismatch raises.
+Both laws carry closed-form densities and CDFs.  The closed-form
+Kesten-McKay density is never trusted on its own; at construction it is
+checked against moments obtained from the non-crossing-partition
+cumulant oracle, and a mismatch raises.  Quadrature runs only in that
+check, through moment_by_quadrature.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ _QUAD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """A compactly supported limit law: density, numeric CDF, and exact
-    moments through order 8."""
+    """A compactly supported limit law: density, closed-form CDF (0 below
+    the support, 1 above it), and exact moments through order 8."""
 
     support: tuple
     pdf: Callable[[float], float]
@@ -38,33 +40,10 @@ class LimitLaw:
         return self.moments[k - 1]
 
 
-def _symmetric_cdf(pdf: Callable[[float], float],
-                   half_width: float) -> Callable[[float], float]:
-    """CDF of a density on [-c, c] by quadrature in the angle variable
-    x = c*sin(theta), which removes arcsine-type endpoint singularities
-    and endpoint zeros alike."""
-    c = half_width
-
-    def integrand(theta: float) -> float:
-        x = c * math.sin(theta)
-        return pdf(x) * c * math.cos(theta)
-
-    def cdf(x: float) -> float:
-        if x <= -c:
-            return 0.0
-        if x >= c:
-            return 1.0
-        upper = math.asin(x / c)
-        val, _err = quad(integrand, -math.pi / 2, upper,
-                         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-        return min(max(val, 0.0), 1.0)
-
-    return cdf
-
-
 def moment_by_quadrature(law: LimitLaw, k: int) -> float:
-    """Integral of x^k against the law's density, via the same endpoint
-    substitution as the CDF."""
+    """Integral of x^k against the law's density, by quadrature in the
+    angle variable x = c*sin(theta), which removes arcsine-type endpoint
+    singularities and endpoint zeros alike."""
     a, b = law.support
     c = max(abs(a), abs(b))
 
@@ -137,14 +116,22 @@ def arcsine_law() -> LimitLaw:
             return 0.0
         return 1.0 / (math.pi * math.sqrt(4.0 - t * t))
 
+    def cdf(t: float) -> float:
+        if t <= -2:
+            return 0.0
+        if t >= 2:
+            return 1.0
+        return 0.5 + math.asin(t / 2) / math.pi
+
     moments = tuple(math.comb(k, k // 2) if k % 2 == 0 else 0
                     for k in range(1, MOMENT_ORDER + 1))
-    return LimitLaw((-2.0, 2.0), pdf, _symmetric_cdf(pdf, 2.0), moments)
+    return LimitLaw((-2.0, 2.0), pdf, cdf, moments)
 
 
 def kesten_mckay_law() -> LimitLaw:
     """The law of the sum of two free arcsine elements: density
-    2*sqrt(12 - x^2)/(pi*(16 - x^2)) on [-2*sqrt(3), 2*sqrt(3)].
+    2*sqrt(12 - x^2)/(pi*(16 - x^2)) on [-2*sqrt(3), 2*sqrt(3)], CDF
+    1/2 + (2/pi)*(arcsin(x/(2*sqrt(3))) - arctan(x/(2*sqrt(12 - x^2)))/2).
 
     The density is cross-checked here against the non-crossing oracle
     applied to the arcsine moments; construction fails on disagreement.
@@ -156,8 +143,20 @@ def kesten_mckay_law() -> LimitLaw:
             return 0.0
         return 2.0 * math.sqrt(12.0 - x * x) / (math.pi * (16.0 - x * x))
 
+    def cdf(x: float) -> float:
+        if x <= -c:
+            return 0.0
+        if x >= c:
+            return 1.0
+        # with x = c*sin(theta), x/(2*sqrt(12 - x^2)) = tan(theta)/2;
+        # reading both terms off theta keeps their endpoint cancellation
+        # exact to rounding
+        theta = math.asin(x / c)
+        return 0.5 + (2.0 / math.pi) * (
+            theta - 0.5 * math.atan2(math.sin(theta), 2.0 * math.cos(theta)))
+
     moments = tuple(free_self_convolution(arcsine_law(), MOMENT_ORDER))
-    law = LimitLaw((-c, c), pdf, _symmetric_cdf(pdf, c), moments)
+    law = LimitLaw((-c, c), pdf, cdf, moments)
     for k in (2, 4, 6):
         got = moment_by_quadrature(law, k)
         if abs(got - float(moments[k - 1])) > 1e-6:

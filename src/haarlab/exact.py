@@ -85,10 +85,6 @@ class QC:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -106,7 +102,6 @@ class QC:
 
 QC_ZERO = QC(0)
 QC_ONE = QC(1)
-QC_I = QC(0, 1)
 
 
 def as_qc(x) -> QC:

@@ -16,6 +16,11 @@ cycles plus the constant-carrying cycles.  It counts pairs as integers
 per (trace key, weight), evaluates each distinct key's trace once, and
 does the rational-complex arithmetic once per (key, weight).
 Everything stays exact; nothing is floated.
+
+That kernel is the only pairing sum: entry products go through it too,
+each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
+unit.  A product of more than 2 * DEFAULT_ORDER_CAP Haar letters
+raises CapacityError.
 """
 
 from __future__ import annotations
@@ -86,9 +91,6 @@ class ConstantLetter:
         return self.name + ("t" if self.transpose else "")
 
 
-Letter = HaarLetter | ConstantLetter
-
-
 @dataclass(frozen=True)
 class TraceWord:
     """Tr (or tr, when normalized) of a product of letters."""
@@ -145,14 +147,14 @@ class TraceProductExpr:
 # entry products
 
 def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
-                              cols: Sequence[int], N: int,
-                              cap: int = DEFAULT_ORDER_CAP) -> Fraction:
+                              cols: Sequence[int], N: int) -> Fraction:
     """E(u^(alpha_1)_{rows_1, cols_1} ... u^(alpha_n)_{rows_n, cols_n}).
 
     alpha_k = +1 stands for an entry of U, -1 for an entry of U-bar.
-    The value is the sum of Phi_N(p, q) over pairs of alpha-compatible
-    pairings with rows constant on the blocks of p and columns constant
-    on the blocks of q.
+    Each entry is a one-letter trace, u_rc = Tr(U E_cr) with E_cr the
+    matrix unit, so the value is the trace product
+    Tr(U^(alpha_1) E_(c_1 r_1)) ... Tr(U^(alpha_n) E_(c_n r_n)) from
+    expected_trace_product; it is real, and an imaginary part raises.
     """
     n = len(alpha)
     if n == 0:
@@ -165,47 +167,38 @@ def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
         raise ValueError(f"matrix indices must lie in 1..{N}")
     if n % 2 or sum(alpha) != 0:
         return Fraction(0)
-    if n > 2 * cap:
-        raise CapacityError(
-            f"entry product of {n} letters exceeds engine cap {2 * cap}")
-    pairings = list(enumerate_alpha_pairings(alpha))
-    row_ok = [all(rows[a - 1] == rows[b - 1] for a, b in p.pairs())
-              for p in pairings]
-    col_ok = [all(cols[a - 1] == cols[b - 1] for a, b in p.pairs())
-              for p in pairings]
-    total = Fraction(0)
-    for p, pok in zip(pairings, row_ok):
-        if not pok:
-            continue
-        for q, qok in zip(pairings, col_ok):
-            if qok:
-                total += phi(p, q, N, cap)
-    return total
+    words = tuple(
+        TraceWord((HaarLetter(1, a), ConstantLetter(
+            f"E{c},{r}", [[int((i, j) == (c, r)) for j in range(1, N + 1)]
+                          for i in range(1, N + 1)])))
+        for a, r, c in zip(alpha, rows, cols))
+    value = expected_trace_product(TraceProductExpr(words, N))
+    if value.im:
+        raise RuntimeError(f"entry product has imaginary part {value.im}")
+    return value.re
 
 
 # ----------------------------------------------------------------------
 # trace products
 
+def _constant_product(letters) -> QCMatrix | None:
+    """The product of the letters' resolved matrices, in order; None for
+    no letters."""
+    prod = None
+    for l in letters:
+        m = l.resolved()
+        prod = m if prod is None else mat_mul(prod, m)
+    return prod
+
+
 def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | None]]:
-    """Cyclically rotate so the word reads U_1 B_1 U_2 B_2 ... U_M B_M,
-    then collapse each constant run into a single matrix (None when the
-    run is empty or the product is the identity)."""
-    first = next(i for i, l in enumerate(letters) if isinstance(l, HaarLetter))
-    rotated = letters[first:] + letters[:first]
-    out: list[tuple[HaarLetter, QCMatrix | None]] = []
-    current: HaarLetter | None = None
-    acc: QCMatrix | None = None
-    for l in rotated:
-        if isinstance(l, HaarLetter):
-            if current is not None:
-                out.append((current, acc))
-            current, acc = l, None
-        else:
-            m = l.resolved()
-            acc = m if acc is None else mat_mul(acc, m)
-    out.append((current, acc))
-    return [(u, None if b is not None and mat_is_identity(b) else b)
-            for u, b in out]
+    """The word read as U_1 B_1 U_2 B_2 ... U_M B_M, each B_i the
+    collapsed constant run after U_i (None for an empty or identity
+    run): the slot form, each Haar letter paired with the next slot's
+    run."""
+    slots = _rotate_to_slot_form(letters)
+    return [(u, slots[(i + 1) % len(slots)][0])
+            for i, (_a, u) in enumerate(slots)]
 
 
 def _trace_key(pi: Permutation, lam: Sequence[int],
@@ -246,8 +239,7 @@ def _key_trace(key: tuple, mats: Sequence[QCMatrix | None], N: int) -> QC:
     return total
 
 
-def expected_trace_product(expr: TraceProductExpr,
-                           cap: int = DEFAULT_ORDER_CAP) -> QC:
+def expected_trace_product(expr: TraceProductExpr) -> QC:
     """Exact Haar expectation of a product of traces.
 
     Words with no Haar letter are evaluated directly (deterministic
@@ -262,11 +254,8 @@ def expected_trace_product(expr: TraceProductExpr,
         if word.normalized:
             norm_divisor /= N
         if word.haar_count() == 0:
-            prod = None
-            for l in word.letters:
-                m = l.resolved()
-                prod = m if prod is None else mat_mul(prod, m)
-            const_factor = const_factor * mat_trace(prod)
+            const_factor = const_factor * mat_trace(
+                _constant_product(word.letters))
         else:
             segments.append(_rotate_to_haar_form(word.letters))
     if not const_factor:
@@ -276,9 +265,9 @@ def expected_trace_product(expr: TraceProductExpr,
 
     flat = [pair for seg in segments for pair in seg]
     M = len(flat)
-    if M > 2 * cap:
-        raise CapacityError(
-            f"trace product with {M} Haar letters exceeds engine cap {2 * cap}")
+    if M > 2 * DEFAULT_ORDER_CAP:
+        raise CapacityError(f"trace product with {M} Haar letters exceeds "
+                            f"engine cap {2 * DEFAULT_ORDER_CAP}")
     eta = [u.eta for u, _ in flat]
     if sum(eta) != 0:
         return QC_ZERO
@@ -325,7 +314,7 @@ def expected_trace_product(expr: TraceProductExpr,
             if val is None:
                 val = traces[key] = _key_trace(key, mats, N)
             if val:
-                cell = (key, phi(p, q, N, cap))
+                cell = (key, phi(p, q, N))
                 counts[cell] = counts.get(cell, 0) + 1
     total = QC_ZERO
     for (key, weight), count in counts.items():
@@ -357,14 +346,13 @@ def _rotate_to_slot_form(letters: tuple) -> list[list]:
     last = max(i for i, l in enumerate(letters) if isinstance(l, HaarLetter))
     rotated = letters[last + 1:] + letters[:last + 1]
     slots: list[list] = []
-    acc: QCMatrix | None = None
+    run: list = []
     for l in rotated:
         if isinstance(l, HaarLetter):
-            slots.append([acc, l])
-            acc = None
+            slots.append([_constant_product(run), l])
+            run = []
         else:
-            m = l.resolved()
-            acc = m if acc is None else mat_mul(acc, m)
+            run.append(l)
     return [[None, u] if a is not None and mat_is_identity(a) else [a, u]
             for a, u in slots]
 
@@ -384,11 +372,7 @@ def is_simplified(word: TraceWord) -> bool:
     Haar letters with every constant centered, identities only between
     non-adjoint neighbours; or a single centered constant word."""
     if word.haar_count() == 0:
-        prod = None
-        for l in word.letters:
-            m = l.resolved()
-            prod = m if prod is None else mat_mul(prod, m)
-        return mat_trace(prod) == QC_ZERO
+        return mat_trace(_constant_product(word.letters)) == QC_ZERO
     slots = _rotate_to_slot_form(word.letters)
     return all(_slot_ok(slots, i) for i in range(len(slots)))
 
@@ -424,11 +408,7 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
 
     stack: list[tuple[QC, list]] = []
     if word.haar_count() == 0:
-        prod = None
-        for l in word.letters:
-            m = l.resolved()
-            prod = m if prod is None else mat_mul(prod, m)
-        emit_constant(QC_ONE, prod)
+        emit_constant(QC_ONE, _constant_product(word.letters))
     else:
         stack.append((QC_ONE, _rotate_to_slot_form(word.letters)))
 

@@ -18,6 +18,9 @@ kernel, so the table is its Moore-Penrose pseudo-inverse.  Kernel
 elements vanish as operators on the n-fold tensor power, so pairing sums
 over the pseudo-inverse still give the true Haar moments.  gram_entry
 is kept as an independent oracle for the tests and acceptance checks.
+
+Tables are built up to order DEFAULT_ORDER_CAP, a module constant rather
+than a per-call argument; a higher order raises CapacityError.
 """
 
 from __future__ import annotations
@@ -116,16 +119,18 @@ def _schur_at_ones(lam: CycleType, N: int) -> Fraction:
     return Fraction(num, den)
 
 
-def wg_exact(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
-    """The order-n Weingarten table at dimension N, for every N >= 1.
+def wg_exact(n: int, N: int) -> WeingartenTable:
+    """The order-n Weingarten table at dimension N, for every N >= 1
+    and every n up to DEFAULT_ORDER_CAP (CapacityError beyond it).
 
     Sums the character formula over partitions with at most N rows;
     for N < n that is the pseudo-inverse table.
     """
     if n < 1:
         raise ValueError("order n must be at least 1")
-    if n > cap:
-        raise CapacityError(f"Weingarten order {n} exceeds cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise CapacityError(
+            f"Weingarten order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     if N < 1:
         raise ValueError("dimension N must be at least 1")
     types = integer_partitions(n)
@@ -147,15 +152,15 @@ def wg_exact(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
 wg_pseudo = wg_exact
 
 
-_TABLE_CACHE: dict[tuple[int, int, int], WeingartenTable] = {}
+_TABLE_CACHE: dict[tuple[int, int], WeingartenTable] = {}
 
 
-def wg_table(n: int, N: int, cap: int = DEFAULT_ORDER_CAP) -> WeingartenTable:
+def wg_table(n: int, N: int) -> WeingartenTable:
     """Cached table used by the expectation engine."""
-    key = (n, N, cap)
+    key = (n, N)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = wg_exact(n, N, cap)
+        table = wg_exact(n, N)
         _TABLE_CACHE[key] = table
     return table
 
@@ -168,7 +173,7 @@ def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
     return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
 
 
-def phi(p: Pairing, q: Pairing, N: int, cap: int = DEFAULT_ORDER_CAP) -> Fraction:
+def phi(p: Pairing, q: Pairing, N: int) -> Fraction:
     """The pairing-indexed Weingarten weight.
 
     Decomposes pq into mate-pair cycles and evaluates the order-(n/2)
@@ -201,7 +206,7 @@ def phi(p: Pairing, q: Pairing, N: int, cap: int = DEFAULT_ORDER_CAP) -> Fractio
             if k == start:
                 break
         lengths.append(length)
-    return wg_table(sum(lengths), N, cap)[lengths]
+    return wg_table(sum(lengths), N)[lengths]
 
 
 def dump_table_csv(out: TextIO, tables: Iterable[WeingartenTable]) -> None:

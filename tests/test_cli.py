@@ -159,3 +159,46 @@ def test_bad_config_json(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["simulate", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "8", "--seed", "-1", "--word", "Tr(U)"],
+    ["figure1", "--N", "32", "--seed", "-3", "--outdir", "."],
+    ["moment", "Tr(U)Tr(Uc)", "--N", "4", "--mc", "10", "--seed", "-1"],
+    ["verify", "exact", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "N", "abc"), ("simulate", "replicas", "many"),
+    ("simulate", "seed", 1.5), ("simulate", "N", True),
+    ("simulate", "N", [8]), ("wg", "n", "two"), ("figure1", "bins", "x"),
+    ("moment", "N", "abc"),
+])
+def test_non_integer_config_value_is_usage_error(command, key, value,
+                                                  tmp_path, capsys):
+    values = {"N": 8, "n": 2, "observables": ["Tr(U)"], key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = [command] + (["Tr(U)"] if command == "moment" else []) + \
+        ["--config", str(cfg)]
+    if command == "figure1":
+        argv += ["--outdir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_integer_strings_in_config_still_parse(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": "4", "replicas": "20", "seed": "3",
+                               "observables": ["Tr(U)"]}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["N"], payload["replicas"], payload["seed"]) == (4, 20, 3)

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 
 from haarlab.densities import (arcsine_law, free_cumulants_from_moments,
                                free_self_convolution, kesten_mckay_law,
@@ -62,6 +63,26 @@ def test_cdf_shape(law_fn):
     xs = [a + (b - a) * t / 10 for t in range(11)]
     vals = [law.cdf(x) for x in xs]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+
+
+def _quad_cdf(law, x):
+    """The law's CDF by quadrature of its pdf, in the angle variable
+    x = c*sin(theta) that tames both endpoints."""
+    c = law.support[1]
+    val, _err = quad(lambda th: law.pdf(c * math.sin(th)) * c * math.cos(th),
+                     -math.pi / 2, math.asin(x / c),
+                     epsabs=1e-10, epsrel=1e-10)
+    return val
+
+
+@pytest.mark.parametrize("law_fn", [arcsine_law, kesten_mckay_law])
+def test_cdf_matches_quadrature_of_pdf(law_fn):
+    law = law_fn()
+    a, b = law.support
+    xs = [a + (b - a) * (i + 0.5) / 200 for i in range(200)]
+    xs += [a + 1e-6, a + 1e-7, b - 1e-6, b - 1e-7]
+    for x in xs:
+        assert abs(law.cdf(x) - _quad_cdf(law, x)) < 1e-9, x
 
 
 def test_arcsine_free_cumulants():

@@ -76,6 +76,53 @@ def test_entry_product_validates():
         entry_product_expectation([1, 2], [1, 1], [1, 1], 3)
 
 
+def _entry_pair_loop(alpha, rows, cols, N):
+    """The entry-product pairing sum written out: Phi_N(p, q) over pairs
+    of alpha-compatible pairings with rows constant on the blocks of p
+    and columns constant on the blocks of q."""
+    if len(alpha) % 2 or sum(alpha) != 0:
+        return Fraction(0)
+    pairings = list(enumerate_alpha_pairings(alpha))
+    row_ok = [all(rows[a - 1] == rows[b - 1] for a, b in p.pairs())
+              for p in pairings]
+    col_ok = [all(cols[a - 1] == cols[b - 1] for a, b in p.pairs())
+              for p in pairings]
+    total = Fraction(0)
+    for p, pok in zip(pairings, row_ok):
+        for q, qok in zip(pairings, col_ok):
+            if pok and qok:
+                total += phi(p, q, N)
+    return total
+
+
+def test_entry_product_matches_pair_loop_on_random_tuples():
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(240):
+        N = rng.randint(1, 4)
+        k = rng.randint(1, 3)
+        alpha = [1] * k + [-1] * k
+        if rng.random() < 0.15:  # unbalanced, or of odd length
+            alpha = [rng.choice([1, -1]) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(alpha)
+        rows = [rng.randint(1, N) for _ in alpha]
+        cols = [rng.randint(1, N) for _ in alpha]
+        got = entry_product_expectation(alpha, rows, cols, N)
+        assert isinstance(got, Fraction)
+        assert got == _entry_pair_loop(alpha, rows, cols, N), \
+            (alpha, rows, cols, N)
+        nonzero += bool(got)
+    assert nonzero > 50
+
+
+def test_entry_product_rejects_an_imaginary_part(monkeypatch):
+    from haarlab import haar_expect
+    monkeypatch.setattr(haar_expect, "expected_trace_product",
+                        lambda expr: QC(0, 1))
+    with pytest.raises(RuntimeError):
+        entry_product_expectation([1, -1], [1, 1], [1, 1], 2)
+
+
 def test_entry_product_brute_force_oracle():
     # Monte Carlo check of the pairing formula on random index tuples
     rng = np.random.default_rng(7)
@@ -355,7 +402,7 @@ def test_load_matrix_csv_rejects_zero_based(tmp_path):
 
 # -- the pairing-sum kernel against the per-pair object loop ------------
 
-def _per_pair_oracle(expr, cap=6):
+def _per_pair_oracle(expr):
     """E Tr(w) by the per-pair object loop: one frozenset-block Pairing,
     pi_epsilon and a full trace product for every pair (p, q)."""
     N = expr.N
@@ -420,7 +467,7 @@ def _per_pair_oracle(expr, cap=6):
                 blocks.add(frozenset((x, phi_inv[y])))
             val = cycle_trace(*pi_epsilon(Pairing(blocks)))
             if val:
-                total = total + val * QC(phi(p, q, N, cap))
+                total = total + val * QC(phi(p, q, N))
     return const_factor * total * QC(norm)
 
 

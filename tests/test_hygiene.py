@@ -1,6 +1,9 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no
+definition in the package goes unused."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,4 +51,50 @@ def test_no_unused_imports():
         used = _referenced(tree)
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in _imported(tree) if name not in used]
+    assert unused == []
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every module-level function,
+    class and assigned name, and of every method; dunders are left out."""
+    def spans(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield node.name, node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield target.id, node
+
+    for name, node in spans(tree.body):
+        yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((n, m.lineno, m.end_lineno)
+                        for n, m in spans(node.body)
+                        if isinstance(m, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef)))
+
+
+def test_no_unreferenced_definitions():
+    """Every definition in src/haarlab is named somewhere outside its
+    own body, in the package, the tests or perfbench (which looks some
+    up by name, so strings and comments count)."""
+    package = sorted((ROOT / "src" / "haarlab").glob("*.py"))
+    words = defaultdict(list)   # word -> [(path, line)]
+    for path in package + sorted((ROOT / "tests").glob("*.py")) + \
+            sorted((ROOT / "perfbench").glob("*.py")):
+        for line_no, line in enumerate(path.read_text().splitlines(), 1):
+            for word in re.findall(r"\w+", line):
+                words[word].append((path, line_no))
+    unused = []
+    for path in package:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, first, last in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if all(p == path and first <= line <= last
+                   for p, line in words[name]):
+                unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
     assert unused == []
