@@ -8,7 +8,8 @@ word lists), verify (acceptance suites).
 Options can come from a JSON config file (--config); explicit flags win
 over config values.  Exit codes: 0 success, 1 usage or parse problem,
 2 capacity or domain problem, 3 I/O problem, 4 verification checks
-failed.  HAARLAB_THREADS caps simulation workers.
+failed.  HAARLAB_THREADS sets the simulation's replica workers
+(default: the usable cores); each worker runs BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .haar_expect import (HaarLetter, TraceProductExpr,
                           parse_trace_product)
 from .rmt import (Const, EnsembleSpec, HaarU, Product, Sum, Variant,
                   histogram, ks_distance, pooled_eigenvalues,
-                  spectral_replicas, trace_observables)
+                  spectral_replicas, threading_summary,
+                  trace_observables)
 from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
                          wg_table)
 
@@ -255,10 +257,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             exact_values[text] = str(expected_trace_product(expr))
         except CapacityError:
             exact_values[text] = "beyond exact-engine capacity"
+    print(threading_summary(), file=sys.stderr)
     stats = trace_observables(observables, N, replicas, seed)
 
     summary = {"N": N, "replicas": replicas, "seed": seed,
-               "threads_env": os.environ.get("HAARLAB_THREADS", "1"),
                "observables": {}}
     cum = stats.cumulants(2)
     for i, text in enumerate(words, start=1):

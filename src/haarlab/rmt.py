@@ -5,11 +5,15 @@ distances, and mergeable trace statistics.
 Everything here is double precision; exact values live in haar_expect.
 Reproducibility contract: replica r draws its unitary from the derived
 seed (seed XOR r), so any partition of the replica range over workers
-produces the same numbers.
+produces the same numbers.  Inside the replica loop every BLAS and
+LAPACK call runs on one thread (the replica workers are the only
+parallelism), so the numbers do not depend on OPENBLAS_NUM_THREADS
+either.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ import numpy as np
 
 from .cumulants import CumulantFunctional, empirical_cumulants
 from .errors import (DimensionError, InsufficientSamplesError,
-                     NotSelfAdjointError)
+                     NotSelfAdjointError, WordParseError)
 
 HERMITIAN_TOL = 1e-8
 THREADS_ENV = "HAARLAB_THREADS"
@@ -40,11 +44,67 @@ def sample_haar_unitary(N: int, seed: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
+    """Replica workers of trace_observables: HAARLAB_THREADS when set,
+    else the cores this process may run on."""
+    raw = os.environ.get(THREADS_ENV)
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise WordParseError(
+            f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return count
+
+
+# ----------------------------------------------------------------------
+# BLAS threads
+
+def openblas_libraries() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process (numpy
+    and scipy each bundle one), from /proc/self/maps; empty where that
+    file does not exist."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    return sorted({f[5].strip() for f in fields
+                   if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+
+
+def blas_thread_setters() -> dict:
+    """{file name: openblas_set_num_threads_local} of each loaded OpenBLAS
+    library that exports it; the setter takes the calling thread's new
+    BLAS thread count and returns the previous one."""
+    setters = {}
+    for path in openblas_libraries():
+        setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local",
+                         None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = ctypes.c_int
+            setters[os.path.basename(path)] = setter
+    return setters
+
+
+def _set_blas_threads(setters: list, counts: list) -> list:
+    """Give setters[i] the thread count counts[i]; returns the previous
+    counts."""
+    return [set_threads(n) for set_threads, n in zip(setters, counts)]
+
+
+def threading_summary() -> str:
+    """One line on how trace_observables runs here: replica workers,
+    BLAS threads per worker and the OpenBLAS libraries found."""
+    names = list(blas_thread_setters())
+    blas = "1 (pinned)" if names else "not controlled"
+    return (f"replica workers: {worker_count()}; BLAS threads per worker: "
+            f"{blas}; OpenBLAS: {', '.join(names) or 'none found'}")
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +219,10 @@ def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
     if isinstance(node, Scale):
         return node.factor * evaluate(node.node, u, N)
     if isinstance(node, Product):
-        out = np.eye(N, dtype=complex)
-        for f in node.factors:
+        if not node.factors:
+            return np.eye(N, dtype=complex)
+        out = evaluate(node.factors[0], u, N)
+        for f in node.factors[1:]:
             out = out @ evaluate(f, u, N)
         return out
     raise TypeError(f"not an ensemble node: {node!r}")
@@ -317,9 +379,11 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
     """Tr of each observable tree per replica, the whole batch reusing
     one Haar draw per replica (derived seed = seed XOR replica id).
 
-    Replicas may be computed by a thread pool (HAARLAB_THREADS); results
-    land in preassigned slots, so the output does not depend on the
-    worker count.
+    Replicas are computed by worker_count() threads, and each worker
+    runs its BLAS and LAPACK calls on one thread; the caller's BLAS
+    thread count is restored on return.  Results land in preassigned
+    slots, so the output depends neither on HAARLAB_THREADS nor on
+    OPENBLAS_NUM_THREADS.
     """
     if isinstance(observables, Mapping):
         items = list(observables.items())
@@ -339,12 +403,22 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
             out[k, j] = np.trace(evaluate(node, u, N))
 
     threads = worker_count()
-    if threads == 1:
-        for j in range(replicas):
-            run_one(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(replicas)))
+    setters = list(blas_thread_setters().values())
+    one = [1] * len(setters)
+    # OpenBLAS's pthreads builds keep one process-wide count, so the
+    # caller pins too and restores what it found
+    previous = _set_blas_threads(setters, one)
+    try:
+        if threads == 1:
+            for j in range(replicas):
+                run_one(j)
+        else:
+            with ThreadPoolExecutor(max_workers=threads,
+                                    initializer=_set_blas_threads,
+                                    initargs=(setters, one)) as pool:
+                list(pool.map(run_one, range(replicas)))
+    finally:
+        _set_blas_threads(setters, previous)
     return TraceStatistics(names, N, seed, ids, out)
 
 

@@ -202,3 +202,29 @@ def test_integer_strings_in_config_still_parse(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["N"], payload["replicas"], payload["seed"]) == (4, 20, 3)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_bad_thread_count_is_usage_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("HAARLAB_THREADS", raw)
+    assert main(["simulate", "--N", "4", "--replicas", "20",
+                 "--word", "Tr(U)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HAARLAB_THREADS" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_outputs_independent_of_thread_count(tmp_path, monkeypatch,
+                                                      capsys):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HAARLAB_THREADS", threads)
+        outdir = tmp_path / threads
+        outdir.mkdir()
+        assert main(["simulate", "--N", "8", "--replicas", "30", "--seed",
+                     "4", "--word", "Tr(U)", "--word", "Tr(U Uc)",
+                     "--outdir", str(outdir)]) == 0
+        assert f"replica workers: {threads};" in capsys.readouterr().err
+        outputs.append([(outdir / f).read_bytes()
+                        for f in ("summary.json", "traces.csv")])
+    assert outputs[0] == outputs[1]

@@ -1,10 +1,15 @@
 """Haar sampling, observable trees, spectra, trace statistics."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarlab
+from haarlab import rmt
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
                             NotSelfAdjointError)
 from haarlab.rmt import (Conjugated, Const, EnsembleSpec, PhasedShift, HaarU,
@@ -52,6 +57,7 @@ def test_evaluate_tree():
     assert np.allclose(got, 2.0 * (a + u))
     prod = Product((Const("A", a), HaarU(-1, -1)))
     assert np.allclose(evaluate(prod, u, 3), a @ np.conj(u).T)
+    assert np.array_equal(evaluate(Product(()), u, 3), np.eye(3))
 
 
 def test_conjugated_node():
@@ -157,6 +163,86 @@ def test_trace_observables_deterministic_and_threaded():
             os.environ["HAARLAB_THREADS"] = old
     # identical regardless of worker count
     assert np.array_equal(a.samples, c.samples)
+
+
+def test_worker_count_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv("HAARLAB_THREADS", raising=False)
+    assert worker_count() == len(os.sched_getaffinity(0))
+
+
+_BYTES_SCRIPT = """
+import hashlib
+from haarlab.rmt import HaarU, Product, trace_observables
+obs = [("u", HaarU()), ("uu", Product((HaarU(), HaarU(-1, 1)))),
+       ("uuu", Product((HaarU(), HaarU(1, -1), HaarU(-1, -1))))]
+stats = trace_observables(obs, 128, 12, seed=5)
+print(hashlib.sha1(stats.samples.tobytes()).hexdigest())
+"""
+
+
+def test_trace_observables_bytes_independent_of_blas_and_workers():
+    """Environment variables must be set before numpy loads, hence one
+    subprocess per (BLAS threads, replica workers) setting."""
+    src = str(Path(haarlab.__file__).resolve().parent.parent)
+    digests = {}
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       HAARLAB_THREADS=workers, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", _BYTES_SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=120, check=True)
+            digests[blas, workers] = out.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
+def _blas_thread_counts() -> list:
+    """Each OpenBLAS library's current thread count (set, then put back)."""
+    setters = list(rmt.blas_thread_setters().values())
+    counts = [set_threads(1) for set_threads in setters]
+    for set_threads, n in zip(setters, counts):
+        set_threads(n)
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS library at two threads for the test, then restored."""
+    setters = list(rmt.blas_thread_setters().values())
+    if not setters:
+        pytest.skip("no OpenBLAS library with a thread-count setter loaded")
+    previous = [set_threads(2) for set_threads in setters]
+    yield [2] * len(setters)
+    for set_threads, n in zip(setters, previous):
+        set_threads(n)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_caller_blas_threads_restored_after_return(workers, two_blas_threads,
+                                                   monkeypatch):
+    monkeypatch.setenv("HAARLAB_THREADS", workers)
+    trace_observables([("t", Product((HaarU(), HaarU())))], 16, 10, seed=1)
+    assert _blas_thread_counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_caller_blas_threads_restored_after_raise(workers, two_blas_threads,
+                                                  monkeypatch):
+    monkeypatch.setenv("HAARLAB_THREADS", workers)
+    wrong = Const("A", np.eye(3))
+    with pytest.raises(DimensionError):
+        trace_observables([("t", Product((HaarU(), wrong)))], 4, 10, seed=1)
+    assert _blas_thread_counts() == two_blas_threads
+
+
+def test_trace_observables_without_openblas(monkeypatch):
+    obs = [("t", Product((HaarU(), HaarU(1, -1))))]
+    want = trace_observables(obs, 8, 12, seed=3)
+    monkeypatch.setattr(rmt, "openblas_libraries", lambda: [])
+    assert rmt.blas_thread_setters() == {}
+    assert "not controlled" in rmt.threading_summary()
+    got = trace_observables(obs, 8, 12, seed=3)
+    assert np.array_equal(got.samples, want.samples)
 
 
 def test_trace_observables_sample_floor():
