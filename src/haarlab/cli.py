@@ -28,7 +28,7 @@ from .emit import csv_bytes, json_bytes, svg_histogram
 from .errors import (CapacityError, DimensionError, HaarlabError,
                      InsufficientSamplesError, NoReductionError,
                      NotSelfAdjointError, WordParseError)
-from .exact import to_complex_rows
+from .exact import QCMatrix
 from .haar_expect import (HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
@@ -87,10 +87,21 @@ def _int_option(args: argparse.Namespace, cfg: dict, key: str, default=None,
     return num
 
 
+def _str_option(args: argparse.Namespace, cfg: dict, key: str):
+    """_merged as a string (None stays None), else a usage error."""
+    val = _merged(args, cfg, key)
+    if val is not None and not isinstance(val, str):
+        raise WordParseError(f"{key} must be a string, got {val!r}")
+    return val
+
+
 def _load_constants(pairs, cfg: dict) -> dict:
-    consts = {}
-    for name, path in (cfg.get("constants") or {}).items():
-        consts[name] = load_matrix_csv(path)
+    paths = {} if cfg.get("constants") is None else cfg["constants"]
+    if not (isinstance(paths, dict)
+            and all(isinstance(path, str) for path in paths.values())):
+        raise WordParseError(
+            f"constants must be an object of string paths, got {paths!r}")
+    consts = {name: load_matrix_csv(path) for name, path in paths.items()}
     for item in pairs or []:
         if "=" not in item:
             raise WordParseError(
@@ -109,12 +120,18 @@ def _word_nodes(expr: TraceProductExpr) -> list:
             if isinstance(letter, HaarLetter):
                 factors.append(HaarU(letter.eps, letter.eta))
             else:
-                factors.append(Const(
-                    letter.name,
-                    np.array(to_complex_rows(letter.resolved()))))
+                factors.append(Const(letter.name,
+                                     _complex_matrix(letter.resolved())))
         nodes.append(factors[0] if len(factors) == 1
                      else Product(tuple(factors)))
     return nodes
+
+
+def _complex_matrix(m: QCMatrix) -> np.ndarray:
+    """An exact matrix in complex doubles, each part correctly rounded."""
+    out = np.empty(m.shape, dtype=complex)
+    out.real, out.imag = m.re / m.den, m.im / m.den
+    return out
 
 
 def _mc_trace_product(expr: TraceProductExpr, replicas: int,
@@ -184,7 +201,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     replicas = _int_option(args, cfg, "replicas", 10)
     seed = _int_option(args, cfg, "seed", 0, minimum=0)
     bins = _int_option(args, cfg, "bins", 60)
-    outdir = _merged(args, cfg, "outdir")
+    outdir = _str_option(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")
     if not outdir:
@@ -234,14 +251,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     N = _int_option(args, cfg, "N", required=True)
     replicas = _int_option(args, cfg, "replicas", 100)
     seed = _int_option(args, cfg, "seed", 0, minimum=0)
-    outdir = _merged(args, cfg, "outdir")
+    outdir = _str_option(args, cfg, "outdir")
     consts = _load_constants(args.constant, cfg)
     words = _merged(args, cfg, "observables")
+    if isinstance(words, str):
+        words = [words]
     if not words:
         raise WordParseError("simulate needs observables "
                              "(config key \"observables\" or --word)")
-    if isinstance(words, str):
-        words = [words]
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise WordParseError("observables must be a string or a list of "
+                             f"strings, got {words!r}")
 
     observables = []
     exact_values = {}

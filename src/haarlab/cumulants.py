@@ -65,7 +65,12 @@ class CumulantFunctional:
             raise MissingMomentError(f"no cumulant stored for {_key(indices)}")
 
     def se(self, indices: Sequence[int]):
-        return self.standard_errors[_key(indices)]
+        try:
+            return self.standard_errors[_key(indices)]
+        except KeyError:
+            raise InsufficientSamplesError(
+                f"no batch standard error for {_key(indices)}: needs order "
+                f"1 or 2 and at least {2 * BATCH_COUNT} replicas") from None
 
 
 def e_pi(moments: MomentFunctional, pi: SetPartition,

@@ -1,16 +1,21 @@
 """Exact rational-complex scalars and matrices.
 
-Everything in this module is built on fractions.Fraction so that the
-Weingarten tables and the trace-expectation engine stay exact.  The
-matrix helpers work on tuples of tuples of QC and skip zero entries
-when multiplying, which makes products with identity, diagonal and
-single-band matrices cheap without any special-case flags.
+QC is a complex number with Fraction parts; the engine's traces are QC.
+QCMatrix holds Gaussian integers over one denominator: numpy object
+arrays re and im of Python ints and a positive int den, entries
+(re + i im) / den, kept in lowest terms so that equal matrices compare
+and hash equal.  A product is re re - im im and re im + im re over
+den * den; Tr(ab) sums the entries of a times b transposed.  numpy is
+only a container of Python ints here: nothing is floated.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DimensionError
 
@@ -112,98 +117,111 @@ def as_qc(x) -> QC:
     raise TypeError(f"cannot interpret {type(x).__name__} as QC")
 
 
-QCMatrix = tuple  # tuple of tuples of QC; alias for readability
+class QCMatrix:
+    """(re + i im) / den in lowest terms: re and im read-only object
+    arrays of Python ints of one nonempty 2-D shape, den a positive
+    int."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im, den: int):
+        re = np.asarray(re, dtype=object)
+        im = np.asarray(im, dtype=object)
+        if re.ndim != 2 or re.shape != im.shape or 0 in re.shape:
+            raise DimensionError(f"parts {re.shape}, {im.shape} are not a matrix")
+        if den == 0:
+            raise ZeroDivisionError("matrix with zero denominator")
+        g = math.gcd(den, *re.flat, *im.flat) * (1 if den > 0 else -1)
+        self.re, self.im, self.den = re // g, im // g, den // g
+        self.re.flags.writeable = self.im.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.re.shape
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QCMatrix):
+            return NotImplemented
+        return (self.den == other.den and np.array_equal(self.re, other.re)
+                and np.array_equal(self.im, other.im))
+
+    def __hash__(self):
+        return hash((self.den, self.shape, tuple(self.re.flat),
+                     tuple(self.im.flat)))
+
+    def __bool__(self) -> bool:  # any nonzero entry
+        return bool(self.re.any() or self.im.any())
+
+    def __repr__(self) -> str:
+        return f"QCMatrix({self.re.tolist()}, {self.im.tolist()}, {self.den})"
 
 
-def qc_matrix(rows: Iterable[Iterable]) -> QCMatrix:
-    """Coerce a nested iterable of ints/Fractions/QC into a QC matrix."""
-    mat = tuple(tuple(as_qc(x) for x in row) for row in rows)
-    if mat and any(len(row) != len(mat[0]) for row in mat):
+def qc_matrix(rows: QCMatrix | Iterable[Iterable]) -> QCMatrix:
+    """A QCMatrix as is, or nested rows of ints/Fractions/QC brought over
+    their least common denominator."""
+    if isinstance(rows, QCMatrix):
+        return rows
+    parts = [[(x.re, x.im) for x in map(as_qc, row)] for row in rows]
+    if any(len(row) != len(parts[0]) for row in parts):
         raise DimensionError("ragged rows in matrix literal")
-    return mat
+    den = math.lcm(*(f.denominator for row in parts for pair in row
+                     for f in pair))
+    return QCMatrix([[x.numerator * (den // x.denominator) for x, _ in row]
+                     for row in parts],
+                    [[y.numerator * (den // y.denominator) for _, y in row]
+                     for row in parts], den)
 
 
 def identity_qc(n: int) -> QCMatrix:
-    return tuple(tuple(QC_ONE if i == j else QC_ZERO for j in range(n))
-                 for i in range(n))
+    return QCMatrix(np.eye(n, dtype=object), np.zeros((n, n), dtype=object), 1)
 
 
-def mat_dim(a: QCMatrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
+def mat_unit(n: int, i: int, j: int) -> QCMatrix:
+    """The n x n matrix unit with its one 1 at 0-based (i, j)."""
+    unit = np.zeros((n, n), dtype=object)
+    unit[i, j] = 1
+    return QCMatrix(unit, np.zeros((n, n), dtype=object), 1)
 
 
 def mat_mul(a: QCMatrix, b: QCMatrix) -> QCMatrix:
-    n, k = mat_dim(a)
-    k2, m = mat_dim(b)
-    if k != k2:
-        raise DimensionError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    # sparse row walk: only touch nonzero entries of the left factor
-    out = []
-    for i in range(n):
-        row = [QC_ZERO] * m
-        for l, ail in enumerate(a[i]):
-            if not ail:
-                continue
-            brow = b[l]
-            for j in range(m):
-                if brow[j]:
-                    row[j] = row[j] + ail * brow[j]
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_sub(a: QCMatrix, b: QCMatrix) -> QCMatrix:
-    if mat_dim(a) != mat_dim(b):
-        raise DimensionError("shape mismatch in matrix difference")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: QCMatrix) -> QCMatrix:
-    c = as_qc(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"cannot multiply {a.shape[0]}x{a.shape[1]} "
+                             f"by {b.shape[0]}x{b.shape[1]}")
+    return QCMatrix(a.re @ b.re - a.im @ b.im, a.re @ b.im + a.im @ b.re,
+                    a.den * b.den)
 
 
 def mat_transpose(a: QCMatrix) -> QCMatrix:
-    return tuple(zip(*a)) if a else a
-
-
-def mat_conj(a: QCMatrix) -> QCMatrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
+    return QCMatrix(a.re.T, a.im.T, a.den)
 
 
 def mat_trace(a: QCMatrix) -> QC:
-    n, m = mat_dim(a)
-    if n != m:
+    if a.shape[0] != a.shape[1]:
         raise DimensionError("trace of a non-square matrix")
-    t = QC_ZERO
-    for i in range(n):
-        t = t + a[i][i]
-    return t
+    return QC(Fraction(sum(a.re.diagonal()), a.den),
+              Fraction(sum(a.im.diagonal()), a.den))
 
 
 def mat_trace_product(a: QCMatrix, b: QCMatrix) -> QC:
-    """Tr(ab) without forming ab: one pass over the entries of a,
-    skipping its zeros like mat_mul does."""
-    n, k = mat_dim(a)
-    k2, m = mat_dim(b)
-    if k != k2 or m != n:
-        raise DimensionError(f"Tr of a {n}x{k} times a {k2}x{m} matrix")
-    t = QC_ZERO
-    for i in range(n):
-        for l, ail in enumerate(a[i]):
-            if ail and b[l][i]:
-                t = t + ail * b[l][i]
-    return t
+    """Tr(ab) without forming ab: the entries of a times b transposed,
+    summed."""
+    if a.shape != b.shape[::-1]:
+        raise DimensionError(f"Tr of a {a.shape[0]}x{a.shape[1]} times a "
+                             f"{b.shape[0]}x{b.shape[1]} matrix")
+    den = a.den * b.den
+    return QC(Fraction((a.re * b.re.T).sum() - (a.im * b.im.T).sum(), den),
+              Fraction((a.re * b.im.T).sum() + (a.im * b.re.T).sum(), den))
+
+
+def mat_center(a: QCMatrix) -> tuple[QC, QCMatrix]:
+    """a split as tr(a) I + a-ring: the normalized trace tr(a) = Tr(a)/n
+    and the centered a-ring, whose trace is 0."""
+    n = a.shape[0]
+    mean = mat_trace(a) / QC(n)
+    eye = np.eye(n, dtype=object)
+    return mean, QCMatrix(n * a.re - sum(a.re.diagonal()) * eye,
+                          n * a.im - sum(a.im.diagonal()) * eye, n * a.den)
 
 
 def mat_is_identity(a: QCMatrix) -> bool:
-    n, m = mat_dim(a)
-    if n != m:
-        return False
-    return all(a[i][j] == (QC_ONE if i == j else QC_ZERO)
-               for i in range(n) for j in range(n))
-
-
-def to_complex_rows(a: QCMatrix) -> list[list[complex]]:
-    return [[complex(x) for x in row] for row in a]
-
+    return a.shape[0] == a.shape[1] and a == identity_qc(a.shape[0])

@@ -26,16 +26,19 @@ raises CapacityError.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .combinat import Pairing, Permutation, enumerate_alpha_pairings, pi_epsilon
 from .errors import CapacityError, DimensionError, WordParseError
-from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_is_identity,
-                    mat_mul, mat_scale, mat_sub, mat_trace, mat_trace_product,
-                    mat_transpose, qc_matrix)
+from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
+                    mat_mul, mat_trace, mat_trace_product, mat_transpose,
+                    mat_unit, qc_matrix)
 from .weingarten import DEFAULT_ORDER_CAP, phi
 
 
@@ -54,12 +57,9 @@ class HaarLetter:
     def adjoint(self) -> "HaarLetter":
         return HaarLetter(-self.eps, -self.eta)
 
-    def token(self) -> str:
+    def __repr__(self) -> str:
         return {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}[
             (self.eps, self.eta)]
-
-    def __repr__(self) -> str:
-        return self.token()
 
 
 U = HaarLetter(1, 1)
@@ -76,13 +76,13 @@ class ConstantLetter:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", qc_matrix(self.matrix))
-        n = len(self.matrix)
-        if n == 0 or any(len(row) != n for row in self.matrix):
+        rows, cols = self.matrix.shape
+        if rows != cols:
             raise DimensionError(f"constant {self.name!r} is not square")
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return self.matrix.shape[0]
 
     def resolved(self) -> QCMatrix:
         return mat_transpose(self.matrix) if self.transpose else self.matrix
@@ -111,10 +111,8 @@ class TraceWord:
         return sum(1 for l in self.letters if isinstance(l, HaarLetter))
 
     def constant_dim(self) -> int | None:
-        for l in self.letters:
-            if isinstance(l, ConstantLetter):
-                return l.dim
-        return None
+        return next((l.dim for l in self.letters
+                     if isinstance(l, ConstantLetter)), None)
 
     def __repr__(self) -> str:
         body = " ".join(repr(l) for l in self.letters)
@@ -168,9 +166,8 @@ def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
     if n % 2 or sum(alpha) != 0:
         return Fraction(0)
     words = tuple(
-        TraceWord((HaarLetter(1, a), ConstantLetter(
-            f"E{c},{r}", [[int((i, j) == (c, r)) for j in range(1, N + 1)]
-                          for i in range(1, N + 1)])))
+        TraceWord((HaarLetter(1, a),
+                   ConstantLetter(f"E{c},{r}", mat_unit(N, c - 1, r - 1))))
         for a, r, c in zip(alpha, rows, cols))
     value = expected_trace_product(TraceProductExpr(words, N))
     if value.im:
@@ -325,17 +322,13 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
 # ----------------------------------------------------------------------
 # word simplification
 
-def _is_adjoint_pair(a: HaarLetter, b: HaarLetter) -> bool:
-    return a.eps == -b.eps and a.eta == -b.eta
-
-
 def _slot_ok(slots: list, i: int) -> bool:
     """Constant slot i (before Haar letter i) is acceptable: centered,
     or identity where the flanking Haar letters are not mutual adjoints."""
     a, _u = slots[i]
     if a is None:
         prev = slots[i - 1][1]  # cyclic: slot 0 is preceded by the last letter
-        return not _is_adjoint_pair(prev, slots[i][1])
+        return prev.adjoint() != slots[i][1]
     return mat_trace(a) == QC_ZERO
 
 
@@ -357,13 +350,16 @@ def _rotate_to_slot_form(letters: tuple) -> list[list]:
             for a, u in slots]
 
 
-def _word_from_slots(slots: list, normalized: bool, counter: list[int]) -> TraceWord:
+def _word_from_slots(slots, normalized: bool, counter: list[int]) -> TraceWord:
+    """The word of (constant or None, Haar letter or None) slots, the
+    constants named A1, A2, ... by the running counter."""
     letters: list = []
     for a, u in slots:
         if a is not None:
             counter[0] += 1
             letters.append(ConstantLetter(f"A{counter[0]}", a))
-        letters.append(u)
+        if u is not None:
+            letters.append(u)
     return TraceWord(tuple(letters), normalized=normalized)
 
 
@@ -393,16 +389,11 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
         # the whole word collapsed to a constant; its trace value joins c0
         nonlocal c0
         if mat is None:
-            if not word.normalized:
-                c0 = c0 + coeff * QC(N if N is not None else 1)
-            else:
-                c0 = c0 + coeff
+            c0 = c0 + coeff * QC(1 if word.normalized or N is None else N)
             return
-        t = mat_trace(mat)
-        dim = len(mat)
-        c0 = c0 + coeff * (t / QC(dim) if word.normalized else t)
-        ring = mat_sub(mat, mat_scale(t / QC(dim), identity_qc(dim)))
-        if any(any(x for x in row) for row in ring):
+        mean, ring = mat_center(mat)
+        c0 = c0 + coeff * (mean if word.normalized else mat_trace(mat))
+        if ring:
             key = ((ring, None),)
             done[key] = done.get(key, QC_ZERO) + coeff
 
@@ -416,10 +407,10 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
         coeff, slots = stack.pop()
         if not coeff:
             continue
-        m = len(slots)
-        bad = next((i for i in range(m) if not _slot_ok(slots, i)), None)
+        bad = next((i for i in range(len(slots)) if not _slot_ok(slots, i)),
+                   None)
         if bad is None:
-            key = tuple((a, u) for a, u in slots)
+            key = tuple(map(tuple, slots))
             done[key] = done.get(key, QC_ZERO) + coeff
             continue
         slots = slots[bad + 1:] + slots[:bad + 1]  # offender now in the last slot
@@ -427,7 +418,7 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
         if a_last is None:
             # identity between mutual adjoints: U_{m-1} I U_m = I
             u_prev = slots[-2][1]
-            assert _is_adjoint_pair(u_prev, u_last)
+            assert u_prev.adjoint() == u_last
             a_prev = slots[-2][0]
             rest = slots[:-2]
             if not rest:
@@ -439,27 +430,17 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
                 rest = [[merged, first[1]]] + rest[1:]
             stack.append((coeff, rest))
         else:
-            t = mat_trace(a_last)
-            dim = len(a_last)
-            ring = mat_sub(a_last, mat_scale(t / QC(dim), identity_qc(dim)))
-            has_ring = any(any(x for x in row) for row in ring)
-            if has_ring:
+            mean, ring = mat_center(a_last)
+            if ring:
                 stack.append((coeff, slots[:-1] + [[ring, u_last]]))
-            stack.append((coeff * (t / QC(dim)), slots[:-1] + [[None, u_last]]))
+            stack.append((coeff * mean, slots[:-1] + [[None, u_last]]))
 
     counter = [0]
     terms = []
     for key in sorted(done, key=repr):
-        coeff = done[key]
-        if not coeff:
-            continue
-        if len(key) == 1 and key[0][1] is None:
-            counter[0] += 1
-            w = TraceWord((ConstantLetter(f"A{counter[0]}", key[0][0]),),
-                          normalized=word.normalized)
-        else:
-            w = _word_from_slots([list(s) for s in key], word.normalized, counter)
-        terms.append((coeff, w))
+        if done[key]:
+            terms.append((done[key],
+                          _word_from_slots(key, word.normalized, counter)))
     return c0, terms
 
 
@@ -573,29 +554,29 @@ def parse_trace_product(text: str,
 def load_matrix_csv(path: str) -> QCMatrix:
     """Read one exact matrix from CSV rows (row, col, re_num, re_den,
     im_num, im_den); omitted entries are zero, indices are 1-based."""
-    entries: dict[tuple[int, int], QC] = {}
-    dim = 0
+    entries: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line in reader:
-            if not line or line[0].strip().startswith("#"):
-                continue
-            if line[0].strip().lower() == "row":
+        for line in csv.reader(fh):
+            head = line[0].strip().lower() if line else "#"
+            if head.startswith("#") or head == "row":
                 continue
             try:
-                r, c = int(line[0]), int(line[1])
-                re_num, re_den = int(line[2]), int(line[3])
-                im_num, im_den = int(line[4]), int(line[5])
-            except (ValueError, IndexError) as exc:
+                r, c, re_num, re_den, im_num, im_den = map(int, line[:6])
+            except ValueError as exc:
                 raise WordParseError(f"bad matrix row {line!r} in {path}") from exc
             if r < 1 or c < 1:
                 raise WordParseError(f"matrix indices are 1-based: {line!r}")
             if re_den == 0 or im_den == 0:
                 raise WordParseError(
                     f"zero denominator in matrix row {line!r} in {path}")
-            entries[(r, c)] = QC(Fraction(re_num, re_den), Fraction(im_num, im_den))
-            dim = max(dim, r, c)
-    if dim == 0:
+            entries[(r, c)] = (re_num, re_den, im_num, im_den)
+    if not entries:
         raise WordParseError(f"no entries in matrix file {path}")
-    return qc_matrix([[entries.get((r, c), QC_ZERO) for c in range(1, dim + 1)]
-                      for r in range(1, dim + 1)])
+    dim = max(max(rc) for rc in entries)
+    den = math.lcm(*(d for e in entries.values() for d in e[1::2]))
+    re_part = np.zeros((dim, dim), dtype=object)
+    im_part = np.zeros((dim, dim), dtype=object)
+    for (r, c), (re_num, re_den, im_num, im_den) in entries.items():
+        re_part[r - 1, c - 1] = re_num * (den // re_den)
+        im_part[r - 1, c - 1] = im_num * (den // im_den)
+    return QCMatrix(re_part, im_part, den)

@@ -1,6 +1,6 @@
 """Monte Carlo side of the package: Haar-unitary sampling, ensemble
 expression trees sharing one U per replica, spectra, histograms, KS
-distances, and mergeable trace statistics.
+distances, and per-replica trace statistics.
 
 Everything here is double precision; exact values live in haar_expect.
 Reproducibility contract: replica r draws its unitary from the derived
@@ -17,7 +17,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -314,19 +314,14 @@ def ks_distance(points, cdf: Callable[[float], float],
 @dataclass
 class TraceStatistics:
     """Per-replica unnormalized traces of named observables, all computed
-    from the same per-replica unitary.  Merging concatenates disjoint
-    replica ranges and re-sorts, so any work partition yields the same
-    object."""
+    from the same per-replica unitary."""
 
     names: tuple
-    N: int
-    seed: int
-    replica_ids: np.ndarray
-    samples: np.ndarray
+    samples: np.ndarray     # observable x replica
 
     @property
     def replica_count(self) -> int:
-        return int(self.replica_ids.size)
+        return self.samples.shape[1]
 
     def row(self, name: str) -> np.ndarray:
         return self.samples[self.names.index(name)]
@@ -340,12 +335,6 @@ class TraceStatistics:
         a, b = self.row(name_a), self.row(name_b)
         return complex(np.mean(a * b) - np.mean(a) * np.mean(b))
 
-    def moment(self, names: Sequence[str]) -> complex:
-        prod = np.ones(self.replica_count, dtype=complex)
-        for nm in names:
-            prod = prod * self.row(nm)
-        return complex(np.mean(prod))
-
     def cumulants(self, max_order: int = 2) -> CumulantFunctional:
         """Empirical joint cumulants of the trace variables, indexed by
         1-based observable position."""
@@ -353,29 +342,17 @@ class TraceStatistics:
                                     for i in range(len(self.names))],
                                    max_order=max_order)
 
-    def merge(self, other: "TraceStatistics") -> "TraceStatistics":
-        if (self.names, self.N, self.seed) != (other.names, other.N, other.seed):
-            raise ValueError("cannot merge statistics from different runs")
-        ids = np.concatenate([self.replica_ids, other.replica_ids])
-        if np.unique(ids).size != ids.size:
-            raise ValueError("overlapping replica ranges")
-        order = np.argsort(ids)
-        samples = np.concatenate([self.samples, other.samples], axis=1)
-        return TraceStatistics(self.names, self.N, self.seed,
-                               ids[order], samples[:, order])
-
     def csv_rows(self) -> list:
         """(observable, replica, re, im) rows in a deterministic order."""
         rows = []
         for k, nm in enumerate(self.names):
-            for j, rid in enumerate(self.replica_ids):
-                z = self.samples[k, j]
-                rows.append((nm, int(rid), float(z.real), float(z.imag)))
+            for j, z in enumerate(self.samples[k]):
+                rows.append((nm, j, float(z.real), float(z.imag)))
         return rows
 
 
-def trace_observables(observables, N: int, replicas: int, seed: int,
-                      first_replica: int = 0) -> TraceStatistics:
+def trace_observables(observables, N: int, replicas: int,
+                      seed: int) -> TraceStatistics:
     """Tr of each observable tree per replica, the whole batch reusing
     one Haar draw per replica (derived seed = seed XOR replica id).
 
@@ -385,20 +362,16 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
     slots, so the output depends neither on HAARLAB_THREADS nor on
     OPENBLAS_NUM_THREADS.
     """
-    if isinstance(observables, Mapping):
-        items = list(observables.items())
-    else:
-        items = list(observables)
+    items = list(observables.items() if isinstance(observables, Mapping)
+                 else observables)
     if replicas < 10:
         raise InsufficientSamplesError("need at least 10 replicas")
     names = tuple(nm for nm, _ in items)
     nodes = [node for _, node in items]
-    ids = np.arange(first_replica, first_replica + replicas, dtype=np.int64)
     out = np.empty((len(items), replicas), dtype=complex)
 
     def run_one(j: int):
-        rid = int(ids[j])
-        u = sample_haar_unitary(N, seed ^ rid)
+        u = sample_haar_unitary(N, seed ^ j)
         for k, node in enumerate(nodes):
             out[k, j] = np.trace(evaluate(node, u, N))
 
@@ -419,7 +392,7 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
                 list(pool.map(run_one, range(replicas)))
     finally:
         _set_blas_threads(setters, previous)
-    return TraceStatistics(names, N, seed, ids, out)
+    return TraceStatistics(names, out)
 
 
 def spectral_replicas(spec: EnsembleSpec, replicas: int, seed: int) -> list:

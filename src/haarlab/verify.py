@@ -23,8 +23,8 @@ from .cumulants import (CumulantFunctional, MomentFunctional,
                         cumulants_to_moments, moments_to_cumulants)
 from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
                         moment_by_quadrature)
-from .exact import (QC, QC_ONE, QC_ZERO, mat_mul, mat_trace, mat_transpose,
-                    qc_matrix)
+from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
+                    mat_trace, mat_transpose, qc_matrix)
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           TraceWord, U, U_BAR, U_STAR, U_T,
                           expected_trace_product, first_order_limit,
@@ -143,20 +143,23 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
         N = rng.randint(2, 3)
         plist = list(enumerate_pairings(n, signed=True))
         p = plist[rng.randrange(len(plist))]
-        mats = [qc_matrix([[rng.randint(-3, 3) for _ in range(N)]
-                           for _ in range(N)]) for _ in range(n)]
-        total = QC_ZERO
+        # plain int rows for the brute-force sum, so that it does not
+        # share the exact matrix type with the trace-product side
+        rows = [[[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)]
+                for _ in range(n)]
+        total = 0
         pairs = p.pairs()
         for choice in itertools.product(range(N), repeat=len(pairs)):
             idx = {}
             for (a, b), v in zip(pairs, choice):
                 idx[a] = v
                 idx[b] = v
-            term = QC_ONE
+            term = 1
             for k in range(1, n + 1):
-                term = term * mats[k - 1][idx[k]][idx[-k]]
-            total = total + term
+                term *= rows[k - 1][idx[k]][idx[-k]]
+            total += term
         pi, eps = pi_epsilon(p)
+        mats = [qc_matrix(r) for r in rows]
         rhs = QC_ONE
         for cyc in pi.cycles():
             prod = None
@@ -166,7 +169,7 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
                     m = mat_transpose(m)
                 prod = m if prod is None else mat_mul(prod, m)
             rhs = rhs * mat_trace(prod)
-        if total != rhs:
+        if QC(total) != rhs:
             mismatches += 1
     return _result(
         "index_sum_oracle",
@@ -191,8 +194,7 @@ def _random_word(rng: random.Random, N: int, length: int) -> TraceWord:
             letters.append(ConstantLetter(f"C{i}", qc_matrix(rows)))
     if not any(isinstance(l, ConstantLetter) for l in letters):
         letters[rng.randrange(len(letters))] = ConstantLetter(
-            "C", qc_matrix([[1 if a == b else 0 for b in range(N)]
-                            for a in range(N)]))
+            "C", identity_qc(N))
     return TraceWord(tuple(letters), normalized=rng.random() < 0.5)
 
 
@@ -347,9 +349,9 @@ def check_transpose_second_order(seed: int = 0) -> CheckResult:
 
 # 8: decay of tr(U A U* (U B U*)^t)
 
-def _balanced_diag_qc(N: int):
-    return qc_matrix([[ (1 if a < N // 2 else -1) if a == b else 0
-                        for b in range(N)] for a in range(N)])
+def _balanced_diag_qc(N: int) -> QCMatrix:
+    diag = np.diag([1] * (N // 2) + [-1] * (N - N // 2))
+    return QCMatrix(diag, 0 * diag, 1)
 
 
 def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:

@@ -228,3 +228,33 @@ def test_simulate_outputs_independent_of_thread_count(tmp_path, monkeypatch,
         outputs.append([(outdir / f).read_bytes()
                         for f in ("summary.json", "traces.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("replicas, code", [("15", 2), ("20", 0)])
+def test_simulate_needs_enough_replicas_for_batch_errors(replicas, code,
+                                                         capsys):
+    assert main(["simulate", "--N", "4", "--replicas", replicas,
+                 "--word", "Tr(U)"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.count("error: ") == 1 and "20 replicas" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "constants", "a.csv"), ("moment", "constants", {"A": 0}),
+    ("simulate", "constants", ["a.csv"]), ("simulate", "observables", 5),
+    ("simulate", "observables", [1, 2]), ("simulate", "outdir", 5),
+    ("figure1", "outdir", ["."]),
+])
+def test_config_value_of_wrong_type_is_usage_error(command, key, value,
+                                                   tmp_path, capsys):
+    values = {"N": 32, "replicas": 20, "observables": ["Tr(U)"], key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = [command] + (["Tr(U)"] if command == "moment" else []) + \
+        ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Rational complex arithmetic and exact matrix helpers."""
+"""Rational complex arithmetic and the exact matrix type."""
 
 import random
 from fractions import Fraction
@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from haarlab.errors import DimensionError
-from haarlab.exact import (QC, QC_ONE, QC_ZERO, as_qc, identity_qc, mat_conj,
-                           mat_is_identity, mat_mul, mat_trace,
-                           mat_trace_product, mat_transpose, qc_matrix,
-                           to_complex_rows)
+from haarlab.exact import (QC, QC_ONE, QC_ZERO, QCMatrix, as_qc, identity_qc,
+                           mat_center, mat_is_identity, mat_mul, mat_trace,
+                           mat_trace_product, mat_transpose, mat_unit,
+                           qc_matrix)
 
 
 def test_qc_field_ops():
@@ -55,41 +55,110 @@ def test_qc_str_forms():
     assert str(QC(Fraction(0), Fraction(1))) == "1i"
 
 
-def test_matrix_helpers():
-    a = qc_matrix([[1, 2], [3, 4]])
-    b = qc_matrix([[0, 1], [1, 0]])
-    assert mat_trace(a) == QC(Fraction(5))
-    assert mat_mul(a, b) == qc_matrix([[2, 1], [4, 3]])
-    assert mat_transpose(a) == qc_matrix([[1, 3], [2, 4]])
-    assert mat_is_identity(identity_qc(3))
-    assert not mat_is_identity(a)
-    j = qc_matrix([[QC(Fraction(0), Fraction(1))]])
-    assert mat_conj(j)[0][0] == QC(Fraction(0), Fraction(-1))
-    assert to_complex_rows(j) == [[1j]]
+# -- QCMatrix against entry-by-entry QC arithmetic ---------------------
+
+def _entries(m):
+    """A QCMatrix read back as rows of QC."""
+    return [[QC(Fraction(re, m.den), Fraction(im, m.den))
+             for re, im in zip(re_row, im_row)]
+            for re_row, im_row in zip(m.re.tolist(), m.im.tolist())]
 
 
-
-def test_mat_trace_product_matches_trace_of_product():
-    rng = random.Random(11)
-
-    def rand_matrix(rows, cols):
-        # about a third of the entries zero, to exercise the skips
-        return qc_matrix([[QC(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                              Fraction(rng.choice([0, 0, rng.randint(-2, 2)]),
-                                       rng.randint(1, 3)))
-                           if rng.random() < 0.7 else 0
-                           for _ in range(cols)] for _ in range(rows)])
-
-    for rows, inner in [(1, 1), (2, 2), (3, 3), (2, 3), (3, 1), (4, 2)]:
-        for _ in range(5):
-            a, b = rand_matrix(rows, inner), rand_matrix(inner, rows)
-            assert mat_trace_product(a, b) == mat_trace(mat_mul(a, b))
-            assert mat_trace_product(b, a) == mat_trace(mat_mul(b, a))
+def _ref_mul(a, b):
+    return [[sum((a[i][l] * b[l][j] for l in range(len(b))), QC_ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def test_mat_trace_product_rejects_shape_mismatch():
-    a = qc_matrix([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(DimensionError):
-        mat_trace_product(a, a)
-    with pytest.raises(DimensionError):
-        mat_trace_product(a, qc_matrix([[1, 2], [3, 4]]))
+def _ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _ref_trace(a):
+    return sum((a[i][i] for i in range(len(a))), QC_ZERO)
+
+
+def _random_rows(rng, rows, cols):
+    # about a third of the entries zero, the rest over mixed denominators
+    return [[QC(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                Fraction(rng.choice([0, 0, rng.randint(-2, 2)]),
+                         rng.randint(1, 3)))
+             if rng.random() < 0.7 else QC_ZERO
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("rows, inner",
+                         [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 1),
+                          (4, 2)])
+def test_matrix_ops_match_entrywise_reference(rows, inner):
+    rng = random.Random(100 * rows + inner)
+    for _ in range(8):
+        a_rows = _random_rows(rng, rows, inner)
+        b_rows = _random_rows(rng, inner, rows)
+        a, b = qc_matrix(a_rows), qc_matrix(b_rows)
+        assert _entries(a) == a_rows
+        assert _entries(mat_mul(a, b)) == _ref_mul(a_rows, b_rows)
+        assert _entries(mat_mul(b, a)) == _ref_mul(b_rows, a_rows)
+        assert _entries(mat_transpose(a)) == _ref_transpose(a_rows)
+        assert mat_trace_product(a, b) == _ref_trace(_ref_mul(a_rows, b_rows))
+        assert mat_trace_product(b, a) == _ref_trace(_ref_mul(b_rows, a_rows))
+        assert bool(a) == any(x for row in a_rows for x in row)
+        if rows != inner:
+            continue
+        assert mat_trace(a) == _ref_trace(a_rows)
+        mean, ring = mat_center(a)
+        assert mean == _ref_trace(a_rows) / QC(rows)
+        assert _entries(ring) == [[x - mean if i == j else x
+                                   for j, x in enumerate(row)]
+                                  for i, row in enumerate(a_rows)]
+        assert mat_trace(ring) == QC_ZERO
+        assert mat_is_identity(a) == (a_rows == [[QC(int(i == j))
+                                                  for j in range(rows)]
+                                                 for i in range(rows)])
+
+
+def test_identity_and_matrix_units():
+    for n in (1, 2, 5):
+        eye = [[QC(int(i == j)) for j in range(n)] for i in range(n)]
+        assert _entries(identity_qc(n)) == eye
+        assert mat_is_identity(identity_qc(n))
+        assert mat_is_identity(QCMatrix([[3 * (i == j) for j in range(n)]
+                                         for i in range(n)], [[0] * n] * n, 3))
+        mean, ring = mat_center(identity_qc(n))
+        assert mean == QC_ONE and not ring
+    assert not mat_is_identity(qc_matrix([[1, 0, 0], [0, 1, 0]]))
+    assert not mat_is_identity(qc_matrix([[1, 0], [0, QC(1, 1)]]))
+    assert _entries(mat_unit(3, 0, 2)) == [[QC(int((i, j) == (0, 2)))
+                                            for j in range(3)]
+                                           for i in range(3)]
+    # a product that cancels its denominator equals the literal identity
+    half = qc_matrix([[Fraction(1, 2), 0], [0, QC(0, Fraction(1, 2))]])
+    double = qc_matrix([[2, 0], [0, QC(0, -2)]])
+    assert mat_mul(half, double) == identity_qc(2)
+
+
+def test_equality_and_hash_do_not_depend_on_the_written_denominator():
+    a = qc_matrix([[Fraction(2, 4), 2], [0, QC(0, Fraction(3, 9))]])
+    b = qc_matrix([[Fraction(1, 2), Fraction(6, 3)], [0, QC(0, Fraction(1, 3))]])
+    c = QCMatrix([[3, 12], [0, 0]], [[0, 0], [0, 2]], 6)
+    d = QCMatrix([[-6, -24], [0, 0]], [[0, 0], [0, -4]], -12)
+    assert a == b == c == d
+    assert len({hash(m) for m in (a, b, c, d)}) == 1
+    assert len({a, b, c, d}) == 1
+    assert d.den == 6 and d.re.tolist() == [[3, 12], [0, 0]]
+    assert a != qc_matrix([[Fraction(1, 2), 2], [0, 0]])
+    assert a != qc_matrix([[Fraction(1, 2), 2, 0], [0, QC(0, Fraction(1, 3)), 0]])
+    assert qc_matrix(a) is a
+
+
+def test_shape_mismatch_raises_dimension_error():
+    wide = qc_matrix([[1, 2, 3], [4, 5, 6]])
+    square = qc_matrix([[1, 2], [3, 4]])
+    for bad in (lambda: mat_mul(wide, wide), lambda: mat_mul(wide, square),
+                lambda: mat_trace_product(wide, wide),
+                lambda: mat_trace_product(wide, square),
+                lambda: mat_trace(wide), lambda: mat_center(wide),
+                lambda: qc_matrix([[1, 2], [3]]), lambda: qc_matrix([]),
+                lambda: QCMatrix([[1, 2]], [[1], [2]], 1)):
+        with pytest.raises(DimensionError):
+            bad()
+    assert mat_trace_product(wide, mat_transpose(wide)) == QC(91)

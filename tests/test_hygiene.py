@@ -98,3 +98,49 @@ def test_no_unreferenced_definitions():
                    for p, line in words[name]):
                 unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
     assert unused == []
+
+
+_INEXACT = re.compile(r"^(linalg|random|fft|float|complex|double|cdouble|"
+                      r"longdouble|clongdouble|single|csingle|half|inexact)")
+_CONSTRUCTORS = {"array", "asarray", "zeros", "ones", "empty", "full", "eye",
+                 "identity", "arange", "linspace", "fromiter", "frombuffer"}
+
+
+def test_exact_layer_uses_numpy_only_as_an_integer_container():
+    """exact.py and haar_expect.py keep Python ints in numpy object arrays:
+    no np.linalg, np.random or float/complex dtype is named there, every
+    dtype passed (or astype target) is object or int, no array is built
+    without one (the default is float64), and nothing is imported from
+    numpy by name."""
+    found = []
+    for name in ("exact.py", "haar_expect.py"):
+        path = ROOT / "src" / "haarlab" / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        numpy_names = {"np", "numpy"} | {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "numpy":
+                found.append(f"{where}: from {node.module} import")
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in numpy_names and _INEXACT.match(node.attr):
+                found.append(f"{where}: {node.value.id}.{node.attr}")
+            if not isinstance(node, ast.Call):
+                continue
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "astype":
+                dtypes += node.args[:1]
+            elif isinstance(func, ast.Attribute) and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id in numpy_names and \
+                    func.attr in _CONSTRUCTORS and not dtypes:
+                found.append(f"{where}: {func.attr} without a dtype")
+            found += [f"{where}: dtype {ast.unparse(d)}" for d in dtypes
+                      if not (isinstance(d, ast.Name)
+                              and d.id in ("object", "int"))]
+    assert found == []

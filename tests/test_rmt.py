@@ -250,21 +250,12 @@ def test_trace_observables_sample_floor():
         trace_observables([("t", HaarU())], 4, 9, seed=0)
 
 
-def test_trace_statistics_covariance_and_merge():
+def test_trace_statistics_covariance():
     obs = {"u": HaarU(), "ubar": HaarU(1, -1)}
-    first = trace_observables(obs, 32, 300, seed=1)
+    stats = trace_observables(obs, 32, 300, seed=1)
     # E Tr(U) Tr(U-) = 1 with fluctuations O(1/sqrt(R))
-    cov = first.covariance("u", "ubar")
+    cov = stats.covariance("u", "ubar")
     assert abs(cov - 1.0) < 0.35
-    more = trace_observables(obs, 32, 300, seed=1, first_replica=300)
-    merged = first.merge(more)
-    assert merged.replica_count == 600
-    assert np.array_equal(merged.replica_ids, np.arange(600))
-    with pytest.raises(ValueError):
-        first.merge(first)           # overlapping replica ids
-    other_seed = trace_observables(obs, 32, 300, seed=2, first_replica=300)
-    with pytest.raises(ValueError):
-        first.merge(other_seed)      # different run
 
 
 def test_trace_statistics_csv_rows():
