@@ -24,9 +24,8 @@ from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            real_spoke_prediction)
 from .densities import (arcsine_law, free_self_convolution,
                         kesten_mckay_law)
-from .rmt import (EnsembleSpec, HaarU, Sum, Variant, histogram,
-                  ks_distance, sample_haar_unitary, spectral_replicas,
-                  trace_observables)
+from .rmt import (HaarU, Sum, Variant, histogram, ks_distance,
+                  sample_haar_unitary, spectral_replicas, trace_observables)
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -40,7 +39,7 @@ __all__ = [
     "moments_to_cumulants", "FirstOrderTable", "complex_spoke_prediction",
     "freeness_residual", "one_by_one_real_prediction",
     "real_spoke_prediction", "arcsine_law", "free_self_convolution",
-    "kesten_mckay_law", "EnsembleSpec", "HaarU", "Sum", "Variant",
-    "histogram", "ks_distance", "sample_haar_unitary", "spectral_replicas",
+    "kesten_mckay_law", "HaarU", "Sum", "Variant", "histogram",
+    "ks_distance", "sample_haar_unitary", "spectral_replicas",
     "trace_observables", "run_suite",
 ]

@@ -8,8 +8,9 @@ word lists), verify (acceptance suites).
 Options can come from a JSON config file (--config); explicit flags win
 over config values.  Exit codes: 0 success, 1 usage or parse problem,
 2 capacity or domain problem, 3 I/O problem, 4 verification checks
-failed.  HAARLAB_THREADS sets the simulation's replica workers
-(default: the usable cores); each worker runs BLAS on one thread.
+failed.  HAARLAB_THREADS sets the replica workers of figure1, simulate
+and moment --mc (default: the usable cores); each worker runs BLAS on
+one thread.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
+from .cumulants import BATCH_COUNT
 from .densities import arcsine_law, kesten_mckay_law, pdf_table
 from .emit import csv_bytes, json_bytes, svg_histogram
 from .errors import (CapacityError, DimensionError, HaarlabError,
@@ -32,9 +34,8 @@ from .exact import QCMatrix
 from .haar_expect import (HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (Const, EnsembleSpec, HaarU, Product, Sum, Variant,
-                  histogram, ks_distance, pooled_eigenvalues,
-                  spectral_replicas, threading_summary,
+from .rmt import (Const, HaarU, Product, Sum, Variant, histogram,
+                  ks_distance, spectral_replicas, threading_summary,
                   trace_observables)
 from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
                          wg_table)
@@ -211,22 +212,21 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
     sym = Sum((HaarU(), HaarU(-1, -1)))
     panels = [
-        ("arcsine", arcsine_law(), EnsembleSpec(N, sym),
-         seed, "spectrum of U + U*"),
-        ("sum_law", kesten_mckay_law(),
-         EnsembleSpec(N, Sum((sym, Variant(sym, -1, 1)))),
+        ("arcsine", arcsine_law(), sym, seed, "spectrum of U + U*"),
+        ("sum_law", kesten_mckay_law(), Sum((sym, Variant(sym, -1, 1))),
          seed ^ 0x5A5A, "spectrum of U + U* + (U + U*)^t"),
     ]
     summary = {"N": N, "replicas": replicas, "seed": seed, "bins": bins,
                "ks_tolerance_hint": 0.05, "files": []}
-    for tag, law, spec, panel_seed, title in panels:
-        samples = spectral_replicas(spec, replicas, panel_seed)
-        edges, dens = histogram(samples, bins, law.support)
+    print(threading_summary(), file=sys.stderr)
+    for tag, law, node, panel_seed, title in panels:
+        lam = np.sort(spectral_replicas(node, N, replicas, panel_seed),
+                      axis=None)
+        edges, dens = histogram(lam, bins, law.support)
         hist_rows = [(float(edges[i]), float(edges[i + 1]), float(dens[i]))
                      for i in range(len(dens))]
         overlay = pdf_table(law, 200)
-        lam = pooled_eigenvalues(samples)
-        ks = ks_distance(samples, law.cdf)
+        ks = ks_distance(lam, law.cdf)
         summary[f"ks_{tag}"] = ks
         summary[f"m2_{tag}"] = float(np.mean(lam ** 2))
         summary[f"m4_{tag}"] = float(np.mean(lam ** 4))
@@ -262,6 +262,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
         raise WordParseError("observables must be a string or a list of "
                              f"strings, got {words!r}")
+    if replicas < 2 * BATCH_COUNT:
+        raise InsufficientSamplesError(
+            f"simulate reports batch standard errors, which need at least "
+            f"{2 * BATCH_COUNT} replicas, got {replicas}")
 
     observables = []
     exact_values = {}

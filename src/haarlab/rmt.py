@@ -3,12 +3,13 @@ expression trees sharing one U per replica, spectra, histograms, KS
 distances, and per-replica trace statistics.
 
 Everything here is double precision; exact values live in haar_expect.
-Reproducibility contract: replica r draws its unitary from the derived
-seed (seed XOR r), so any partition of the replica range over workers
-produces the same numbers.  Inside the replica loop every BLAS and
-LAPACK call runs on one thread (the replica workers are the only
-parallelism), so the numbers do not depend on OPENBLAS_NUM_THREADS
-either.
+Both replica jobs, trace_observables and spectral_replicas, are tasks on
+one runner, _run_replicas.  It is the only replica loop: replica r
+draws its unitary from the derived seed (seed XOR r), replicas run on
+worker_count() threads, and every BLAS and LAPACK call inside runs on
+one thread (the replica workers are the only parallelism).  Each
+replica's result lands in its own row, so the numbers depend neither on
+HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def sample_haar_unitary(N: int, seed: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Replica workers of trace_observables: HAARLAB_THREADS when set,
+    """Replica workers of _run_replicas: HAARLAB_THREADS when set,
     else the cores this process may run on."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
@@ -99,7 +100,7 @@ def _set_blas_threads(setters: list, counts: list) -> list:
 
 
 def threading_summary() -> str:
-    """One line on how trace_observables runs here: replica workers,
+    """One line on how _run_replicas runs here: replica workers,
     BLAS threads per worker and the OpenBLAS libraries found."""
     names = list(blas_thread_setters())
     blas = "1 (pinned)" if names else "not controlled"
@@ -136,12 +137,6 @@ class Const(Node):
 
 
 @dataclass(frozen=True)
-class PhasedShift(Node):
-    """The superdiagonal matrix with (k, k+1) entry i^k (1-based); all
-    its powers below the dimension are traceless."""
-
-
-@dataclass(frozen=True)
 class Variant(Node):
     node: Node
     eps: int = 1
@@ -163,23 +158,11 @@ class Sum(Node):
 
 
 @dataclass(frozen=True)
-class Scale(Node):
-    factor: complex
-    node: Node
-
-
-@dataclass(frozen=True)
 class Product(Node):
     factors: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    N: int
-    root: Node
 
 
 def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
@@ -191,6 +174,8 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
 
 
 def phased_shift_matrix(N: int) -> np.ndarray:
+    """The superdiagonal matrix with (k, k+1) entry i^k (1-based); all
+    its powers below the dimension are traceless."""
     a = np.zeros((N, N), dtype=complex)
     for k in range(1, N):
         a[k - 1, k] = 1j ** k
@@ -205,19 +190,17 @@ def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
             raise DimensionError(
                 f"constant {node.name!r} is {node.matrix.shape}, need {N}")
         return node.matrix
-    if isinstance(node, PhasedShift):
-        return phased_shift_matrix(N)
     if isinstance(node, Variant):
         return variant_matrix(evaluate(node.node, u, N), node.eps, node.eta)
     if isinstance(node, Conjugated):
         return u @ evaluate(node.node, u, N) @ np.conj(u.T)
     if isinstance(node, Sum):
-        out = np.zeros((N, N), dtype=complex)
-        for t in node.terms:
+        if not node.terms:
+            return np.zeros((N, N), dtype=complex)
+        out = evaluate(node.terms[0], u, N)
+        for t in node.terms[1:]:
             out = out + evaluate(t, u, N)
         return out
-    if isinstance(node, Scale):
-        return node.factor * evaluate(node.node, u, N)
     if isinstance(node, Product):
         if not node.factors:
             return np.eye(N, dtype=complex)
@@ -228,73 +211,46 @@ def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
     raise TypeError(f"not an ensemble node: {node!r}")
 
 
-def realize(spec: EnsembleSpec, seed: int) -> np.ndarray:
-    """One draw of the ensemble: a single Haar unitary is sampled from
-    the seed and shared by every HaarU and Conjugated node."""
-    u = sample_haar_unitary(spec.N, seed)
-    return evaluate(spec.root, u, spec.N)
-
-
 # ----------------------------------------------------------------------
 # spectra
 
-@dataclass(frozen=True)
-class SpectralSample:
-    eigenvalues: np.ndarray
-    N: int
-    replica: int
-    seed: int
-
-
-def spectrum(matrix: np.ndarray, seed: int = 0, replica: int = 0) -> SpectralSample:
-    """Real spectrum of a self-adjoint realization.  A matrix that is not
-    hermitian within HERMITIAN_TOL in max-norm is rejected rather than
-    silently projected."""
+def spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a self-adjoint matrix.  A matrix that is
+    not hermitian within HERMITIAN_TOL in max-norm is rejected rather
+    than silently projected.  One whose imaginary part is exactly zero
+    goes to the real solver, which is faster and agrees to rounding."""
     dev = np.max(np.abs(matrix - np.conj(matrix.T)))
     if dev > HERMITIAN_TOL:
         raise NotSelfAdjointError(
             f"matrix deviates from self-adjoint by {dev:.3e}")
-    eig = np.linalg.eigvalsh(matrix)
-    return SpectralSample(eig, matrix.shape[0], replica, seed)
+    if not np.any(matrix.imag):
+        matrix = matrix.real
+    return np.linalg.eigvalsh(matrix)
 
 
-def pooled_eigenvalues(samples) -> np.ndarray:
-    if isinstance(samples, SpectralSample):
-        samples = [samples]
-    arrays = [s.eigenvalues for s in samples]
-    if not arrays:
-        raise InsufficientSamplesError("no spectral samples supplied")
-    return np.sort(np.concatenate(arrays))
-
-
-def histogram(samples, bins: int, hist_range: tuple) -> tuple:
-    """Binned spectral density normalized to integrate to 1, pooled over
-    one or many SpectralSamples.  Returns (bin_edges, densities)."""
+def histogram(points, bins: int, hist_range: tuple) -> tuple:
+    """Binned density of an array of points (of any shape), normalized
+    to integrate to 1.  Returns (bin_edges, densities)."""
     if bins < 10:
         raise ValueError("need at least 10 bins")
-    pooled = pooled_eigenvalues(samples)
-    if pooled.size == 0:
-        raise InsufficientSamplesError("no eigenvalues to bin")
-    density, edges = np.histogram(pooled, bins=bins, range=hist_range,
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise InsufficientSamplesError("no points to bin")
+    density, edges = np.histogram(points, bins=bins, range=hist_range,
                                   density=True)
     return edges, density
 
 
 def ks_distance(points, cdf: Callable[[float], float],
                 cdf_left: Callable[[float], float] | None = None) -> float:
-    """sup |empirical CDF - reference CDF| over the pooled points.
+    """sup |empirical CDF - reference CDF| over an array of points (of
+    any shape).
 
     For a continuous reference leave cdf_left unset.  A reference with
     jumps needs its left limits supplied separately, otherwise the
     statistic against a matching point mass reports 1 instead of 0.
     """
-    if isinstance(points, SpectralSample):
-        pooled = pooled_eigenvalues(points)
-    elif isinstance(points, (list, tuple)) and points and \
-            isinstance(points[0], SpectralSample):
-        pooled = pooled_eigenvalues(points)
-    else:
-        pooled = np.sort(np.asarray(points, dtype=float))
+    pooled = np.sort(np.asarray(points, dtype=float), axis=None)
     n = pooled.size
     if n == 0:
         raise InsufficientSamplesError("no points for the KS statistic")
@@ -351,29 +307,27 @@ class TraceStatistics:
         return rows
 
 
-def trace_observables(observables, N: int, replicas: int,
-                      seed: int) -> TraceStatistics:
-    """Tr of each observable tree per replica, the whole batch reusing
-    one Haar draw per replica (derived seed = seed XOR replica id).
+# ----------------------------------------------------------------------
+# the replica runner
+
+def _run_replicas(N: int, replicas: int, seed: int, task: Callable,
+                  width: int, dtype) -> np.ndarray:
+    """The Monte Carlo layer's replica loop: row j of the returned
+    (replicas, width) array is task(sample_haar_unitary(N, seed ^ j)).
 
     Replicas are computed by worker_count() threads, and each worker
     runs its BLAS and LAPACK calls on one thread; the caller's BLAS
-    thread count is restored on return.  Results land in preassigned
+    thread counts are restored on return.  Rows land in preassigned
     slots, so the output depends neither on HAARLAB_THREADS nor on
     OPENBLAS_NUM_THREADS.
     """
-    items = list(observables.items() if isinstance(observables, Mapping)
-                 else observables)
-    if replicas < 10:
-        raise InsufficientSamplesError("need at least 10 replicas")
-    names = tuple(nm for nm, _ in items)
-    nodes = [node for _, node in items]
-    out = np.empty((len(items), replicas), dtype=complex)
+    if replicas < 1:
+        raise InsufficientSamplesError(
+            f"need at least 1 replica, got {replicas}")
+    out = np.empty((replicas, width), dtype=dtype)
 
     def run_one(j: int):
-        u = sample_haar_unitary(N, seed ^ j)
-        for k, node in enumerate(nodes):
-            out[k, j] = np.trace(evaluate(node, u, N))
+        out[j] = task(sample_haar_unitary(N, seed ^ j))
 
     threads = worker_count()
     setters = list(blas_thread_setters().values())
@@ -392,16 +346,32 @@ def trace_observables(observables, N: int, replicas: int,
                 list(pool.map(run_one, range(replicas)))
     finally:
         _set_blas_threads(setters, previous)
-    return TraceStatistics(names, out)
-
-
-def spectral_replicas(spec: EnsembleSpec, replicas: int, seed: int) -> list:
-    """Spectra of independent realizations, one per derived replica seed."""
-    out = []
-    for r in range(replicas):
-        m = realize(spec, seed ^ r)
-        out.append(spectrum(m, seed=seed ^ r, replica=r))
     return out
+
+
+def trace_observables(observables, N: int, replicas: int,
+                      seed: int) -> TraceStatistics:
+    """Tr of each observable tree per replica, the whole batch reusing
+    one Haar draw per replica; replicas run on _run_replicas."""
+    items = list(observables.items() if isinstance(observables, Mapping)
+                 else observables)
+    if replicas < 10:
+        raise InsufficientSamplesError("need at least 10 replicas")
+    names = tuple(nm for nm, _ in items)
+    nodes = [node for _, node in items]
+    rows = _run_replicas(
+        N, replicas, seed,
+        lambda u: [np.trace(evaluate(node, u, N)) for node in nodes],
+        len(nodes), complex)
+    return TraceStatistics(names, rows.T.copy())
+
+
+def spectral_replicas(node: Node, N: int, replicas: int,
+                      seed: int) -> np.ndarray:
+    """(replicas, N) array whose row r holds the ascending eigenvalues
+    of node evaluated at replica r's unitary, run on _run_replicas."""
+    return _run_replicas(N, replicas, seed,
+                         lambda u: spectrum(evaluate(node, u, N)), N, float)
 
 
 def phased_shift_transpose_traces(n_values: Iterable[int]) -> list:

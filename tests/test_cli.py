@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from haarlab import rmt
 from haarlab.cli import main
 
 A_CSV = ("row,col,re_num,re_den,im_num,im_den\n"
@@ -100,7 +101,7 @@ def test_figure1_writes_panels(tmp_path, capsys):
     assert summary["N"] == 32
     assert 0.0 <= summary["ks_arcsine"] < 0.5
     assert 0.0 <= summary["ks_sum_law"] < 0.5
-    capsys.readouterr()
+    assert "replica workers:" in capsys.readouterr().err
 
 
 def test_simulate_with_config_and_override(tmp_path, capsys):
@@ -232,13 +233,30 @@ def test_simulate_outputs_independent_of_thread_count(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("replicas, code", [("15", 2), ("20", 0)])
 def test_simulate_needs_enough_replicas_for_batch_errors(replicas, code,
-                                                         capsys):
+                                                         capsys, monkeypatch):
+    draws = []
+    sample = rmt.sample_haar_unitary
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed) or sample(N, seed))
     assert main(["simulate", "--N", "4", "--replicas", replicas,
                  "--word", "Tr(U)"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:
         assert err.count("error: ") == 1 and "20 replicas" in err
+        # refused before any replica is sampled
+        assert draws == []
+    else:
+        assert len(draws) == 20
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_figure1_needs_a_replica(replicas, tmp_path, capsys):
+    assert main(["figure1", "--N", "32", "--replicas", replicas,
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "replica" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -12,13 +12,11 @@ import haarlab
 from haarlab import rmt
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
                             NotSelfAdjointError)
-from haarlab.rmt import (Conjugated, Const, EnsembleSpec, PhasedShift, HaarU,
-                         Product, Scale, SpectralSample, Sum, Variant,
+from haarlab.rmt import (Conjugated, Const, HaarU, Product, Sum, Variant,
                          evaluate, phased_shift_matrix,
                          phased_shift_transpose_traces, histogram, ks_distance,
-                         pooled_eigenvalues, realize, sample_haar_unitary,
-                         spectral_replicas, spectrum, trace_observables,
-                         variant_matrix, worker_count)
+                         sample_haar_unitary, spectral_replicas, spectrum,
+                         trace_observables, variant_matrix, worker_count)
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
@@ -52,9 +50,11 @@ def test_variant_matrix():
 def test_evaluate_tree():
     u = sample_haar_unitary(3, seed=9)
     a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    node = Scale(2.0, Sum((Const("A", a), HaarU())))
-    got = evaluate(node, u, 3)
-    assert np.allclose(got, 2.0 * (a + u))
+    node = Sum((Const("A", a), HaarU(), HaarU(-1, 1)))
+    assert np.array_equal(evaluate(node, u, 3), a + u + u.T)
+    # a one-term sum is its term, and the empty sum the zero matrix
+    assert evaluate(Sum((Const("A", a),)), u, 3) is a
+    assert np.array_equal(evaluate(Sum(()), u, 3), np.zeros((3, 3)))
     prod = Product((Const("A", a), HaarU(-1, -1)))
     assert np.allclose(evaluate(prod, u, 3), a @ np.conj(u).T)
     assert np.array_equal(evaluate(Product(()), u, 3), np.eye(3))
@@ -83,8 +83,6 @@ def test_phased_shift_matrix():
     for _ in range(2):
         p = p @ a
         assert abs(np.trace(p)) == 0.0
-    u = sample_haar_unitary(4, seed=3)
-    assert np.allclose(evaluate(PhasedShift(), u, 4), expect)
 
 
 def test_phased_shift_transpose_traces():
@@ -95,14 +93,27 @@ def test_phased_shift_transpose_traces():
         assert tr_norm == pytest.approx(expect / N)
 
 
-def test_realize_and_spectrum():
-    spec = EnsembleSpec(16, Sum((HaarU(), HaarU(-1, -1))))
-    m = realize(spec, seed=4)
-    s = spectrum(m, seed=4, replica=0)
-    assert s.N == 16
-    assert s.eigenvalues.shape == (16,)
-    # eigenvalues of U + U* are 2*cos(angles), hence within [-2, 2]
-    assert np.all(np.abs(s.eigenvalues) <= 2.0 + 1e-9)
+def test_spectrum_of_one_replica():
+    u = sample_haar_unitary(16, seed=4)
+    eig = spectrum(evaluate(Sum((HaarU(), HaarU(-1, -1))), u, 16))
+    assert eig.shape == (16,)
+    assert np.all(np.diff(eig) >= 0)
+    # eigenvalues of U + U* are 2*cos(angles) of U's eigenvalues
+    angles = np.angle(np.linalg.eigvals(u))
+    assert np.allclose(eig, np.sort(2 * np.cos(angles)), atol=1e-12)
+
+
+def test_spectrum_of_exactly_real_matrix_uses_real_part():
+    """S + S^t with S = U + U* is exactly real in floating point, so
+    its eigenvalues come from the real solver and agree with the
+    complex one to rounding."""
+    u = sample_haar_unitary(24, seed=2)
+    sym = Sum((HaarU(), HaarU(-1, -1)))
+    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u, 24)
+    assert m.dtype == complex and not np.any(m.imag)
+    eig = spectrum(m)
+    assert np.array_equal(eig, np.linalg.eigvalsh(m.real))
+    assert np.allclose(eig, np.linalg.eigvalsh(m), atol=1e-12)
 
 
 def test_spectrum_rejects_non_hermitian():
@@ -111,22 +122,32 @@ def test_spectrum_rejects_non_hermitian():
 
 
 def test_spectral_replicas_and_pooling():
-    spec = EnsembleSpec(8, Sum((HaarU(), HaarU(-1, -1))))
-    samples = spectral_replicas(spec, 5, seed=0)
-    assert len(samples) == 5
-    assert {s.replica for s in samples} == set(range(5))
-    pooled = pooled_eigenvalues(samples)
+    node = Sum((HaarU(), HaarU(-1, -1)))
+    spectra = spectral_replicas(node, 8, 5, seed=3)
+    assert spectra.shape == (5, 8) and spectra.dtype == float
+    # row r is the spectrum of replica r's unitary, seeded with seed ^ r
+    for r in range(5):
+        u = sample_haar_unitary(8, 3 ^ r)
+        assert np.array_equal(spectra[r], spectrum(evaluate(node, u, 8)))
+    pooled = np.sort(spectra, axis=None)
     assert pooled.shape == (40,)
     assert np.all(np.diff(pooled) >= 0)
+    with pytest.raises(InsufficientSamplesError):
+        spectral_replicas(node, 8, 0, seed=3)
 
 
 def test_histogram_normalization():
-    samples = SpectralSample(np.linspace(-1.9, 1.9, 200), 200, 0, 0)
-    edges, dens = histogram(samples, 20, (-2.0, 2.0))
+    points = np.linspace(-1.9, 1.9, 200)
+    edges, dens = histogram(points, 20, (-2.0, 2.0))
     widths = np.diff(edges)
     assert np.sum(dens * widths) == pytest.approx(1.0)
+    # the shape of the array does not matter
+    _, dens_2d = histogram(points.reshape(10, 20), 20, (-2.0, 2.0))
+    assert np.array_equal(dens_2d, dens)
     with pytest.raises(ValueError):
-        histogram(samples, 5, (-2.0, 2.0))
+        histogram(points, 5, (-2.0, 2.0))
+    with pytest.raises(InsufficientSamplesError):
+        histogram(np.empty((0, 8)), 20, (-2.0, 2.0))
 
 
 def test_ks_distance_uniform_grid():
@@ -135,6 +156,9 @@ def test_ks_distance_uniform_grid():
     pts = [(i + 1) / (n + 1) for i in range(n)]
     d = ks_distance(pts, lambda x: min(max(x, 0.0), 1.0))
     assert d == pytest.approx(1.0 / (n + 1), abs=1e-12)
+    # any array of the same points, in any order and shape, gives the same
+    shuffled = np.array(pts[::-1]).reshape(9, 11)
+    assert ks_distance(shuffled, lambda x: min(max(x, 0.0), 1.0)) == d
 
 
 def test_ks_distance_point_mass_needs_left_limits():
@@ -172,17 +196,23 @@ def test_worker_count_defaults_to_usable_cores(monkeypatch):
 
 _BYTES_SCRIPT = """
 import hashlib
-from haarlab.rmt import HaarU, Product, trace_observables
+from haarlab.rmt import (HaarU, Product, Sum, Variant, spectral_replicas,
+                         trace_observables)
 obs = [("u", HaarU()), ("uu", Product((HaarU(), HaarU(-1, 1)))),
        ("uuu", Product((HaarU(), HaarU(1, -1), HaarU(-1, -1))))]
 stats = trace_observables(obs, 128, 12, seed=5)
 print(hashlib.sha1(stats.samples.tobytes()).hexdigest())
+sym = Sum((HaarU(), HaarU(-1, -1)))
+for node in (sym, Sum((sym, Variant(sym, -1, 1)))):
+    spectra = spectral_replicas(node, 128, 4, seed=5)
+    print(hashlib.sha1(spectra.tobytes()).hexdigest())
 """
 
 
 def test_trace_observables_bytes_independent_of_blas_and_workers():
-    """Environment variables must be set before numpy loads, hence one
-    subprocess per (BLAS threads, replica workers) setting."""
+    """Traces and both figure1 panels' spectra.  Environment variables
+    must be set before numpy loads, hence one subprocess per (BLAS
+    threads, replica workers) setting."""
     src = str(Path(haarlab.__file__).resolve().parent.parent)
     digests = {}
     for blas in ("1", "2"):
