@@ -288,7 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                "observables": {}}
     cum = stats.cumulants(2)
     for i, text in enumerate(words, start=1):
-        mean = complex(np.mean(stats.row(text)))
+        mean = stats.mean(text)
         if norm[text]:
             mean /= N
         summary["observables"][text] = {

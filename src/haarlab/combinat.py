@@ -18,9 +18,11 @@ same downstream traces, but tests need reproducible output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError
 
@@ -36,11 +38,13 @@ def leader(points: Iterable[int]) -> int:
     return min(points, key=_leader_key)
 
 
+@functools.cache
+def _signed_points(n: int) -> frozenset[int]:
+    return frozenset(range(-n, n + 1)) - {0}
+
+
 def _check_domain(points: set[int], signed: bool, n: int) -> None:
-    if signed:
-        expect = set(range(1, n + 1)) | set(range(-n, 0))
-    else:
-        expect = set(range(1, n + 1))
+    expect = _signed_points(n) if signed else set(range(1, n + 1))
     if points != expect:
         kind = "[+-n]" if signed else "[n]"
         raise ValueError(f"points {sorted(points)} do not form {kind} with n={n}")
@@ -178,7 +182,7 @@ def count_cycles(sigma: Permutation) -> int:
 class Pairing:
     """A perfect matching of [n] or [+-n].
 
-    Stored as a block set; the involution view is derived on demand.
+    Stored as a block set and its partner map, the involution view.
     Two pairings are equal iff their block sets are equal.
     """
 
@@ -216,6 +220,11 @@ class Pairing:
     @property
     def blocks(self) -> frozenset:
         return self._blocks
+
+    @property
+    def partner(self) -> Mapping[int, int]:
+        """The involution k -> p(k) as a read-only map."""
+        return MappingProxyType(self._partner)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Blocks as (leader, partner) tuples, sorted by leader."""
@@ -499,24 +508,26 @@ def pq_cycle_pairs(p: Pairing, q: Pairing) -> list[tuple[tuple[int, ...], tuple[
     return out
 
 
-def pi_epsilon(p: Pairing) -> tuple[Permutation, tuple[int, ...]]:
-    """The permutation/sign pair encoding the constrained index sum of a
-    signed pairing.
+def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
+    """The cycles/sign pair encoding the constrained index sum of a
+    signed pairing, given as its partner map {k: p(k)} on [+-n].
 
     Walks p*delta, k -> p(-k), in leader order 1, -1, 2, -2, ...  The
     mate of a cycle (l_1, ..., l_r) is (-l_r, ..., -l_1), so the first
     unseen point always starts the leader representative of its mate
     pair, and marking |l| for every visited l marks the mate as well.
     Each representative (l_1, ..., l_r) is read as the cycle
-    (|l_1|, ..., |l_r|) with signs eps_{|l_k|} = sign(l_k); this is the
-    grouping pq_cycle_pairs(p, Pairing.delta(n)) spells out.  Returns
-    (pi, eps) with pi unsigned on [n] and eps a tuple indexed by
-    position 1..n.
+    (|l_1|, ..., |l_r|) of pi with signs eps_{|l_k|} = sign(l_k); this
+    is the grouping pq_cycle_pairs(p, Pairing.delta(n)) spells out.
+    Returns (cycles, eps): the canonical cycles of pi on [n] (each
+    starting at its smallest point, sorted by it, fixed points
+    included) and eps a tuple indexed by position 1..n.  A map that is
+    not a fixed-point-free involution of [+-n] raises ValueError.
     """
-    if not p.signed:
-        raise ValueError("pi_epsilon expects a pairing of the signed domain")
-    n = p.n
-    partner = p._partner
+    n = len(partner) // 2
+    if (partner.keys() != _signed_points(n)
+            or not all(partner.get(v) == k != v for k, v in partner.items())):
+        raise ValueError("not a fixed-point-free involution of [+-n]")
     eps = [0] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -535,9 +546,7 @@ def pi_epsilon(p: Pairing) -> tuple[Permutation, tuple[int, ...]]:
             k = partner[-k]
             if k == start:
                 break
-        cycles.append(tilde)
+        cycles.append(tuple(tilde))
     if any(e == 0 for e in eps[1:]):
         raise RuntimeError("representatives do not cover every magnitude")
-    pi = Permutation.from_cycles(n, cycles, signed=False)
-    return pi, tuple(eps[1:])
-
+    return tuple(cycles), tuple(eps[1:])

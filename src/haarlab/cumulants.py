@@ -73,25 +73,19 @@ class CumulantFunctional:
                 f"1 or 2 and at least {2 * BATCH_COUNT} replicas") from None
 
 
-def e_pi(moments: MomentFunctional, pi: SetPartition,
+def e_pi(moments: MomentFunctional | CumulantFunctional, pi: SetPartition,
          indices: Sequence[int]):
     """Product over the blocks of pi of the within-block joint moments,
     E_pi(X_1, ..., X_R) = prod_{V in pi} E(prod_{j in V} X_j).
 
     pi partitions the positions 1..R; indices[j-1] names the variable at
-    position j.
+    position j.  Given cumulants instead of moments it is the block
+    product k_pi that cumulants_to_moments sums.
     """
     indices = tuple(indices)
     out = 1
     for block in pi.blocks:
         out = out * moments(tuple(indices[j - 1] for j in sorted(block)))
-    return out
-
-
-def _k_pi(cumulants, pi: SetPartition, indices: tuple):
-    out = 1
-    for block in pi.blocks:
-        out = out * cumulants(tuple(indices[j - 1] for j in sorted(block)))
     return out
 
 
@@ -105,7 +99,7 @@ def cumulants_to_moments(cumulants: CumulantFunctional,
         return 1
     total = None
     for pi in enumerate_partitions(r):
-        term = _k_pi(cumulants, pi, indices)
+        term = e_pi(cumulants, pi, indices)
         total = term if total is None else total + term
     return total
 

@@ -8,11 +8,14 @@ per-word permutation gamma and the transpose signs eps build the index
 relabeling phi = eps gamma delta, and each pair of eta-compatible
 pairings (p, q) contributes its Weingarten weight Phi_N(p, q) times the
 trace product read off pi_epsilon of the conjugated involution
-phi^-1 p delta q delta phi.
+tau = phi^-1 p delta q delta phi.
 
-Per pair the engine does one walk for pi_epsilon and one for Phi_N,
-and reduces (pi, eps) to a trace key: the number of constant-free
-cycles plus the constant-carrying cycles.  It counts pairs as integers
+Per pair the engine joins two precomputed halves of tau's partner map
+{k: tau(k)} on [+-M] (one half per pairing p, one per q) into a plain
+dict, walks it once in pi_epsilon and walks pq once for Phi_N, and
+reduces pi's cycles and the signs eps to a trace key: the number of
+constant-free cycles plus the constant-carrying cycles.  No Pairing or
+Permutation object is built per pair.  It counts pairs as integers
 per (trace key, weight), evaluates each distinct key's trace once, and
 does the rational-complex arithmetic once per (key, weight).
 Everything stays exact; nothing is floated.
@@ -34,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinat import Pairing, Permutation, enumerate_alpha_pairings, pi_epsilon
+from .combinat import enumerate_alpha_pairings, pi_epsilon
 from .errors import CapacityError, DimensionError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
                     mat_mul, mat_trace, mat_trace_product, mat_transpose,
@@ -198,15 +201,15 @@ def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | No
             for i, (_a, u) in enumerate(slots)]
 
 
-def _trace_key(pi: Permutation, lam: Sequence[int],
+def _trace_key(cycles: Sequence[Sequence[int]], lam: Sequence[int],
                mats: Sequence[QCMatrix | None]) -> tuple:
-    """What Tr_pi of the letters depends on: the number of cycles with no
-    constant (each contributes N) and the sorted constant-carrying
-    cycles, each a tuple of (letter, transposed) rotated to start at its
-    smallest letter."""
+    """What Tr_pi of the letters depends on, given pi's cycles: the
+    number of cycles with no constant (each contributes N) and the sorted
+    constant-carrying cycles, each a tuple of (letter, transposed)
+    rotated to start at its smallest letter."""
     free = 0
     carried = []
-    for cyc in pi.cycles():
+    for cyc in cycles:
         word = [(j, lam[j - 1] == -1) for j in cyc if mats[j - 1] is not None]
         if not word:
             free += 1
@@ -291,22 +294,21 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     # tau = phi^-1 (p delta q delta) phi sends x to phi^-1 p phi(x) when
     # phi(x) > 0 and to phi^-1 delta q delta phi(x) otherwise: the points
     # split into a half whose partners p fixes and a half whose partners
-    # q fixes.  Each block is listed from both of its points; Pairing
-    # keeps one copy.
+    # q fixes, so tau's partner map is a p-half joined to a q-half.
     on_p = [x for x in phi_map if phi_map[x] > 0]
     on_q = [x for x in phi_map if phi_map[x] < 0]
     pairings = list(enumerate_alpha_pairings(eta))
-    p_blocks = [[(x, phi_inv[p(phi_map[x])]) for x in on_p] for p in pairings]
-    q_blocks = [[(x, phi_inv[-q(-phi_map[x])]) for x in on_q] for q in pairings]
+    p_halves = [{x: phi_inv[p(phi_map[x])] for x in on_p} for p in pairings]
+    q_halves = [{x: phi_inv[-q(-phi_map[x])] for x in on_q} for q in pairings]
 
     # integer pair counts per (trace key, weight); each distinct key's
     # trace is evaluated once, and pairs whose trace vanishes skip phi
     traces: dict[tuple, QC] = {}
     counts: dict[tuple, int] = {}
-    for p, pb in zip(pairings, p_blocks):
-        for q, qb in zip(pairings, q_blocks):
-            pi, lam = pi_epsilon(Pairing(pb + qb))
-            key = _trace_key(pi, lam, mats)
+    for p, p_half in zip(pairings, p_halves):
+        for q, q_half in zip(pairings, q_halves):
+            cycles, lam = pi_epsilon({**p_half, **q_half})
+            key = _trace_key(cycles, lam, mats)
             val = traces.get(key)
             if val is None:
                 val = traces[key] = _key_trace(key, mats, N)

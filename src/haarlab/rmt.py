@@ -285,12 +285,6 @@ class TraceStatistics:
     def mean(self, name: str) -> complex:
         return complex(np.mean(self.row(name)))
 
-    def covariance(self, name_a: str, name_b: str) -> complex:
-        """cov(Tr a, Tr b) without conjugation; conjugate-variant words
-        are separate observables."""
-        a, b = self.row(name_a), self.row(name_b)
-        return complex(np.mean(a * b) - np.mean(a) * np.mean(b))
-
     def cumulants(self, max_order: int = 2) -> CumulantFunctional:
         """Empirical joint cumulants of the trace variables, indexed by
         1-based observable position."""

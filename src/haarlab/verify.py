@@ -158,10 +158,10 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
             for k in range(1, n + 1):
                 term *= rows[k - 1][idx[k]][idx[-k]]
             total += term
-        pi, eps = pi_epsilon(p)
+        cycles, eps = pi_epsilon(p.partner)
         mats = [qc_matrix(r) for r in rows]
         rhs = QC_ONE
-        for cyc in pi.cycles():
+        for cyc in cycles:
             prod = None
             for k in cyc:
                 m = mats[k - 1]

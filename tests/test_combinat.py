@@ -153,23 +153,23 @@ def test_pq_cycle_pairs_mate_law():
 
 def test_pi_epsilon_covers_every_magnitude_once():
     for p in enumerate_pairings(3, signed=True):
-        pi, eps = pi_epsilon(p)
+        cycles, eps = pi_epsilon(p.partner)
         assert len(eps) == 3
         assert all(e in (1, -1) for e in eps)
-        assert sum(pi.cycle_type()) == 3
+        assert sorted(k for cyc in cycles for k in cyc) == [1, 2, 3]
 
 
 def test_pi_epsilon_of_delta():
     # p = delta gives pq = identity; each (k, -k) orbit pair collapses
     # to a fixed point with positive sign
-    pi, eps = pi_epsilon(Pairing.delta(4))
-    assert pi == Permutation.identity(4)
+    cycles, eps = pi_epsilon(Pairing.delta(4).partner)
+    assert cycles == Permutation.identity(4).cycles()
     assert eps == (1, 1, 1, 1)
 
 
 def test_pi_epsilon_rejects_unsigned():
     with pytest.raises(ValueError):
-        pi_epsilon(Pairing([(1, 2), (3, 4)]))
+        pi_epsilon(Pairing([(1, 2), (3, 4)]).partner)
 
 
 def _pi_epsilon_from_mate_pairs(p):
@@ -181,25 +181,41 @@ def _pi_epsilon_from_mate_pairs(p):
         for l in rep:
             eps[abs(l)] = 1 if l > 0 else -1
         cycles.append(tuple(abs(l) for l in rep))
-    return Permutation.from_cycles(n, cycles), tuple(eps[1:])
+    return Permutation.from_cycles(n, cycles).cycles(), tuple(eps[1:])
 
 
 def test_pi_epsilon_walk_matches_mate_pair_oracle():
     seen = 0
     for n in range(1, 6):
         for p in enumerate_pairings(n, signed=True):
-            assert pi_epsilon(p) == _pi_epsilon_from_mate_pairs(p)
+            assert pi_epsilon(p.partner) == _pi_epsilon_from_mate_pairs(p)
             seen += 1
     assert seen == 1 + 3 + 15 + 105 + 945
 
 
 def test_pi_epsilon_guards_a_corrupt_partner_map():
-    # the walk only trusts the partner map; break its involution
+    # delta(2) with its involution broken: the input check refuses the
+    # maps on which the walk would revisit magnitude 1 (1 -> p(-1) = -1)
+    # or land on the first representative (2 -> p(-2) = 1)
+    with pytest.raises(ValueError, match="involution"):
+        pi_epsilon({1: -1, -1: -1, 2: -2, -2: 2})
+    with pytest.raises(ValueError, match="involution"):
+        pi_epsilon({1: -1, -1: 1, 2: -2, -2: 1})
+
+
+@pytest.mark.parametrize("partner", [
+    {1: -1, -1: 1, 2: -2},                  # -2 missing
+    {1: 1, -1: -1},                         # fixed points
+    {1: 2, 2: -1, -1: -2, -2: 1},           # a bijection, not an involution
+], ids=["missing_point", "fixed_point", "bijection"])
+def test_pi_epsilon_rejects_a_map_that_is_not_a_signed_pairing(partner):
+    # test_pi_epsilon_rejects_unsigned covers an unsigned pairing's map
+    with pytest.raises(ValueError, match="involution"):
+        pi_epsilon(partner)
+
+
+def test_pairing_partner_view_is_read_only():
     p = Pairing.delta(2)
-    p._partner[-1] = -1  # 1 -> p(-1) = -1 revisits magnitude 1
-    with pytest.raises(RuntimeError, match="repeats a magnitude"):
-        pi_epsilon(p)
-    p = Pairing.delta(2)
-    p._partner[-2] = 1  # 2 -> p(-2) = 1 lands on the first representative
-    with pytest.raises(RuntimeError, match="covered by two"):
-        pi_epsilon(p)
+    assert dict(p.partner) == {1: -1, -1: 1, 2: -2, -2: 2}
+    with pytest.raises(TypeError):
+        p.partner[1] = 2

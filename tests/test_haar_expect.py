@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haarlab.combinat import Pairing, enumerate_alpha_pairings, pi_epsilon
+from haarlab.combinat import (Pairing, Permutation, enumerate_alpha_pairings,
+                              pi_epsilon)
 from haarlab.errors import DimensionError, WordParseError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
                            mat_trace, mat_transpose, qc_matrix)
@@ -440,9 +441,9 @@ def _per_pair_oracle(expr):
         phi_map[-l] = eps[gamma[l] - 1] * gamma[l]
     phi_inv = {v: k for k, v in phi_map.items()}
 
-    def cycle_trace(pi, lam):
+    def cycle_trace(cycles, lam):
         total = QC_ONE
-        for cyc in pi.cycles():
+        for cyc in cycles:
             prod = None
             for j in cyc:
                 b = mats[j - 1]
@@ -463,7 +464,7 @@ def _per_pair_oracle(expr):
                 y = phi_map[x]
                 y = p(y) if y > 0 else -q(-y)
                 blocks.add(frozenset((x, phi_inv[y])))
-            val = cycle_trace(*pi_epsilon(Pairing(blocks)))
+            val = cycle_trace(*pi_epsilon(Pairing(blocks).partner))
             if val:
                 total = total + val * QC(phi(p, q, N))
     return const_factor * total * QC(norm)
@@ -524,3 +525,16 @@ def test_constant_free_order5_evaluates_few_traces(monkeypatch):
     e = _expr([_word([U] * 5), _word([UC] * 5)], 8)
     assert expected_trace_product(e) == QC(5)
     assert len(keys) == len(set(keys)) <= 5
+
+
+def test_kernel_builds_no_per_pair_objects(monkeypatch):
+    built = {Pairing: 0, Permutation: 0}
+    for cls in built:
+        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    e = _expr([_word([U] * 4), _word([UC] * 4)], 8)
+    assert expected_trace_product(e) == QC(4)
+    # the 4! alpha pairings only; none per (p, q) pair
+    assert built == {Pairing: 24, Permutation: 0}

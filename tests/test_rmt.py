@@ -284,7 +284,7 @@ def test_trace_statistics_covariance():
     obs = {"u": HaarU(), "ubar": HaarU(1, -1)}
     stats = trace_observables(obs, 32, 300, seed=1)
     # E Tr(U) Tr(U-) = 1 with fluctuations O(1/sqrt(R))
-    cov = stats.covariance("u", "ubar")
+    cov = stats.cumulants(2)((1, 2))
     assert abs(cov - 1.0) < 0.35
 
 
