@@ -201,7 +201,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     N = _int_option(args, cfg, "N", 256)
     replicas = _int_option(args, cfg, "replicas", 10)
     seed = _int_option(args, cfg, "seed", 0, minimum=0)
-    bins = _int_option(args, cfg, "bins", 60)
+    bins = _int_option(args, cfg, "bins", 60, minimum=10)
     outdir = _str_option(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")

@@ -89,13 +89,6 @@ class Permutation:
         return cls({k: k for k in pts}, signed=signed)
 
     @classmethod
-    def delta(cls, n: int) -> "Permutation":
-        """The sign flip k -> -k on [+-n]."""
-        m = {k: -k for k in range(1, n + 1)}
-        m.update({-k: k for k in range(1, n + 1)})
-        return cls(m, signed=True)
-
-    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]],
                     signed: bool = False) -> "Permutation":
         pts = list(range(1, n + 1)) + (list(range(-n, 0)) if signed else [])
@@ -173,10 +166,6 @@ class Permutation:
     def __repr__(self) -> str:
         cyc = "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles())
         return f"Permutation[{cyc}]"
-
-
-def count_cycles(sigma: Permutation) -> int:
-    return len(sigma.cycles())
 
 
 class Pairing:
@@ -341,28 +330,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self._blocks)
 
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Finest common coarsening (the lattice join)."""
-        if self.ground != other.ground:
-            raise ValueError("join requires the same ground set")
-        parent = {k: k for k in self.ground}
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for blk in list(self._blocks) + list(other._blocks):
-            it = iter(sorted(blk))
-            root = find(next(it))
-            for k in it:
-                parent[find(k)] = root
-        groups: dict[int, set[int]] = {}
-        for k in self.ground:
-            groups.setdefault(find(k), set()).add(k)
-        return SetPartition(groups.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetPartition):
             return NotImplemented
@@ -375,10 +342,6 @@ class SetPartition:
         body = "".join("(" + ",".join(map(str, b)) + ")"
                        for b in self.sorted_blocks())
         return f"SetPartition[{body}]"
-
-
-def join(pi: SetPartition, rho: SetPartition) -> SetPartition:
-    return pi.join(rho)
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -408,12 +371,8 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
 def is_noncrossing(partition: SetPartition | Pairing) -> bool:
     """Brute four-index crossing test: a < b < c < d with a,c in one
     block and b,d in another means a crossing."""
-    if isinstance(partition, Pairing):
-        blocks = partition.blocks
-    else:
-        blocks = partition.blocks
     owner: dict[int, frozenset] = {}
-    for blk in blocks:
+    for blk in partition.blocks:
         for k in blk:
             owner[k] = blk
     pts = sorted(owner)
@@ -421,13 +380,6 @@ def is_noncrossing(partition: SetPartition | Pairing) -> bool:
         if owner[a] is owner[c] and owner[b] is owner[d] and owner[a] is not owner[b]:
             return False  # crossing found
     return True
-
-
-def enumerate_nc_pair_partitions(n: int) -> Iterator[Pairing]:
-    """Non-crossing pairings of [n]; Catalan(n/2) of them for even n."""
-    for p in enumerate_pairings(n):
-        if is_noncrossing(p):
-            yield p
 
 
 def enumerate_nc_partitions(n: int) -> Iterator[SetPartition]:
@@ -519,6 +471,10 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     Each representative (l_1, ..., l_r) is read as the cycle
     (|l_1|, ..., |l_r|) of pi with signs eps_{|l_k|} = sign(l_k); this
     is the grouping pq_cycle_pairs(p, Pairing.delta(n)) spells out.
+    No cycle is its own mate: delta would then reverse it without a
+    fixed point, so some k would have p(-k) = -k, which the input check
+    excludes.  Hence no walk revisits a magnitude, and every start is
+    either skipped or covered by its own walk.
     Returns (cycles, eps): the canonical cycles of pi on [n] (each
     starting at its smallest point, sorted by it, fixed points
     included) and eps a tuple indexed by position 1..n.  A map that is
@@ -537,16 +493,10 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
         k = start
         while True:
             m = abs(k)
-            if eps[m]:
-                raise RuntimeError(
-                    "representative cycle repeats a magnitude" if m in tilde
-                    else "magnitude covered by two representatives")
             eps[m] = 1 if k > 0 else -1
             tilde.append(m)
             k = partner[-k]
             if k == start:
                 break
         cycles.append(tuple(tilde))
-    if any(e == 0 for e in eps[1:]):
-        raise RuntimeError("representatives do not cover every magnitude")
     return tuple(cycles), tuple(eps[1:])

@@ -67,8 +67,8 @@ def worker_count() -> int:
 
 def openblas_libraries() -> list:
     """Paths of the OpenBLAS libraries mapped into this process (numpy
-    and scipy each bundle one), from /proc/self/maps; empty where that
-    file does not exist."""
+    bundles one, and so does scipy where something has imported it),
+    from /proc/self/maps; empty where that file does not exist."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             fields = [line.split(None, 5) for line in fh]

@@ -259,6 +259,20 @@ def test_figure1_needs_a_replica(replicas, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_figure1_refuses_few_bins_before_sampling(tmp_path, capsys,
+                                                  monkeypatch):
+    draws = []
+    sample = rmt.sample_haar_unitary
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed) or sample(N, seed))
+    assert main(["figure1", "--N", "32", "--replicas", "2", "--bins", "5",
+                 "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "bins must be at least 10" in err
+    assert "Traceback" not in err
+    assert draws == []
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "constants", "a.csv"), ("moment", "constants", {"A": 0}),
     ("simulate", "constants", ["a.csv"]), ("simulate", "observables", 5),

@@ -5,10 +5,9 @@ import math
 import pytest
 
 from haarlab.combinat import (Pairing, Permutation, SetPartition, catalan,
-                              count_cycles, enumerate_alpha_pairings,
-                              enumerate_nc_pair_partitions,
+                              enumerate_alpha_pairings,
                               enumerate_nc_partitions, enumerate_pairings,
-                              enumerate_partitions, is_noncrossing, join,
+                              enumerate_partitions, is_noncrossing,
                               leader, moebius_cycle_type,
                               moebius_partition_to_top, pi_epsilon,
                               pq_cycle_pairs)
@@ -33,7 +32,7 @@ def test_permutation_composition_convention():
 def test_permutation_cycle_type_and_count():
     p = Permutation.from_cycles(5, [(1, 2, 3), (4, 5)])
     assert p.cycle_type() == (3, 2)
-    assert count_cycles(p) == 2
+    assert len(p.cycles()) == 2
     assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
 
 
@@ -41,13 +40,6 @@ def test_unsigned_permutation_fixes_negatives():
     p = Permutation.from_cycles(3, [(1, 2)], signed=False)
     assert p(-1) == -1
     assert p(-2) == -2
-
-
-def test_delta_negates():
-    d = Permutation.delta(3)
-    assert d(2) == -2
-    assert d(-3) == 3
-    assert (d * d)(1) == 1
 
 
 def test_pairing_partner_lookup_and_blocks():
@@ -100,20 +92,9 @@ def test_nc_partition_count_is_catalan(n):
     assert got == catalan(n)
 
 
-def test_nc_pair_partitions_even_only():
-    assert sum(1 for _ in enumerate_nc_pair_partitions(6)) == catalan(3)
-    assert list(enumerate_nc_pair_partitions(5)) == []
-
-
 def test_is_noncrossing():
     assert is_noncrossing(SetPartition([(1, 4), (2, 3)]))
     assert not is_noncrossing(SetPartition([(1, 3), (2, 4)]))
-
-
-def test_join_of_partitions():
-    a = SetPartition([(1, 2), (3,), (4,)])
-    b = SetPartition([(2, 3), (1,), (4,)])
-    assert join(a, b) == SetPartition([(1, 2, 3), (4,)])
 
 
 def test_moebius_cycle_type_is_free_moebius():

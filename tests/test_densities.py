@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from haarlab.densities import (arcsine_law, free_cumulants_from_moments,
+from haarlab.densities import (LimitLaw, arcsine_law,
+                               free_cumulants_from_moments,
                                free_self_convolution, kesten_mckay_law,
                                moment_by_quadrature,
                                moments_from_free_cumulants, pdf_table)
@@ -50,7 +51,16 @@ def test_quadrature_matches_stored_moments(law_fn):
     law = law_fn()
     for k in range(1, 9):
         got = moment_by_quadrature(law, k)
-        assert abs(got - float(law.moment(k))) < 1e-6
+        assert abs(got - float(law.moment(k))) < 1e-10
+
+
+def test_midpoint_rule_misses_other_edges_by_more_than_the_guard():
+    # uniform density on [-1, 1]: its angle integrand has a kink at the
+    # period's ends, so the rule converges only algebraically
+    law = LimitLaw((-1.0, 1.0), lambda x: 0.5 if abs(x) < 1 else 0.0,
+                   lambda x: min(max((x + 1) / 2, 0.0), 1.0),
+                   (0, Fraction(1, 3)))
+    assert abs(moment_by_quadrature(law, 2) - 1 / 3) > 1e-5
 
 
 @pytest.mark.parametrize("law_fn", [arcsine_law, kesten_mckay_law])

@@ -1,8 +1,11 @@
-"""Source hygiene: no module imports a name it never uses, and no
-definition in the package goes unused."""
+"""Source hygiene: no module imports a name it never uses, no
+definition in the package goes unused, and the runtime needs only numpy."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -144,3 +147,28 @@ def test_exact_layer_uses_numpy_only_as_an_integer_container():
                       if not (isinstance(d, ast.Name)
                               and d.id in ("object", "int"))]
     assert found == []
+
+
+_RUNTIME_SCRIPT = """
+import sys, tempfile
+import haarlab
+from haarlab import cli, densities, verify
+densities.arcsine_law()
+densities.kesten_mckay_law()
+assert verify.CHECKS["mu2_oracle"](0).passed
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["figure1", "--N", "32", "--replicas", "2",
+                     "--outdir", tmp]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    """Building both limit laws, the Kesten-McKay density check and a
+    figure1 run leave scipy unimported: numpy is the only runtime
+    dependency."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
