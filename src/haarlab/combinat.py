@@ -14,6 +14,13 @@ Conventions used throughout:
 The leader rule is what makes the mate-pair representative choice in
 pq_cycle_pairs and pi_epsilon deterministic; any choice would give the
 same downstream traces, but tests need reproducible output.
+
+Set partitions appear only as plain tuples of sorted blocks, from
+enumerate_partitions and enumerate_nc_partitions.  No runtime path
+enumerates them: the moment-cumulant transforms recurse on the block
+of the first point instead, and the tests sum over these generators
+as the brute-force oracle, as they use pq_cycle_pairs for the pairing
+walks.
 """
 
 from __future__ import annotations
@@ -296,56 +303,11 @@ def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[Pairing]:
         yield Pairing(tuple(zip(plus, perm)))
 
 
-class SetPartition:
-    """A partition of a finite set of positive integers (usually [n])."""
+# -- set partitions: brute-force oracles for the tests ----------------
 
-    __slots__ = ("_blocks", "ground")
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        blks = frozenset(frozenset(b) for b in blocks)
-        ground: set[int] = set()
-        for b in blks:
-            if not b:
-                raise ValueError("empty block")
-            if ground & b:
-                raise ValueError("blocks are not disjoint")
-            ground |= set(b)
-        if not ground:
-            raise ValueError("empty partition")
-        if any(k < 1 for k in ground):
-            raise ValueError("ground set must be positive integers")
-        object.__setattr__(self, "_blocks", blks)
-        object.__setattr__(self, "ground", frozenset(ground))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    @property
-    def blocks(self) -> frozenset:
-        return self._blocks
-
-    def sorted_blocks(self) -> list[tuple[int, ...]]:
-        return sorted((tuple(sorted(b)) for b in self._blocks), key=lambda b: b[0])
-
-    def num_blocks(self) -> int:
-        return len(self._blocks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return self._blocks == other._blocks
-
-    def __hash__(self):
-        return hash(self._blocks)
-
-    def __repr__(self) -> str:
-        body = "".join("(" + ",".join(map(str, b)) + ")"
-                       for b in self.sorted_blocks())
-        return f"SetPartition[{body}]"
-
-
-def enumerate_partitions(n: int) -> Iterator[SetPartition]:
-    """All set partitions of [n], Bell(n) of them."""
+def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All set partitions of [n], Bell(n) of them, each a tuple of
+    sorted blocks ordered by their smallest point."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > PARTITION_POINT_CAP:
@@ -365,24 +327,24 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         blocks.pop()
 
     for blocks in rec(1, []):
-        yield SetPartition([tuple(b) for b in blocks])
+        yield tuple(tuple(b) for b in blocks)
 
 
-def is_noncrossing(partition: SetPartition | Pairing) -> bool:
+def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     """Brute four-index crossing test: a < b < c < d with a,c in one
     block and b,d in another means a crossing."""
-    owner: dict[int, frozenset] = {}
-    for blk in partition.blocks:
+    owner: dict[int, int] = {}
+    for i, blk in enumerate(blocks):
         for k in blk:
-            owner[k] = blk
+            owner[k] = i
     pts = sorted(owner)
     for a, b, c, d in itertools.combinations(pts, 4):
-        if owner[a] is owner[c] and owner[b] is owner[d] and owner[a] is not owner[b]:
+        if owner[a] == owner[c] != owner[b] == owner[d]:
             return False  # crossing found
     return True
 
 
-def enumerate_nc_partitions(n: int) -> Iterator[SetPartition]:
+def enumerate_nc_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Non-crossing partitions of [n]; Catalan(n) of them."""
     for pi in enumerate_partitions(n):
         if is_noncrossing(pi):
@@ -401,15 +363,6 @@ def moebius_cycle_type(lengths: Iterable[int]) -> int:
     for l in lengths:
         out *= (-1) ** (l - 1) * catalan(l - 1)
     return out
-
-
-def moebius_partition_to_top(pi: SetPartition | int) -> int:
-    """Moebius function mu(pi, 1) of the partition lattice,
-    (-1)^(b-1) (b-1)! for a partition with b blocks."""
-    b = pi if isinstance(pi, int) else pi.num_blocks()
-    if b < 1:
-        raise ValueError("block count must be positive")
-    return (-1) ** (b - 1) * math.factorial(b - 1)
 
 
 # -- mate-pair machinery ------------------------------------------------

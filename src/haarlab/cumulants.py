@@ -1,19 +1,23 @@
-"""Classical multivariate moment/cumulant transforms over set partitions,
-plus plug-in cumulant estimation from simulation replicas.
+"""Classical multivariate moment/cumulant transforms, plus plug-in
+cumulant estimation from simulation replicas.
 
-Values are whatever scalar kind the caller supplies (Fraction, float,
-complex); the combinatorics is the same for the exact and the floating
-path.
+The transforms are the sum over set partitions written as a recursion
+on the block that holds the first position, memoized by variable
+multiset; no partition is enumerated.  Values are whatever scalar kind
+the caller supplies (Fraction, float, complex); the recursion is the
+same for the exact and the floating path.  At most PARTITION_POINT_CAP
+positions are accepted; more raise CapacityError before any work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .combinat import SetPartition, enumerate_partitions, moebius_partition_to_top
-from .errors import InsufficientSamplesError, MissingMomentError
+from .combinat import PARTITION_POINT_CAP
+from .errors import CapacityError, InsufficientSamplesError, MissingMomentError
 
 BATCH_COUNT = 10
 
@@ -73,57 +77,75 @@ class CumulantFunctional:
                 f"1 or 2 and at least {2 * BATCH_COUNT} replicas") from None
 
 
-def e_pi(moments: MomentFunctional | CumulantFunctional, pi: SetPartition,
-         indices: Sequence[int]):
-    """Product over the blocks of pi of the within-block joint moments,
-    E_pi(X_1, ..., X_R) = prod_{V in pi} E(prod_{j in V} X_j).
+def _first_block_splits(key: tuple):
+    """(B, S minus B) for every proper subset B of the positions of S
+    that contains the first position, each side read as its variables.
 
-    pi partitions the positions 1..R; indices[j-1] names the variable at
-    position j.  Given cumulants instead of moments it is the block
-    product k_pi that cumulants_to_moments sums.
+    Splitting off the block of the first position turns the sum over
+    all set partitions of S into a sum over these splits plus the
+    one-block term (Nica and Speicher, Lectures on the Combinatorics of
+    Free Probability, 2006).
     """
-    indices = tuple(indices)
-    out = 1
-    for block in pi.blocks:
-        out = out * moments(tuple(indices[j - 1] for j in sorted(block)))
-    return out
+    first, rest = key[0], key[1:]
+    positions = range(len(rest))
+    for size in range(len(rest)):
+        for picked in itertools.combinations(positions, size):
+            yield ((first,) + tuple(rest[j] for j in picked),
+                   tuple(rest[j] for j in positions if j not in picked))
+
+
+def _check_cap(indices: tuple) -> None:
+    if len(indices) > PARTITION_POINT_CAP:
+        raise CapacityError(
+            f"moment-cumulant transform over {len(indices)} positions "
+            f"exceeds cap {PARTITION_POINT_CAP}")
 
 
 def cumulants_to_moments(cumulants: CumulantFunctional,
                          indices: Sequence[int]):
-    """E(X_1 ... X_r) = sum over all set partitions of [r] of the
-    block-products of cumulants."""
+    """E(X_1 ... X_r), the sum over all set partitions of [r] of the
+    block-products of cumulants, by the first-block recursion
+    E(S) = sum over blocks B containing the first position of
+    k(B) E(S minus B), with E of the empty set 1."""
     indices = tuple(indices)
-    r = len(indices)
-    if r == 0:
-        return 1
-    total = None
-    for pi in enumerate_partitions(r):
-        term = e_pi(cumulants, pi, indices)
-        total = term if total is None else total + term
-    return total
+    _check_cap(indices)
+    memo = {(): 1}
+
+    def moment(key: tuple):
+        if key not in memo:
+            total = cumulants(key)
+            for block, others in _first_block_splits(key):
+                total = total + cumulants(block) * moment(others)
+            memo[key] = total
+        return memo[key]
+
+    return moment(_key(indices))
 
 
 def moments_to_cumulants(moments: MomentFunctional,
                          indices: Sequence[int]):
-    """Moebius inversion of the moment-cumulant relation on the partition
-    lattice: k_R = sum_pi mu(pi, 1_R) E_pi, with mu(pi, 1_R) =
-    (-1)^(b-1) (b-1)! for b blocks.  Round-trips with
-    cumulants_to_moments exactly."""
+    """The inverse transform, k(S) = E(S) - sum over blocks B != S
+    containing the first position of k(B) E(S minus B).  Round-trips
+    with cumulants_to_moments exactly; at order 2 it is
+    E(X_i X_j) - E(X_i) E(X_j) as written."""
     indices = tuple(indices)
-    r = len(indices)
-    if r == 0:
+    _check_cap(indices)
+    if not indices:
         return 0
-    total = None
-    for pi in enumerate_partitions(r):
-        term = moebius_partition_to_top(pi) * e_pi(moments, pi, indices)
-        total = term if total is None else total + term
-    return total
+    memo = {}
+
+    def cumulant(key: tuple):
+        if key not in memo:
+            total = moments(key)
+            for block, others in _first_block_splits(key):
+                total = total - cumulant(block) * moments(others)
+            memo[key] = total
+        return memo[key]
+
+    return cumulant(_key(indices))
 
 
 def _sample_moments(samples, max_order: int) -> MomentFunctional:
-    import itertools
-
     rows = [list(row) for row in samples]
     nvars = len(rows)
     count = len(rows[0]) if rows else 0
@@ -149,8 +171,6 @@ def empirical_cumulants(samples, max_order: int = 2) -> CumulantFunctional:
     BATCH_COUNT equal batches (trailing remainder replicas are dropped
     from the batching, not from the point estimate).
     """
-    import itertools
-
     rows = [list(row) for row in samples]
     if not rows:
         raise InsufficientSamplesError("no variables supplied")

@@ -4,11 +4,13 @@ law with two degrees of freedom on [-2*sqrt(3), 2*sqrt(3)].
 
 Both laws carry closed-form densities and CDFs.  The closed-form
 Kesten-McKay density is never trusted on its own; at construction it is
-checked against moments obtained from the non-crossing-partition
-cumulant oracle, and a mismatch raises.  Quadrature runs only in that
-check, through moment_by_quadrature: a fixed midpoint rule in the angle
-variable x = c*sin(theta), exact to rounding for densities with
-square-root edges such as these two (see its docstring).
+checked against exact moments from the free moment-cumulant relation
+(a sum over non-crossing partitions, computed by recursion on the block
+of the first point, not by enumerating partitions), and a mismatch
+raises.  Quadrature runs only in that check, through
+moment_by_quadrature: a fixed midpoint rule in the angle variable
+x = c*sin(theta), exact to rounding for densities with square-root
+edges such as these two (see its docstring).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-from .combinat import enumerate_nc_partitions
 
 MOMENT_ORDER = 8
 _QUAD_POINTS = 64
@@ -67,41 +67,50 @@ def moment_by_quadrature(law: LimitLaw, k: int) -> float:
 # ----------------------------------------------------------------------
 # moment / free-cumulant transforms over non-crossing partitions
 
+def _lower_blocks(kappa: list, m: list, n: int) -> Fraction:
+    """rest(n) = sum over s < n of kappa_s [z^(n-s)] M(z)^s, where
+    M(z) = 1 + sum_i m_i z^i: the sum over NC(n) of block-products of
+    free cumulants without the one-block partition.
+
+    The block of 1 with s points leaves s gaps, each filled by its own
+    non-crossing partition, so it contributes kappa_s times the total
+    of s-fold products of lower moments of sizes adding up to n - s
+    (Nica and Speicher, Lectures on the Combinatorics of Free
+    Probability, 2006).  Reads kappa_1..kappa_{n-1} and
+    m_1..m_{n-1}.
+    """
+    series = [Fraction(1)] + m[:n - 1]
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)  # M(z)^0 below z^n
+    rest = Fraction(0)
+    for s in range(1, n):
+        power = [sum(power[j] * series[i - j] for j in range(i + 1))
+                 for i in range(n)]
+        rest += kappa[s - 1] * power[n - s]
+    return rest
+
+
 def free_cumulants_from_moments(moments: Sequence, order: int) -> list:
-    """Invert m_n = sum over NC(n) of block-products of cumulants, by
-    peeling the full-block partition off the sum for each n in turn."""
+    """Invert m_n = sum over NC(n) of block-products of cumulants:
+    kappa_n = m_n - rest(n), for each n in turn."""
     if order > MOMENT_ORDER:
         raise ValueError(f"order capped at {MOMENT_ORDER}")
-    m = {i + 1: Fraction(moments[i]) for i in range(order)}
-    kappa: dict[int, Fraction] = {}
+    m = [Fraction(x) for x in moments[:order]]
+    kappa: list = []
     for n in range(1, order + 1):
-        rest = Fraction(0)
-        for pi in enumerate_nc_partitions(n):
-            if pi.num_blocks() == 1:
-                continue
-            term = Fraction(1)
-            for block in pi.blocks:
-                term *= kappa[len(block)]
-            rest += term
-        kappa[n] = m[n] - rest
-    return [kappa[n] for n in range(1, order + 1)]
+        kappa.append(m[n - 1] - _lower_blocks(kappa, m, n))
+    return kappa
 
 
 def moments_from_free_cumulants(kappa: Sequence, order: int) -> list:
-    """m_n = sum over NC(n) of the block-products of cumulants."""
+    """m_n = sum over NC(n) of the block-products of cumulants,
+    kappa_n + rest(n), for each n in turn."""
     if order > MOMENT_ORDER:
         raise ValueError(f"order capped at {MOMENT_ORDER}")
-    k = {i + 1: Fraction(kappa[i]) for i in range(order)}
-    out = []
+    k = [Fraction(x) for x in kappa[:order]]
+    m: list = []
     for n in range(1, order + 1):
-        total = Fraction(0)
-        for pi in enumerate_nc_partitions(n):
-            term = Fraction(1)
-            for block in pi.blocks:
-                term *= k[len(block)]
-            total += term
-        out.append(total)
-    return out
+        m.append(k[n - 1] + _lower_blocks(k, m, n))
+    return m
 
 
 def free_self_convolution(law: LimitLaw, order: int = MOMENT_ORDER) -> list:
@@ -141,8 +150,10 @@ def kesten_mckay_law() -> LimitLaw:
     2*sqrt(12 - x^2)/(pi*(16 - x^2)) on [-2*sqrt(3), 2*sqrt(3)], CDF
     1/2 + (2/pi)*(arcsin(x/(2*sqrt(3))) - arctan(x/(2*sqrt(12 - x^2)))/2).
 
-    The density is cross-checked here against the non-crossing oracle
-    applied to the arcsine moments; construction fails on disagreement.
+    The exact moments come from free_self_convolution of the arcsine
+    moments, and the density is cross-checked against them at orders
+    2, 4 and 6 by moment_by_quadrature; construction fails on
+    disagreement.
     """
     c = 2.0 * math.sqrt(3.0)
 
@@ -169,8 +180,8 @@ def kesten_mckay_law() -> LimitLaw:
         got = moment_by_quadrature(law, k)
         if abs(got - float(moments[k - 1])) > 1e-6:
             raise RuntimeError(
-                f"closed-form density disagrees with the non-crossing "
-                f"oracle at moment {k}: {got} vs {moments[k - 1]}")
+                f"closed-form density disagrees with the free "
+                f"self-convolution at moment {k}: {got} vs {moments[k - 1]}")
     return law
 
 

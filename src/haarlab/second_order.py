@@ -60,24 +60,15 @@ class SecondOrderPrediction:
     reversed_terms: tuple = ()
 
 
-def _spoke_terms(tbl: FirstOrderTable) -> list:
-    n = tbl.n
+def _cyclic_products(entry, n: int, step: int) -> list:
+    """[prod over i = 1..n of entry(i, k + step*i) for k = 1..n]: the
+    spoke products for entry = phi_at, step = -1, and the reversed-spoke
+    products for entry = phi_t_at, step = +1."""
     terms = []
     for k in range(1, n + 1):
         prod = 1
         for i in range(1, n + 1):
-            prod = prod * tbl.phi_at(i, k - i)
-        terms.append(prod)
-    return terms
-
-
-def _reversed_terms(tbl: FirstOrderTable) -> list:
-    n = tbl.n
-    terms = []
-    for k in range(1, n + 1):
-        prod = 1
-        for i in range(1, n + 1):
-            prod = prod * tbl.phi_t_at(i, k + i)
+            prod = prod * entry(i, k + step * i)
         terms.append(prod)
     return terms
 
@@ -94,7 +85,7 @@ def complex_spoke_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
             "no complex spoke reduction for a pair of 1-cycles")
     if tbl.m != tbl.n:
         return SecondOrderPrediction(0, ())
-    terms = _spoke_terms(tbl)
+    terms = _cyclic_products(tbl.phi_at, tbl.n, -1)
     return SecondOrderPrediction(sum(terms), tuple(terms))
 
 
@@ -107,8 +98,8 @@ def real_spoke_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
             "one_by_one_real_prediction for the two-term convention")
     if tbl.m != tbl.n:
         return SecondOrderPrediction(0, (), ())
-    spokes = _spoke_terms(tbl)
-    rev = _reversed_terms(tbl)
+    spokes = _cyclic_products(tbl.phi_at, tbl.n, -1)
+    rev = _cyclic_products(tbl.phi_t_at, tbl.n, 1)
     return SecondOrderPrediction(sum(spokes) + sum(rev),
                                  tuple(spokes), tuple(rev))
 

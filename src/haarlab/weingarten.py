@@ -183,6 +183,12 @@ def phi(p: Pairing, q: Pairing, N: int) -> Fraction:
     cycle started at the smallest unseen point is a representative and
     the walk marks its mate as it goes.  pq_cycle_pairs spells out the
     same grouping.
+    No walk meets a marked point.  The p and q edges together split
+    [n] into disjoint loops that alternate between them, and a walk
+    step k -> q(k) -> p(q(k)) follows two edges of one loop, so each
+    walk goes once around its own loop, marking each of its points
+    exactly once, and returns to its start; a later start is unmarked
+    only if it lies on another loop.
     """
     if p.signed or q.signed:
         raise ValueError("phi expects pairings of an unsigned domain")
@@ -197,9 +203,6 @@ def phi(p: Pairing, q: Pairing, N: int) -> Fraction:
         k = start
         while True:
             mate = q(k)
-            if seen[k] or seen[mate]:
-                raise RuntimeError("mate point already seen; pq cycles "
-                                   "do not pair up")
             seen[k] = seen[mate] = True
             length += 1
             k = p(mate)

@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from haarlab.combinat import (Pairing, Permutation, SetPartition, catalan,
+from haarlab.combinat import (Pairing, Permutation, catalan,
                               enumerate_alpha_pairings,
                               enumerate_nc_partitions, enumerate_pairings,
                               enumerate_partitions, is_noncrossing,
-                              leader, moebius_cycle_type,
-                              moebius_partition_to_top, pi_epsilon,
+                              leader, moebius_cycle_type, pi_epsilon,
                               pq_cycle_pairs)
 
 
@@ -93,8 +92,8 @@ def test_nc_partition_count_is_catalan(n):
 
 
 def test_is_noncrossing():
-    assert is_noncrossing(SetPartition([(1, 4), (2, 3)]))
-    assert not is_noncrossing(SetPartition([(1, 3), (2, 4)]))
+    assert is_noncrossing(((1, 4), (2, 3)))
+    assert not is_noncrossing(((1, 3), (2, 4)))
 
 
 def test_moebius_cycle_type_is_free_moebius():
@@ -104,16 +103,6 @@ def test_moebius_cycle_type_is_free_moebius():
     assert moebius_cycle_type((3,)) == 2
     assert moebius_cycle_type((4,)) == -5
     assert moebius_cycle_type((2, 2)) == 1
-
-
-def test_moebius_partition_to_top():
-    # mu(pi, 1) on the partition lattice: (-1)^(b-1) (b-1)!
-    one_block = SetPartition([(1, 2, 3, 4)])
-    singletons = SetPartition([(1,), (2,), (3,), (4,)])
-    assert moebius_partition_to_top(one_block) == 1
-    assert moebius_partition_to_top(singletons) == -6
-    assert moebius_partition_to_top(SetPartition([(1, 2, 3), (4, 5)])) == -1
-    assert moebius_partition_to_top(3) == 2
 
 
 def test_pq_cycle_pairs_mate_law():

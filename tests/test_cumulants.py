@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haarlab.combinat import SetPartition
-from haarlab.cumulants import (CumulantFunctional, MomentFunctional, e_pi,
+from haarlab.cumulants import (CumulantFunctional, MomentFunctional,
                                cumulants_to_moments, empirical_cumulants,
                                moments_to_cumulants)
 from haarlab.errors import InsufficientSamplesError, MissingMomentError
@@ -19,13 +18,6 @@ def test_keys_are_symmetric():
     assert m(()) == 1
     with pytest.raises(MissingMomentError):
         m((2, 2))
-
-
-def test_e_pi_blocks():
-    m = MomentFunctional({(1,): 2, (2,): 3, (1, 2): 10})
-    pi = SetPartition([(1, 2), (3,)])
-    # positions 1,2 hold variables 1,2; position 3 holds variable 1
-    assert e_pi(m, pi, (1, 2, 1)) == 10 * 2
 
 
 def test_gaussian_moments_from_cumulants():

@@ -158,11 +158,3 @@ def test_phi_walk_matches_mate_pair_oracle(N):
 def test_phi_rejects_mismatched_domains():
     with pytest.raises(ValueError):
         phi(Pairing([(1, 2)]), Pairing([(1, 2), (3, 4)]), 5)
-
-
-def test_phi_guards_a_corrupt_partner_map():
-    p = Pairing([(1, 2), (3, 4)])
-    q = Pairing([(1, 2), (3, 4)])
-    q._partner[3] = 2  # the mate of 3 would be 2, already marked from 1
-    with pytest.raises(RuntimeError, match="mate point already seen"):
-        phi(p, q, 5)
