@@ -7,6 +7,10 @@ Conventions used throughout:
 * an unsigned permutation acts on the signed domain by fixing every
   negative point;
 * composition is function composition, (s * t)(k) = s(t(k));
+* a pairing is a fixed-point-free involution, and it is passed around
+  as its partner map {k: p(k)}, a plain dict: enumerate_pairings and
+  enumerate_alpha_pairings yield such maps, and the kernel, pi_epsilon
+  and weingarten.phi read them by indexing;
 * the "leader" of a set of points is the one with smallest absolute
   value, positive sign winning ties.  Canonical cycles start at their
   leader and cycle lists are sorted by leader.
@@ -28,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError
@@ -175,82 +178,6 @@ class Permutation:
         return f"Permutation[{cyc}]"
 
 
-class Pairing:
-    """A perfect matching of [n] or [+-n].
-
-    Stored as a block set and its partner map, the involution view.
-    Two pairings are equal iff their block sets are equal.
-    """
-
-    __slots__ = ("_blocks", "_partner", "n", "signed")
-
-    def __init__(self, pairs: Iterable[Iterable[int]]):
-        blocks = frozenset(frozenset(p) for p in pairs)
-        partner: dict[int, int] = {}
-        for blk in blocks:
-            if len(blk) != 2:
-                raise ValueError(f"block {set(blk)} is not a pair")
-            a, b = blk
-            if a in partner or b in partner:
-                raise ValueError("blocks are not disjoint")
-            partner[a] = b
-            partner[b] = a
-        points = set(partner)
-        if not points:
-            raise ValueError("empty pairing")
-        signed = any(k < 0 for k in points)
-        n = max(abs(k) for k in points)
-        _check_domain(points, signed, n)
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_partner", partner)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "signed", signed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pairing is immutable")
-
-    @classmethod
-    def delta(cls, n: int) -> "Pairing":
-        return cls([(k, -k) for k in range(1, n + 1)])
-
-    @property
-    def blocks(self) -> frozenset:
-        return self._blocks
-
-    @property
-    def partner(self) -> Mapping[int, int]:
-        """The involution k -> p(k) as a read-only map."""
-        return MappingProxyType(self._partner)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Blocks as (leader, partner) tuples, sorted by leader."""
-        out = [tuple(sorted(b, key=_leader_key)) for b in self._blocks]
-        return sorted(out, key=lambda p: _leader_key(p[0]))
-
-    def __call__(self, k: int) -> int:
-        try:
-            return self._partner[k]
-        except KeyError:
-            if not self.signed and -self.n <= k <= -1:
-                return k
-            raise ValueError(f"point {k} outside domain") from None
-
-    def as_permutation(self) -> Permutation:
-        return Permutation(dict(self._partner), signed=self.signed)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pairing):
-            return NotImplemented
-        return self._blocks == other._blocks
-
-    def __hash__(self):
-        return hash(self._blocks)
-
-    def __repr__(self) -> str:
-        body = "".join(f"({a},{b})" for a, b in self.pairs())
-        return f"Pairing[{body}]"
-
-
 def _enumerate_matchings(points: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     if len(points) > PAIRING_POINT_CAP:
         raise CapacityError(
@@ -267,9 +194,11 @@ def _enumerate_matchings(points: list[int]) -> Iterator[tuple[tuple[int, int], .
             yield ((first, partner),) + tail
 
 
-def enumerate_pairings(n: int, signed: bool = False) -> Iterator[Pairing]:
-    """All pairings of [n] (or of [+-n]).  Odd point counts give an
-    empty sequence, matching the convention P2(odd) = empty set."""
+def enumerate_pairings(n: int, signed: bool = False
+                       ) -> Iterator[dict[int, int]]:
+    """All pairings of [n] (or of [+-n]) as partner maps {k: p(k)}.
+    Odd point counts give an empty sequence, matching the convention
+    P2(odd) = empty set."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if signed:
@@ -278,11 +207,12 @@ def enumerate_pairings(n: int, signed: bool = False) -> Iterator[Pairing]:
     else:
         points = list(range(1, n + 1))
     for blocks in _enumerate_matchings(points):
-        yield Pairing(blocks)
+        yield {**dict(blocks), **{b: a for a, b in blocks}}
 
 
-def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[Pairing]:
-    """Pairings p of [n] with alpha_k = -alpha_l whenever p(k) = l.
+def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[dict[int, int]]:
+    """The pairings p of [n] with alpha_k = -alpha_l whenever p(k) = l,
+    as partner maps {k: p(k)}.
 
     For unbalanced alpha there are none and the iterator is empty.
     """
@@ -300,7 +230,7 @@ def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[Pairing]:
     if not plus:
         return
     for perm in itertools.permutations(minus):
-        yield Pairing(tuple(zip(plus, perm)))
+        yield {**dict(zip(plus, perm)), **dict(zip(perm, plus))}
 
 
 # -- set partitions: brute-force oracles for the tests ----------------
@@ -372,8 +302,10 @@ def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[i:] + cycle[:i]
 
 
-def pq_cycle_pairs(p: Pairing, q: Pairing) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Cycles of the product pq grouped into mate pairs (c, c').
+def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
+                   ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Cycles of the product pq of two pairings, given as partner maps,
+    grouped into mate pairs (c, c').
 
     The mate of a cycle c = (i_1, ..., i_l) is c' = (q(i_l), ..., q(i_1)),
     which as a permutation is q c^{-1} q.  The representative (first slot
@@ -381,9 +313,9 @@ def pq_cycle_pairs(p: Pairing, q: Pairing) -> list[tuple[tuple[int, ...], tuple[
     union of the two cycles' points.  A failed grouping means the inputs
     were not genuine pairings of the same domain, or a bug; it raises.
     """
-    if p.n != q.n or p.signed != q.signed:
+    if p.keys() != q.keys():
         raise ValueError("p and q must live on the same domain")
-    prod = p.as_permutation() * q.as_permutation()
+    prod = Permutation(p) * Permutation(q)
     cycles = prod.cycles()
     index = {_canonical_rotation(c): c for c in cycles}
     used: set[tuple[int, ...]] = set()
@@ -392,7 +324,7 @@ def pq_cycle_pairs(p: Pairing, q: Pairing) -> list[tuple[tuple[int, ...], tuple[
         key = _canonical_rotation(c)
         if key in used:
             continue
-        mate_seq = tuple(q(x) for x in reversed(c))
+        mate_seq = tuple(q[x] for x in reversed(c))
         mate_key = _canonical_rotation(mate_seq)
         mate = index.get(mate_key)
         if mate is None or mate_key == key or mate_key in used:
@@ -423,7 +355,8 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     pair, and marking |l| for every visited l marks the mate as well.
     Each representative (l_1, ..., l_r) is read as the cycle
     (|l_1|, ..., |l_r|) of pi with signs eps_{|l_k|} = sign(l_k); this
-    is the grouping pq_cycle_pairs(p, Pairing.delta(n)) spells out.
+    is the grouping pq_cycle_pairs(p, delta) spells out, with delta the
+    partner map {k: -k}.
     No cycle is its own mate: delta would then reverse it without a
     fixed point, so some k would have p(-k) = -k, which the input check
     excludes.  Hence no walk revisits a magnitude, and every start is

@@ -10,14 +10,16 @@ pairings (p, q) contributes its Weingarten weight Phi_N(p, q) times the
 trace product read off pi_epsilon of the conjugated involution
 tau = phi^-1 p delta q delta phi.
 
-Per pair the engine joins two precomputed halves of tau's partner map
-{k: tau(k)} on [+-M] (one half per pairing p, one per q) into a plain
-dict, walks it once in pi_epsilon and walks pq once for Phi_N, and
-reduces pi's cycles and the signs eps to a trace key: the number of
-constant-free cycles plus the constant-carrying cycles.  No Pairing or
-Permutation object is built per pair.  It counts pairs as integers
-per (trace key, weight), evaluates each distinct key's trace once, and
-does the rational-complex arithmetic once per (key, weight).
+Every pairing is a plain partner map {k: p(k)}, as
+enumerate_alpha_pairings yields it.  Per pair the engine joins two
+precomputed halves of tau's partner map {k: tau(k)} on [+-M] (one half
+per pairing p, one per q) into a plain dict, walks it once in
+pi_epsilon and walks pq once for Phi_N, and reduces pi's cycles and the
+signs eps to a trace key: the number of constant-free cycles plus the
+constant-carrying cycles.  No Permutation object is built per pair.
+It counts pairs as integers per (trace key, weight), evaluates each
+distinct key's trace once, and does the rational-complex arithmetic
+once per (key, weight).
 Everything stays exact; nothing is floated.
 
 That kernel is the only pairing sum: entry products go through it too,
@@ -298,8 +300,8 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     on_p = [x for x in phi_map if phi_map[x] > 0]
     on_q = [x for x in phi_map if phi_map[x] < 0]
     pairings = list(enumerate_alpha_pairings(eta))
-    p_halves = [{x: phi_inv[p(phi_map[x])] for x in on_p} for p in pairings]
-    q_halves = [{x: phi_inv[-q(-phi_map[x])] for x in on_q} for q in pairings]
+    p_halves = [{x: phi_inv[p[phi_map[x]]] for x in on_p} for p in pairings]
+    q_halves = [{x: phi_inv[-q[-phi_map[x]]] for x in on_q} for q in pairings]
 
     # integer pair counts per (trace key, weight); each distinct key's
     # trace is evaluated once, and pairs whose trace vanishes skip phi

@@ -18,7 +18,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -173,15 +173,6 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
     return m
 
 
-def phased_shift_matrix(N: int) -> np.ndarray:
-    """The superdiagonal matrix with (k, k+1) entry i^k (1-based); all
-    its powers below the dimension are traceless."""
-    a = np.zeros((N, N), dtype=complex)
-    for k in range(1, N):
-        a[k - 1, k] = 1j ** k
-    return a
-
-
 def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
     if isinstance(node, HaarU):
         return variant_matrix(u, node.eps, node.eta)
@@ -232,7 +223,7 @@ def histogram(points, bins: int, hist_range: tuple) -> tuple:
     """Binned density of an array of points (of any shape), normalized
     to integrate to 1.  Returns (bin_edges, densities)."""
     if bins < 10:
-        raise ValueError("need at least 10 bins")
+        raise WordParseError("need at least 10 bins")
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise InsufficientSamplesError("no points to bin")
@@ -367,15 +358,3 @@ def spectral_replicas(node: Node, N: int, replicas: int,
     return _run_replicas(N, replicas, seed,
                          lambda u: spectrum(evaluate(node, u, N)), N, float)
 
-
-def phased_shift_transpose_traces(n_values: Iterable[int]) -> list:
-    """The recorded sequence (N, Tr(A A^t), tr(A A^t)) for the
-    superdiagonal generator; the unnormalized trace oscillates between
-    -1 and 0 while the normalized one tends to 0.  Nothing is asserted
-    about a limit."""
-    rows = []
-    for N in n_values:
-        a = phased_shift_matrix(N)
-        t = np.trace(a @ a.T).real
-        rows.append((int(N), float(t), float(t / N)))
-    return rows

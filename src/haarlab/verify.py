@@ -79,7 +79,8 @@ def check_weingarten_exactness(seed=None) -> CheckResult:
             for sigma in _perms(n):
                 acc = Fraction(0)
                 for tau in _perms(n):
-                    acc += Fraction(gram_entry(sigma, tau, N)) * tbl[tau]
+                    acc += (Fraction(gram_entry(sigma, tau, N))
+                            * tbl[tau.cycle_type()])
                 want = Fraction(1 if sigma == ident else 0)
                 if acc != want:
                     failures.append((n, N, sigma.cycle_type()))
@@ -148,7 +149,7 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
         rows = [[[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)]
                 for _ in range(n)]
         total = 0
-        pairs = p.pairs()
+        pairs = [(a, b) for a, b in p.items() if a < b]
         for choice in itertools.product(range(N), repeat=len(pairs)):
             idx = {}
             for (a, b), v in zip(pairs, choice):
@@ -158,7 +159,7 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
             for k in range(1, n + 1):
                 term *= rows[k - 1][idx[k]][idx[-k]]
             total += term
-        cycles, eps = pi_epsilon(p.partner)
+        cycles, eps = pi_epsilon(p)
         mats = [qc_matrix(r) for r in rows]
         rhs = QC_ONE
         for cyc in cycles:

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, Mapping, TextIO
 
-from .combinat import Pairing, Permutation, moebius_cycle_type
+from .combinat import Permutation, moebius_cycle_type
 from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 6
@@ -74,9 +74,9 @@ def gram_entry(sigma: Permutation, tau: Permutation, N: int) -> int:
 class WeingartenTable:
     """Exact Weingarten weights of one order at one dimension.
 
-    values maps every cycle type of n to a Fraction.  pseudo marks
-    tables with N < n, which are pseudo-inverses of a singular Gram
-    matrix.
+    values maps every cycle type of n, a descending tuple, to a
+    Fraction; the table is indexed by that tuple.  pseudo marks tables
+    with N < n, which are pseudo-inverses of a singular Gram matrix.
     """
 
     n: int
@@ -84,10 +84,8 @@ class WeingartenTable:
     values: dict[CycleType, Fraction] = field(compare=False)
     pseudo: bool = False
 
-    def __getitem__(self, key) -> Fraction:
-        if isinstance(key, Permutation):
-            key = key.cycle_type()
-        return self.values[normalize_cycle_type(key)]
+    def __getitem__(self, cycle_type: CycleType) -> Fraction:
+        return self.values[cycle_type]
 
 
 def _character(beta: frozenset[int], mu: CycleType) -> int:
@@ -173,8 +171,9 @@ def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
     return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
 
 
-def phi(p: Pairing, q: Pairing, N: int) -> Fraction:
-    """The pairing-indexed Weingarten weight.
+def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
+    """The pairing-indexed Weingarten weight of two pairings of [n],
+    given as partner maps {k: p(k)} as the enumerators yield them.
 
     Decomposes pq into mate-pair cycles and evaluates the order-(n/2)
     weight at the cycle type formed by the representative cycle
@@ -188,28 +187,30 @@ def phi(p: Pairing, q: Pairing, N: int) -> Fraction:
     step k -> q(k) -> p(q(k)) follows two edges of one loop, so each
     walk goes once around its own loop, marking each of its points
     exactly once, and returns to its start; a later start is unmarked
-    only if it lies on another loop.
+    only if it lies on another loop.  That argument needs both maps to
+    be fixed-point-free involutions; only their domains are checked:
+    maps on a signed domain, or on two different ones, raise
+    ValueError.
     """
-    if p.signed or q.signed:
-        raise ValueError("phi expects pairings of an unsigned domain")
-    if p.n != q.n:
-        raise ValueError("p and q must live on the same domain")
-    seen = [False] * (p.n + 1)
+    n = len(p)
+    if not p.keys() == q.keys() == set(range(1, n + 1)):
+        raise ValueError("phi expects two pairings of the same [n]")
+    seen = [False] * (n + 1)
     lengths = []
-    for start in range(1, p.n + 1):
+    for start in range(1, n + 1):
         if seen[start]:
             continue
         length = 0
         k = start
         while True:
-            mate = q(k)
+            mate = q[k]
             seen[k] = seen[mate] = True
             length += 1
-            k = p(mate)
+            k = p[mate]
             if k == start:
                 break
         lengths.append(length)
-    return wg_table(sum(lengths), N)[lengths]
+    return wg_table(sum(lengths), N)[tuple(sorted(lengths, reverse=True))]
 
 
 def dump_table_csv(out: TextIO, tables: Iterable[WeingartenTable]) -> None:

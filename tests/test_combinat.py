@@ -4,12 +4,17 @@ import math
 
 import pytest
 
-from haarlab.combinat import (Pairing, Permutation, catalan,
+from haarlab.combinat import (Permutation, catalan,
                               enumerate_alpha_pairings,
                               enumerate_nc_partitions, enumerate_pairings,
                               enumerate_partitions, is_noncrossing,
                               leader, moebius_cycle_type, pi_epsilon,
                               pq_cycle_pairs)
+
+
+def _delta(n):
+    """The partner map k -> -k of [+-n]."""
+    return {k: -k for k in range(-n, n + 1) if k}
 
 
 def test_leader_prefers_small_magnitude_then_positive():
@@ -41,22 +46,6 @@ def test_unsigned_permutation_fixes_negatives():
     assert p(-2) == -2
 
 
-def test_pairing_partner_lookup_and_blocks():
-    p = Pairing([(1, -2), (-1, 2)])
-    assert p.signed
-    assert p(1) == -2
-    assert p(-2) == 1
-    assert set(map(frozenset, map(set, p.pairs()))) \
-        == {frozenset({1, -2}), frozenset({-1, 2})}
-
-
-def test_pairing_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        Pairing([(1, 2, 3)])
-    with pytest.raises(ValueError):
-        Pairing([(1, 2), (2, 3)])
-
-
 def test_unsigned_pairing_counts():
     # matchings of [2k]: (2k-1)!!, odd point count: none
     assert sum(1 for _ in enumerate_pairings(4)) == 3
@@ -76,8 +65,21 @@ def test_alpha_pairings():
     assert sum(1 for _ in enumerate_alpha_pairings((1, -1, 1, -1))) == 2
     assert list(enumerate_alpha_pairings((1, 1, -1))) == []
     for p in enumerate_alpha_pairings((1, -1, -1, 1)):
-        for a, b in p.pairs():
+        for a, b in p.items():
             assert {a, b} & {1, 4} and {a, b} & {2, 3}
+
+
+def test_enumerators_yield_fixed_point_free_involutions():
+    # the partner maps are used unchecked downstream, so each must be a
+    # fixed-point-free involution of exactly its domain
+    unsigned = set(range(1, 7))
+    cases = [(unsigned, enumerate_pairings(6)),
+             (set(_delta(3)), enumerate_pairings(3, signed=True)),
+             (unsigned, enumerate_alpha_pairings((1, -1, -1, 1, 1, -1)))]
+    for domain, pairings in cases:
+        for p in pairings:
+            assert type(p) is dict and p.keys() == domain
+            assert all(p[v] == k != v for k, v in p.items())
 
 
 @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
@@ -106,14 +108,13 @@ def test_moebius_cycle_type_is_free_moebius():
 
 
 def test_pq_cycle_pairs_mate_law():
-    p = Pairing([(1, -2), (2, -3), (3, -1)])
-    q = Pairing.delta(3)
+    p = {1: -2, -2: 1, 2: -3, -3: 2, 3: -1, -1: 3}
+    q = _delta(3)
     pairs = pq_cycle_pairs(p, q)
-    prod = p.as_permutation() * q.as_permutation()
-    qperm = q.as_permutation()
+    prod = Permutation(p) * Permutation(q)
     for rep, mate in pairs:
         # the mate is q c^{-1} q applied to the representative cycle
-        expect = tuple(qperm(x) for x in reversed(rep))
+        expect = tuple(q[x] for x in reversed(rep))
         rotations = {tuple(expect[i:] + expect[:i])
                      for i in range(len(expect))}
         assert mate in rotations
@@ -123,7 +124,7 @@ def test_pq_cycle_pairs_mate_law():
 
 def test_pi_epsilon_covers_every_magnitude_once():
     for p in enumerate_pairings(3, signed=True):
-        cycles, eps = pi_epsilon(p.partner)
+        cycles, eps = pi_epsilon(p)
         assert len(eps) == 3
         assert all(e in (1, -1) for e in eps)
         assert sorted(k for cyc in cycles for k in cyc) == [1, 2, 3]
@@ -132,22 +133,22 @@ def test_pi_epsilon_covers_every_magnitude_once():
 def test_pi_epsilon_of_delta():
     # p = delta gives pq = identity; each (k, -k) orbit pair collapses
     # to a fixed point with positive sign
-    cycles, eps = pi_epsilon(Pairing.delta(4).partner)
+    cycles, eps = pi_epsilon(_delta(4))
     assert cycles == Permutation.identity(4).cycles()
     assert eps == (1, 1, 1, 1)
 
 
 def test_pi_epsilon_rejects_unsigned():
     with pytest.raises(ValueError):
-        pi_epsilon(Pairing([(1, 2), (3, 4)]).partner)
+        pi_epsilon({1: 2, 2: 1, 3: 4, 4: 3})
 
 
 def _pi_epsilon_from_mate_pairs(p):
     """pi_epsilon spelled out through pq_cycle_pairs(p, delta)."""
-    n = p.n
+    n = len(p) // 2
     eps = [0] * (n + 1)
     cycles = []
-    for rep, _mate in pq_cycle_pairs(p, Pairing.delta(n)):
+    for rep, _mate in pq_cycle_pairs(p, _delta(n)):
         for l in rep:
             eps[abs(l)] = 1 if l > 0 else -1
         cycles.append(tuple(abs(l) for l in rep))
@@ -158,7 +159,7 @@ def test_pi_epsilon_walk_matches_mate_pair_oracle():
     seen = 0
     for n in range(1, 6):
         for p in enumerate_pairings(n, signed=True):
-            assert pi_epsilon(p.partner) == _pi_epsilon_from_mate_pairs(p)
+            assert pi_epsilon(p) == _pi_epsilon_from_mate_pairs(p)
             seen += 1
     assert seen == 1 + 3 + 15 + 105 + 945
 
@@ -182,10 +183,3 @@ def test_pi_epsilon_rejects_a_map_that_is_not_a_signed_pairing(partner):
     # test_pi_epsilon_rejects_unsigned covers an unsigned pairing's map
     with pytest.raises(ValueError, match="involution"):
         pi_epsilon(partner)
-
-
-def test_pairing_partner_view_is_read_only():
-    p = Pairing.delta(2)
-    assert dict(p.partner) == {1: -1, -1: 1, 2: -2, -2: 2}
-    with pytest.raises(TypeError):
-        p.partner[1] = 2

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haarlab.combinat import (Pairing, Permutation, enumerate_alpha_pairings,
-                              pi_epsilon)
+from haarlab.combinat import Permutation, enumerate_alpha_pairings, pi_epsilon
 from haarlab.errors import DimensionError, WordParseError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
                            mat_trace, mat_transpose, qc_matrix)
@@ -83,9 +82,9 @@ def _entry_pair_loop(alpha, rows, cols, N):
     if len(alpha) % 2 or sum(alpha) != 0:
         return Fraction(0)
     pairings = list(enumerate_alpha_pairings(alpha))
-    row_ok = [all(rows[a - 1] == rows[b - 1] for a, b in p.pairs())
+    row_ok = [all(rows[a - 1] == rows[b - 1] for a, b in p.items())
               for p in pairings]
-    col_ok = [all(cols[a - 1] == cols[b - 1] for a, b in p.pairs())
+    col_ok = [all(cols[a - 1] == cols[b - 1] for a, b in p.items())
               for p in pairings]
     total = Fraction(0)
     for p, pok in zip(pairings, row_ok):
@@ -402,8 +401,8 @@ def test_load_matrix_csv_rejects_zero_based(tmp_path):
 # -- the pairing-sum kernel against the per-pair object loop ------------
 
 def _per_pair_oracle(expr):
-    """E Tr(w) by the per-pair object loop: one frozenset-block Pairing,
-    pi_epsilon and a full trace product for every pair (p, q)."""
+    """E Tr(w) by the per-pair loop: tau's whole partner map, pi_epsilon
+    and a full trace product for every pair (p, q)."""
     N = expr.N
     const_factor = QC_ONE
     segments = []
@@ -459,12 +458,12 @@ def _per_pair_oracle(expr):
     total = QC_ZERO
     for p in pairings:
         for q in pairings:
-            blocks = set()
+            tau = {}
             for x in phi_map:
                 y = phi_map[x]
-                y = p(y) if y > 0 else -q(-y)
-                blocks.add(frozenset((x, phi_inv[y])))
-            val = cycle_trace(*pi_epsilon(Pairing(blocks).partner))
+                y = p[y] if y > 0 else -q[-y]
+                tau[x] = phi_inv[y]
+            val = cycle_trace(*pi_epsilon(tau))
             if val:
                 total = total + val * QC(phi(p, q, N))
     return const_factor * total * QC(norm)
@@ -528,13 +527,28 @@ def test_constant_free_order5_evaluates_few_traces(monkeypatch):
 
 
 def test_kernel_builds_no_per_pair_objects(monkeypatch):
-    built = {Pairing: 0, Permutation: 0}
-    for cls in built:
-        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
-            built[_cls] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+    from haarlab import haar_expect
+    built = []
+    init = Permutation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    pairings = []
+    enumerate_alpha = haar_expect.enumerate_alpha_pairings
+
+    def recording(eta):
+        for p in enumerate_alpha(eta):
+            pairings.append(p)
+            yield p
+
+    monkeypatch.setattr(haar_expect, "enumerate_alpha_pairings", recording)
     e = _expr([_word([U] * 4), _word([UC] * 4)], 8)
     assert expected_trace_product(e) == QC(4)
-    # the 4! alpha pairings only; none per (p, q) pair
-    assert built == {Pairing: 24, Permutation: 0}
+    # the 4! alpha pairings are plain partner maps, and no Permutation
+    # is built, per (p, q) pair or otherwise
+    assert len(pairings) == 24
+    assert all(type(p) is dict for p in pairings)
+    assert built == []

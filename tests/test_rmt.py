@@ -11,10 +11,9 @@ import pytest
 import haarlab
 from haarlab import rmt
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
-                            NotSelfAdjointError)
+                            NotSelfAdjointError, WordParseError)
 from haarlab.rmt import (Conjugated, Const, HaarU, Product, Sum, Variant,
-                         evaluate, phased_shift_matrix,
-                         phased_shift_transpose_traces, histogram, ks_distance,
+                         evaluate, histogram, ks_distance,
                          sample_haar_unitary, spectral_replicas, spectrum,
                          trace_observables, variant_matrix, worker_count)
 
@@ -70,29 +69,6 @@ def test_conjugated_node():
     assert np.allclose(got_t, (u @ b @ np.conj(u).T).T)
 
 
-def test_phased_shift_matrix():
-    a = phased_shift_matrix(4)
-    # superdiagonal entries i^k, everything else zero
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[0, 1] = 1j
-    expect[1, 2] = -1.0
-    expect[2, 3] = -1j
-    assert np.array_equal(a, expect)
-    # nilpotent: all power traces vanish below the dimension
-    p = a.copy()
-    for _ in range(2):
-        p = p @ a
-        assert abs(np.trace(p)) == 0.0
-
-
-def test_phased_shift_transpose_traces():
-    rows = phased_shift_transpose_traces([2, 3, 8])
-    for (N, tr_full, tr_norm), expect in zip(rows, [-1.0, 0.0, -1.0]):
-        # Tr(A A^t) = sum over k of (i^k)^2 alternates between -1 and 0
-        assert tr_full == pytest.approx(expect)
-        assert tr_norm == pytest.approx(expect / N)
-
-
 def test_spectrum_of_one_replica():
     u = sample_haar_unitary(16, seed=4)
     eig = spectrum(evaluate(Sum((HaarU(), HaarU(-1, -1))), u, 16))
@@ -144,10 +120,15 @@ def test_histogram_normalization():
     # the shape of the array does not matter
     _, dens_2d = histogram(points.reshape(10, 20), 20, (-2.0, 2.0))
     assert np.array_equal(dens_2d, dens)
-    with pytest.raises(ValueError):
-        histogram(points, 5, (-2.0, 2.0))
     with pytest.raises(InsufficientSamplesError):
         histogram(np.empty((0, 8)), 20, (-2.0, 2.0))
+
+
+def test_histogram_refuses_few_bins_with_a_package_error():
+    # the HaarlabError class figure1 --bins 5 raises, so the CLI maps
+    # both to the same exit code
+    with pytest.raises(WordParseError, match="need at least 10 bins"):
+        histogram([0.5], 5, (0, 1))
 
 
 def test_ks_distance_uniform_grid():
