@@ -10,7 +10,7 @@ cli exposes everything as the haarlab command.
 """
 
 from .exact import QC, QC_ONE, QC_ZERO
-from .combinat import Permutation, pi_epsilon
+from .combinat import pi_epsilon
 from .weingarten import wg_leading, wg_table
 from .haar_expect import (TraceProductExpr, TraceWord,
                           expected_trace_product, first_order_limit,
@@ -31,7 +31,7 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "QC", "QC_ONE", "QC_ZERO", "Permutation", "pi_epsilon",
+    "QC", "QC_ONE", "QC_ZERO", "pi_epsilon",
     "wg_leading", "wg_table", "TraceProductExpr", "TraceWord",
     "expected_trace_product", "first_order_limit", "load_matrix_csv",
     "parse_trace_product", "simplify_word", "CumulantFunctional",

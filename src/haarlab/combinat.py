@@ -1,12 +1,13 @@
-"""Permutations, pairings and set partitions on [n] and [+-n].
+"""Permutation and pairing maps, and set partitions, on [n] and [+-n].
 
 Conventions used throughout:
 
 * the unsigned domain [n] is {1, ..., n}; the signed domain [+-n] is
   {-n, ..., -1} union {1, ..., n};
-* an unsigned permutation acts on the signed domain by fixing every
-  negative point;
-* composition is function composition, (s * t)(k) = s(t(k));
+* a permutation is its map {k: sigma(k)}, a plain dict, read by
+  cycles and cycle_type;
+* composition is function composition, (s * t)(k) = s(t(k)), so the
+  map of s * t is {k: s[t[k]] for k in t};
 * a pairing is a fixed-point-free involution, and it is passed around
   as its partner map {k: p(k)}, a plain dict: enumerate_pairings and
   enumerate_alpha_pairings yield such maps, and the kernel, pi_epsilon
@@ -53,129 +54,31 @@ def _signed_points(n: int) -> frozenset[int]:
     return frozenset(range(-n, n + 1)) - {0}
 
 
-def _check_domain(points: set[int], signed: bool, n: int) -> None:
-    expect = _signed_points(n) if signed else set(range(1, n + 1))
-    if points != expect:
-        kind = "[+-n]" if signed else "[n]"
-        raise ValueError(f"points {sorted(points)} do not form {kind} with n={n}")
+def cycles(perm: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical cycles of a permutation given as its map {k: sigma(k)}:
+    fixed points included, each cycle starting at its leader, the cycles
+    sorted by leader.  A map that is not a bijection of its keys raises
+    ValueError."""
+    if set(perm.values()) != perm.keys():
+        raise ValueError("map is not a bijection of its keys")
+    seen: set[int] = set()
+    out = []
+    for start in sorted(perm, key=_leader_key):  # leader order: first unseen
+        if start in seen:                         # point of a cycle is
+            continue                              # automatically its leader
+        cyc = [start]
+        k = perm[start]
+        while k != start:
+            cyc.append(k)
+            k = perm[k]
+        seen.update(cyc)
+        out.append(tuple(cyc))
+    return tuple(out)
 
 
-class Permutation:
-    """A bijection of [n], or of [+-n] when signed.
-
-    Unsigned permutations silently fix negative points when called,
-    matching the convention sigma(-k) = -k used by all the signed
-    constructions.
-    """
-
-    __slots__ = ("_map", "n", "signed")
-
-    def __init__(self, mapping: dict[int, int], signed: bool | None = None):
-        points = set(mapping)
-        if not points:
-            raise ValueError("empty permutation; n must be at least 1")
-        if 0 in points:
-            raise ValueError("0 is not a domain point")
-        inferred_signed = any(k < 0 for k in points)
-        if signed is None:
-            signed = inferred_signed
-        elif inferred_signed and not signed:
-            raise ValueError("negative points in an unsigned permutation")
-        n = max(abs(k) for k in points)
-        _check_domain(points, signed, n)
-        if set(mapping.values()) != points:
-            raise ValueError("mapping is not a bijection of its domain")
-        object.__setattr__(self, "_map", dict(mapping))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "signed", signed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def identity(cls, n: int, signed: bool = False) -> "Permutation":
-        pts = list(range(1, n + 1)) + (list(range(-n, 0)) if signed else [])
-        return cls({k: k for k in pts}, signed=signed)
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]],
-                    signed: bool = False) -> "Permutation":
-        pts = list(range(1, n + 1)) + (list(range(-n, 0)) if signed else [])
-        m = {k: k for k in pts}
-        seen: set[int] = set()
-        for cyc in cycles:
-            for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-                if a in seen:
-                    raise ValueError(f"point {a} appears in two cycles")
-                seen.add(a)
-                m[a] = b
-        return cls(m, signed=signed)
-
-    @classmethod
-    def from_images(cls, images: Sequence[int]) -> "Permutation":
-        """Unsigned permutation from the image list of 1..n."""
-        return cls({i + 1: v for i, v in enumerate(images)}, signed=False)
-
-    # -- behaviour -------------------------------------------------------
-    def __call__(self, k: int) -> int:
-        try:
-            return self._map[k]
-        except KeyError:
-            if not self.signed and -self.n <= k <= -1:
-                return k  # unsigned permutations fix negative points
-            raise ValueError(f"point {k} outside domain (n={self.n}, "
-                             f"signed={self.signed})") from None
-
-    def domain(self) -> list[int]:
-        return sorted(self._map, key=_leader_key)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """(s * t)(k) = s(t(k))."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("size mismatch in composition")
-        signed = self.signed or other.signed
-        pts = (list(range(1, self.n + 1)) +
-               (list(range(-self.n, 0)) if signed else []))
-        return Permutation({k: self(other(k)) for k in pts}, signed=signed)
-
-    def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self._map.items()},
-                           signed=self.signed)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical cycle decomposition (fixed points included)."""
-        seen: set[int] = set()
-        out = []
-        for start in self.domain():  # leader order: first unseen point of a
-            if start in seen:        # cycle is automatically its leader
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = self._map[start]
-            while k != start:
-                cyc.append(k)
-                seen.add(k)
-                k = self._map[k]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return (self.signed == other.signed and self._map == other._map)
-
-    def __hash__(self):
-        return hash((self.signed, frozenset(self._map.items())))
-
-    def __repr__(self) -> str:
-        cyc = "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles())
-        return f"Permutation[{cyc}]"
+def cycle_type(perm: Mapping[int, int]) -> tuple[int, ...]:
+    """The descending cycle lengths of a permutation map."""
+    return tuple(sorted(map(len, cycles(perm)), reverse=True))
 
 
 def _enumerate_matchings(points: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -315,12 +218,12 @@ def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
     """
     if p.keys() != q.keys():
         raise ValueError("p and q must live on the same domain")
-    prod = Permutation(p) * Permutation(q)
-    cycles = prod.cycles()
-    index = {_canonical_rotation(c): c for c in cycles}
+    prod = {k: p[q[k]] for k in q}
+    prod_cycles = cycles(prod)
+    index = {_canonical_rotation(c): c for c in prod_cycles}
     used: set[tuple[int, ...]] = set()
     out = []
-    for c in cycles:
+    for c in prod_cycles:
         key = _canonical_rotation(c)
         if key in used:
             continue
@@ -332,7 +235,7 @@ def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
                 "mate-pair grouping failed; pq cycles do not pair up")
         # pointwise check that the mate really is q c^{-1} q
         for x, y in zip(mate_seq, mate_seq[1:] + mate_seq[:1]):
-            if prod(x) != y:
+            if prod[x] != y:
                 raise RuntimeError("mate cycle is not a cycle of pq")
         used.add(key)
         used.add(mate_key)

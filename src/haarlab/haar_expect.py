@@ -16,7 +16,8 @@ precomputed halves of tau's partner map {k: tau(k)} on [+-M] (one half
 per pairing p, one per q) into a plain dict, walks it once in
 pi_epsilon and walks pq once for Phi_N, and reduces pi's cycles and the
 signs eps to a trace key: the number of constant-free cycles plus the
-constant-carrying cycles.  No Permutation object is built per pair.
+constant-carrying cycles.  Pairings and permutations are plain dicts
+here as everywhere, so no class instance is built per pair.
 It counts pairs as integers per (trace key, weight), evaluates each
 distinct key's trace once, and does the rational-complex arithmetic
 once per (key, weight).
@@ -393,7 +394,10 @@ def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
         # the whole word collapsed to a constant; its trace value joins c0
         nonlocal c0
         if mat is None:
-            c0 = c0 + coeff * QC(1 if word.normalized or N is None else N)
+            if not word.normalized and N is None:
+                raise DimensionError(
+                    "dimension N required to take Tr of a pure Haar word")
+            c0 = c0 + coeff * QC(1 if word.normalized else N)
             return
         mean, ring = mat_center(mat)
         c0 = c0 + coeff * (mean if word.normalized else mat_trace(mat))

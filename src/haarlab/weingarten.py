@@ -17,7 +17,9 @@ For N < n that matrix is singular; the dropped partitions span its
 kernel, so the table is its Moore-Penrose pseudo-inverse.  Kernel
 elements vanish as operators on the n-fold tensor power, so pairing sums
 over the pseudo-inverse still give the true Haar moments.  gram_entry
-is kept as an independent oracle for the tests and acceptance checks.
+is kept as an independent oracle for the tests and acceptance checks:
+it takes two permutations as plain maps {k: sigma(k)} and counts the
+cycles of sigma tau^-1 with combinat.cycles.
 
 Tables are built up to order DEFAULT_ORDER_CAP, a module constant rather
 than a per-call argument; a higher order raises CapacityError.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, TextIO
 
-from .combinat import Permutation, moebius_cycle_type
+from .combinat import cycles, moebius_cycle_type
 from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 6
@@ -62,12 +64,15 @@ def normalize_cycle_type(cycle_type: Iterable[int]) -> CycleType:
     return ct
 
 
-def gram_entry(sigma: Permutation, tau: Permutation, N: int) -> int:
-    """N raised to the number of cycles of sigma tau^{-1}."""
-    if sigma.n != tau.n or sigma.signed or tau.signed:
-        raise ValueError("gram_entry expects unsigned permutations of the same [n]")
-    prod = sigma * tau.inverse()
-    return N ** len(prod.cycles())
+def gram_entry(sigma: Mapping[int, int], tau: Mapping[int, int],
+               N: int) -> int:
+    """N raised to the number of cycles of sigma tau^{-1}, for two
+    permutations of [n] given as maps {k: sigma(k)}."""
+    points = set(range(1, len(sigma) + 1))
+    if not (sigma.keys() == tau.keys() == points
+            == set(sigma.values()) == set(tau.values())):
+        raise ValueError("gram_entry expects two permutations of the same [n]")
+    return N ** len(cycles({t: sigma[k] for k, t in tau.items()}))
 
 
 @dataclass(frozen=True)

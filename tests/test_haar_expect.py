@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haarlab.combinat import Permutation, enumerate_alpha_pairings, pi_epsilon
+from haarlab.combinat import enumerate_alpha_pairings, pi_epsilon
 from haarlab.errors import DimensionError, WordParseError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
                            mat_trace, mat_transpose, qc_matrix)
@@ -291,6 +291,17 @@ def test_simplify_normalized_word():
     _check_decomposition(word, 2, 41)
 
 
+def test_simplify_pure_haar_collapse_needs_a_dimension():
+    # Tr(U U*) = N, which a word without constants cannot supply
+    with pytest.raises(DimensionError):
+        simplify_word(_word([U, US]))
+    assert simplify_word(_word([U, US], True)) == (QC_ONE, [])
+    eye = ConstantLetter("I3", identity_qc(3))
+    c0, terms = simplify_word(_word([U, eye, US]))
+    assert c0 == QC(3)
+    assert terms == []
+
+
 def test_simplify_random_words():
     rng = np.random.default_rng(5)
     letters_pool = [U, UT, UC, US]
@@ -528,14 +539,6 @@ def test_constant_free_order5_evaluates_few_traces(monkeypatch):
 
 def test_kernel_builds_no_per_pair_objects(monkeypatch):
     from haarlab import haar_expect
-    built = []
-    init = Permutation.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Permutation, "__init__", counting)
     pairings = []
     enumerate_alpha = haar_expect.enumerate_alpha_pairings
 
@@ -547,8 +550,34 @@ def test_kernel_builds_no_per_pair_objects(monkeypatch):
     monkeypatch.setattr(haar_expect, "enumerate_alpha_pairings", recording)
     e = _expr([_word([U] * 4), _word([UC] * 4)], 8)
     assert expected_trace_product(e) == QC(4)
-    # the 4! alpha pairings are plain partner maps, and no Permutation
-    # is built, per (p, q) pair or otherwise
+    # the 4! alpha pairings are plain partner maps
     assert len(pairings) == 24
     assert all(type(p) is dict for p in pairings)
-    assert built == []
+
+
+def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
+    # counted at the module attributes the kernel calls, not derived
+    # from each other: every pair walks pi_epsilon, and only pairs
+    # whose trace key is nonzero reach phi
+    from haarlab import haar_expect
+    calls = {"pi_epsilon": 0, "phi": 0}
+
+    def counted(name):
+        inner = getattr(haar_expect, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(haar_expect, name, wrapper)
+
+    counted("pi_epsilon")
+    counted("phi")
+    consts = {"A": qc_matrix([[1, 0], [0, -1]]),
+              "B": qc_matrix([[1, 2], [0, 3]])}
+    e = parse_trace_product("Tr(U A U*)Tr(U B U*)", consts, N=2)
+    assert expected_trace_product(e) == QC_ZERO
+    assert calls == {"pi_epsilon": 4, "phi": 2}
+    calls.update(pi_epsilon=0, phi=0)
+    e = parse_trace_product("Tr(U A U* B)", consts, N=2)
+    expected_trace_product(e)
+    assert calls == {"pi_epsilon": 1, "phi": 0}

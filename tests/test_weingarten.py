@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from haarlab.combinat import Permutation, enumerate_pairings, pq_cycle_pairs
+from haarlab.combinat import cycle_type, enumerate_pairings, pq_cycle_pairs
 from haarlab.errors import CapacityError
 from haarlab.weingarten import (dump_table_csv, gram_entry,
                                 integer_partitions, normalize_cycle_type,
@@ -15,8 +15,24 @@ from haarlab.weingarten import (dump_table_csv, gram_entry,
 
 
 def _perms(n):
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation.from_images(images)
+    """The permutations of [n] as image tuples (sigma(1), ..., sigma(n))."""
+    return list(itertools.permutations(range(1, n + 1)))
+
+
+def _map(images):
+    return dict(enumerate(images, start=1))
+
+
+def _compose(s, t):
+    """(s * t)(k) = s(t(k)) on image tuples."""
+    return tuple(s[k - 1] for k in t)
+
+
+def _inverse(s):
+    out = [0] * len(s)
+    for k, v in enumerate(s, start=1):
+        out[v - 1] = k
+    return tuple(out)
 
 
 def test_integer_partitions():
@@ -26,11 +42,17 @@ def test_integer_partitions():
 
 
 def test_gram_entry():
-    s = Permutation.from_cycles(3, [(1, 2)])
-    t = Permutation.from_cycles(3, [(1, 2, 3)])
-    st_inv = s * t.inverse()
-    assert gram_entry(s, t, 4) == 4 ** len(st_inv.cycles())
+    s = {1: 2, 2: 1, 3: 3}  # (1 2)
+    t = {1: 2, 2: 3, 3: 1}  # (1 2 3)
+    # s t^-1 = (1 3)(2) has two cycles
+    assert gram_entry(s, t, 4) == 4 ** 2
     assert gram_entry(s, s, 4) == 4 ** 3
+    for bad in ({1: 2, 2: 1}, {1: 1, 2: 1, 3: 3}, {1: 2, 2: 1, 4: 4},
+                {-1: -1, 1: 1, 2: 2}):
+        with pytest.raises(ValueError):
+            gram_entry(s, bad, 4)
+        with pytest.raises(ValueError):
+            gram_entry(bad, s, 4)
 
 
 # classical closed forms, frozen from the defining linear system
@@ -52,15 +74,17 @@ def test_low_order_closed_forms(N):
 def test_gram_identity(n, N):
     # sum_tau N^{#(sigma tau^-1)} Wg(tau) = [sigma = id], every sigma
     table = wg_table(n, N)
+    ident = tuple(range(1, n + 1))
     for sigma in _perms(n):
-        total = sum(Fraction(gram_entry(sigma, tau, N))
-                    * table[tau.cycle_type()] for tau in _perms(n))
-        assert total == (1 if sigma == Permutation.identity(n) else 0)
+        total = sum(Fraction(gram_entry(_map(sigma), _map(tau), N))
+                    * table[cycle_type(_map(tau))] for tau in _perms(n))
+        assert total == (1 if sigma == ident else 0)
 
 
 def _convolve(f, g, perms):
     # (f * g)(sigma) = sum_tau f(tau) g(tau^-1 sigma) in the group algebra
-    return {sigma: sum(f[tau] * g[tau.inverse() * sigma] for tau in perms)
+    return {sigma: sum(f[tau] * g[_compose(_inverse(tau), sigma)]
+                       for tau in perms)
             for sigma in perms}
 
 
@@ -71,7 +95,7 @@ def test_pseudo_inverse_regime():
     for n in (2, 3):
         table = wg_table(n, 1)
         assert table.pseudo
-        total = sum(table[(sigma * tau.inverse()).cycle_type()]
+        total = sum(table[cycle_type(_map(_compose(sigma, _inverse(tau))))]
                     for sigma in _perms(n) for tau in _perms(n))
         assert total == 1
 
@@ -81,12 +105,12 @@ def test_pseudo_inverse_regime():
 def test_pseudo_inverse_is_moore_penrose(n, N):
     # N < n: the Gram element G(sigma) = N^#(sigma) is singular, and the
     # table is its Moore-Penrose pseudo-inverse W: G W G = G, W G W = W.
-    perms = list(_perms(n))
-    ident = Permutation.identity(n)
+    perms = _perms(n)
+    ident = _map(range(1, n + 1))
     table = wg_table(n, N)
     assert table.pseudo
-    gram = {s: Fraction(gram_entry(s, ident, N)) for s in perms}
-    wg = {s: table[s.cycle_type()] for s in perms}
+    gram = {s: Fraction(gram_entry(_map(s), ident, N)) for s in perms}
+    wg = {s: table[cycle_type(_map(s))] for s in perms}
     assert _convolve(_convolve(gram, wg, perms), gram, perms) == gram
     assert _convolve(_convolve(wg, gram, perms), wg, perms) == wg
 
