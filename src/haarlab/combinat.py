@@ -54,6 +54,9 @@ def _signed_points(n: int) -> frozenset[int]:
     return frozenset(range(-n, n + 1)) - {0}
 
 
+_NOT_SIGNED_PAIRING = "not a fixed-point-free involution of [+-n]"
+
+
 def cycles(perm: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
     """Canonical cycles of a permutation given as its map {k: sigma(k)}:
     fixed points included, each cycle starting at its leader, the cycles
@@ -268,11 +271,19 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     starting at its smallest point, sorted by it, fixed points
     included) and eps a tuple indexed by position 1..n.  A map that is
     not a fixed-point-free involution of [+-n] raises ValueError.
+
+    Beyond the keys, the input check rides on the walk.  Each step
+    k -> p(-k) = k' tests its edge: k' != -k and p(k') == -k.  Two
+    passing steps never lead into one k' (p(k') would equal two values),
+    so every walk returns to its start.  Every magnitude is visited, and
+    the tested edges then hold every point of [+-n]: each visited k as
+    the k' of the step into it, each -k as the start of the step out of
+    it.  So the map is a fixed-point-free involution exactly when its
+    keys are [+-n] and every step passes.
     """
     n = len(partner) // 2
-    if (partner.keys() != _signed_points(n)
-            or not all(partner.get(v) == k != v for k, v in partner.items())):
-        raise ValueError("not a fixed-point-free involution of [+-n]")
+    if partner.keys() != _signed_points(n):
+        raise ValueError(_NOT_SIGNED_PAIRING)
     eps = [0] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -284,7 +295,10 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
             m = abs(k)
             eps[m] = 1 if k > 0 else -1
             tilde.append(m)
-            k = partner[-k]
+            x = -k
+            k = partner[x]
+            if k == x or partner.get(k) != x:
+                raise ValueError(_NOT_SIGNED_PAIRING)
             if k == start:
                 break
         cycles.append(tuple(tilde))

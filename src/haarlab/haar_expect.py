@@ -14,13 +14,18 @@ Every pairing is a plain partner map {k: p(k)}, as
 enumerate_alpha_pairings yields it.  Per pair the engine joins two
 precomputed halves of tau's partner map {k: tau(k)} on [+-M] (one half
 per pairing p, one per q) into a plain dict, walks it once in
-pi_epsilon and walks pq once for Phi_N, and reduces pi's cycles and the
-signs eps to a trace key: the number of constant-free cycles plus the
-constant-carrying cycles.  Pairings and permutations are plain dicts
-here as everywhere, so no class instance is built per pair.
-It counts pairs as integers per (trace key, weight), evaluates each
-distinct key's trace once, and does the rational-complex arithmetic
-once per (key, weight).
+pi_epsilon (the walk also checks that the map is a signed pairing) and
+walks pq once for Phi_N, and reduces pi's cycles and the signs eps to a
+trace key: the number of constant-free cycles plus the constant-
+carrying cycles, found among the letters that carry a constant (for a
+word without constants the key is the cycle count alone).  Pairings and
+permutations are plain dicts here as everywhere, so no class instance
+is built per pair.
+Each distinct trace key has its trace evaluated, and tested for zero,
+once.  Pairs are counted as integers per (trace key, numerator and
+denominator of the weight), so no Fraction is hashed per pair; a
+Fraction is rebuilt once per such cell, and the rational-complex
+arithmetic runs once per key.
 Everything stays exact; nothing is floated.
 
 That kernel is the only pairing sum: entry products go through it too,
@@ -205,15 +210,18 @@ def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | No
 
 
 def _trace_key(cycles: Sequence[Sequence[int]], lam: Sequence[int],
-               mats: Sequence[QCMatrix | None]) -> tuple:
-    """What Tr_pi of the letters depends on, given pi's cycles: the
-    number of cycles with no constant (each contributes N) and the sorted
-    constant-carrying cycles, each a tuple of (letter, transposed)
-    rotated to start at its smallest letter."""
+               carrying: frozenset[int]) -> tuple:
+    """What Tr_pi of the letters depends on, given pi's cycles and the
+    letters that carry a constant: the number of cycles with no constant
+    (each contributes N) and the sorted constant-carrying cycles, each a
+    tuple of (letter, transposed) rotated to start at its smallest
+    letter."""
+    if not carrying:
+        return len(cycles), ()
     free = 0
     carried = []
     for cyc in cycles:
-        word = [(j, lam[j - 1] == -1) for j in cyc if mats[j - 1] is not None]
+        word = [(j, lam[j - 1] == -1) for j in cyc if j in carrying]
         if not word:
             free += 1
             continue
@@ -304,23 +312,31 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     p_halves = [{x: phi_inv[p[phi_map[x]]] for x in on_p} for p in pairings]
     q_halves = [{x: phi_inv[-q[-phi_map[x]]] for x in on_q} for q in pairings]
 
-    # integer pair counts per (trace key, weight); each distinct key's
-    # trace is evaluated once, and pairs whose trace vanishes skip phi
+    # per distinct trace key: its trace, evaluated once, and an integer
+    # count of its pairs per Weingarten weight (numerator, denominator);
+    # a key whose trace vanishes gets no tally, and its pairs skip phi
+    carrying = frozenset(j for j in range(1, M + 1) if mats[j - 1] is not None)
     traces: dict[tuple, QC] = {}
-    counts: dict[tuple, int] = {}
+    tallies: dict[tuple, dict | None] = {}
     for p, p_half in zip(pairings, p_halves):
         for q, q_half in zip(pairings, q_halves):
             cycles, lam = pi_epsilon({**p_half, **q_half})
-            key = _trace_key(cycles, lam, mats)
-            val = traces.get(key)
-            if val is None:
-                val = traces[key] = _key_trace(key, mats, N)
-            if val:
-                cell = (key, phi(p, q, N))
-                counts[cell] = counts.get(cell, 0) + 1
+            key = _trace_key(cycles, lam, carrying)
+            try:
+                tally = tallies[key]
+            except KeyError:
+                trace = traces[key] = _key_trace(key, mats, N)
+                tally = tallies[key] = {} if trace else None
+            if tally is not None:
+                weight = phi(p, q, N)
+                cell = (weight.numerator, weight.denominator)
+                tally[cell] = tally.get(cell, 0) + 1
     total = QC_ZERO
-    for (key, weight), count in counts.items():
-        total = total + traces[key] * QC(weight * count)
+    for key, tally in tallies.items():
+        if tally is not None:
+            weight = sum(Fraction(num * count, den)
+                         for (num, den), count in tally.items())
+            total = total + traces[key] * QC(weight)
     return const_factor * total * QC(norm_divisor)
 
 

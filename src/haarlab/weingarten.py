@@ -27,6 +27,7 @@ than a per-call argument; a higher order raises CapacityError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -176,6 +177,11 @@ def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
     return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
 
 
+@functools.cache
+def _points(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     """The pairing-indexed Weingarten weight of two pairings of [n],
     given as partner maps {k: p(k)} as the enumerators yield them.
@@ -193,12 +199,13 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     walk goes once around its own loop, marking each of its points
     exactly once, and returns to its start; a later start is unmarked
     only if it lies on another loop.  That argument needs both maps to
-    be fixed-point-free involutions; only their domains are checked:
-    maps on a signed domain, or on two different ones, raise
-    ValueError.
+    be fixed-point-free involutions.  Only their domains are checked
+    up front: maps on a signed domain, or on two different ones, raise
+    ValueError.  A walk that meets a marked point before it closes
+    raises ValueError too, so every call returns or raises.
     """
     n = len(p)
-    if not p.keys() == q.keys() == set(range(1, n + 1)):
+    if not p.keys() == q.keys() == _points(n):
         raise ValueError("phi expects two pairings of the same [n]")
     seen = [False] * (n + 1)
     lengths = []
@@ -214,6 +221,9 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
             k = p[mate]
             if k == start:
                 break
+            if seen[k]:
+                raise ValueError("phi expects two pairings: a pq walk "
+                                 "revisited a point")
         lengths.append(length)
     return wg_table(sum(lengths), N)[tuple(sorted(lengths, reverse=True))]
 

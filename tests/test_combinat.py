@@ -1,5 +1,6 @@
 """Permutation and pairing maps, set partitions, Moebius weights."""
 
+import itertools
 import math
 
 import pytest
@@ -177,3 +178,63 @@ def test_pi_epsilon_rejects_a_map_that_is_not_a_signed_pairing(partner):
     # test_pi_epsilon_rejects_unsigned covers an unsigned pairing's map
     with pytest.raises(ValueError, match="involution"):
         pi_epsilon(partner)
+
+
+def _accepted_by_oracle(partner):
+    """The input check pi_epsilon once ran before its walk, kept as the
+    oracle of the check the walk now makes."""
+    n = len(partner) // 2
+    points = set(range(-n, n + 1)) - {0}
+    return not (partner.keys() != points
+                or not all(partner.get(v) == k != v
+                           for k, v in partner.items()))
+
+
+def _single_edits(p):
+    """Single-edit corruptions of a signed pairing's partner map: a
+    dropped key, an extra key, a fixed point, a value outside [+-n],
+    two keys with one value, and a 3-cycle."""
+    n = len(p) // 2
+    keys = list(p)
+    for k in keys:
+        yield {x: y for x, y in p.items() if x != k}
+        yield {**p, k: k}
+        for bad in (0, n + 1, -n - 1):
+            yield {**p, k: bad}
+        for k2 in keys:
+            if k2 != k:
+                yield {**p, k: p[k2]}
+    for extra in (0, n + 1, -n - 1):
+        yield {**p, extra: 1}
+    for a, b, c in itertools.permutations(keys, 3):
+        yield {**p, a: b, b: c, c: a}
+
+
+def _check_agrees(partner):
+    try:
+        pi_epsilon(partner)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _accepted_by_oracle(partner), partner
+
+
+def test_pi_epsilon_check_matches_oracle_on_corrupted_pairings():
+    pairings = corrupt = 0
+    for n in range(4):
+        for p in enumerate_pairings(n, signed=True):
+            _check_agrees(p)
+            pairings += 1
+            for bad in _single_edits(p):
+                _check_agrees(bad)
+                corrupt += 1
+    assert pairings == 1 + 1 + 3 + 15
+    assert corrupt == 2940
+
+
+def test_pi_epsilon_check_agrees_on_every_small_map():
+    # every map from [+-2] to [-3, 3]: bijections, involutions with and
+    # without fixed points, and maps leaving the domain
+    keys = (1, -1, 2, -2)
+    for values in itertools.product(range(-3, 4), repeat=4):
+        _check_agrees(dict(zip(keys, values)))

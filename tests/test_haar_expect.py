@@ -555,6 +555,22 @@ def test_kernel_builds_no_per_pair_objects(monkeypatch):
     assert all(type(p) is dict for p in pairings)
 
 
+def test_kernel_counts_pairs_without_hashing_weights(monkeypatch):
+    # the pair tally is keyed by integers; a Fraction is rebuilt once
+    # per (trace key, weight) cell, not hashed per pair
+    hashes = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        hashes[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    e = _expr([_word([U] * 4), _word([UC] * 4)], 8)
+    assert expected_trace_product(e) == QC(4)
+    assert hashes[0] < 100
+
+
 def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
     # counted at the module attributes the kernel calls, not derived
     # from each other: every pair walks pi_epsilon, and only pairs

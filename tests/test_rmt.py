@@ -277,3 +277,22 @@ def test_trace_statistics_csv_rows():
     name, replica, re, im = rows[0]
     assert name == "w" and replica == 0
     assert isinstance(re, float) and isinstance(im, float)
+
+
+def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
+    # figure1's panel-2 tree holds U + U* twice: once as a term, once
+    # under the transpose
+    calls = []
+    inner = rmt.variant_matrix
+
+    def counting(m, eps, eta):
+        calls.append((eps, eta))
+        return inner(m, eps, eta)
+
+    monkeypatch.setattr(rmt, "variant_matrix", counting)
+    u = sample_haar_unitary(6, seed=3)
+    sym = Sum((HaarU(), HaarU(-1, -1)))
+    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u, 6)
+    assert len(calls) == 3
+    s = u + np.conj(u.T)
+    assert np.array_equal(m, s + s.T)

@@ -182,3 +182,10 @@ def test_phi_walk_matches_mate_pair_oracle(N):
 def test_phi_rejects_mismatched_domains():
     with pytest.raises(ValueError):
         phi({1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3}, 5)
+
+
+def test_phi_raises_on_a_map_that_is_not_a_pairing():
+    # p has the fixed point 2: the walk from 1 reaches the marked point 2
+    # before it closes, where it once looped forever
+    with pytest.raises(ValueError):
+        phi({1: 2, 2: 2}, {1: 2, 2: 1}, 3)
