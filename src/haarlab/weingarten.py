@@ -177,6 +177,9 @@ def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
     return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
 
 
+_NOT_PAIRINGS = "phi expects two fixed-point-free involutions of [n]"
+
+
 @functools.cache
 def _points(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
@@ -193,16 +196,19 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     cycle started at the smallest unseen point is a representative and
     the walk marks its mate as it goes.  pq_cycle_pairs spells out the
     same grouping.
-    No walk meets a marked point.  The p and q edges together split
-    [n] into disjoint loops that alternate between them, and a walk
-    step k -> q(k) -> p(q(k)) follows two edges of one loop, so each
-    walk goes once around its own loop, marking each of its points
-    exactly once, and returns to its start; a later start is unmarked
-    only if it lies on another loop.  That argument needs both maps to
-    be fixed-point-free involutions.  Only their domains are checked
-    up front: maps on a signed domain, or on two different ones, raise
-    ValueError.  A walk that meets a marked point before it closes
-    raises ValueError too, so every call returns or raises.
+    The input check rides on the walk.  Beyond the domains (maps on a
+    signed domain, or on two different ones, raise ValueError), each
+    step k -> q(k) = m -> p(m) = k' tests both of its edges: m != k and
+    q(m) == k, then k' != m and p(k') == m.  Two passing steps never
+    lead into one k' (q(p(k')) would name two points), so each walk
+    returns to its start, and the points it touches are closed under
+    p and q: a later walk starts off them and never meets them.  Every
+    point is touched, and the tested edges then hold every point of
+    [n], each k as the k' of the step into it and each m as the mate
+    of a step.  So the maps are pairings of [n] exactly when every step
+    passes; otherwise phi raises ValueError, whatever values the maps
+    hold.  On pairings the walks go round the loops that the p and q
+    edges split [n] into, marking each point once.
     """
     n = len(p)
     if not p.keys() == q.keys() == _points(n):
@@ -216,14 +222,15 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
         k = start
         while True:
             mate = q[k]
+            if mate == k or q.get(mate) != k:
+                raise ValueError(_NOT_PAIRINGS)
             seen[k] = seen[mate] = True
             length += 1
             k = p[mate]
+            if k == mate or p.get(k) != mate:
+                raise ValueError(_NOT_PAIRINGS)
             if k == start:
                 break
-            if seen[k]:
-                raise ValueError("phi expects two pairings: a pq walk "
-                                 "revisited a point")
         lengths.append(length)
     return wg_table(sum(lengths), N)[tuple(sorted(lengths, reverse=True))]
 

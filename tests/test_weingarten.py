@@ -189,3 +189,46 @@ def test_phi_raises_on_a_map_that_is_not_a_pairing():
     # before it closes, where it once looped forever
     with pytest.raises(ValueError):
         phi({1: 2, 2: 2}, {1: 2, 2: 1}, 3)
+
+
+def test_phi_rejects_a_map_leaving_its_domain():
+    # p(1) = 3 lies outside [2]: once this returned Wg(1)(3) = 1/3
+    with pytest.raises(ValueError):
+        phi({1: 3, 2: 1}, {1: 2, 2: 1}, 3)
+    with pytest.raises(ValueError):
+        phi({1: 2, 2: 1}, {1: 0, 2: 1}, 3)
+
+
+def _is_pairing(m: dict, n: int) -> bool:
+    """Up-front oracle: m is a fixed-point-free involution of [n]."""
+    return m.keys() == set(range(1, n + 1)) and \
+        all(v != k and m.get(v) == k for k, v in m.items())
+
+
+def _phi_agrees(p: dict, q: dict, n: int, N: int) -> None:
+    if _is_pairing(p, n) and _is_pairing(q, n):
+        lengths = [len(rep) for rep, _mate in pq_cycle_pairs(p, q)]
+        ctype = tuple(sorted(lengths, reverse=True))
+        assert phi(p, q, N) == wg_table(n // 2, N)[ctype], (p, q)
+    else:
+        with pytest.raises(ValueError):
+            phi(p, q, N)
+
+
+def test_phi_check_agrees_with_oracle_on_every_small_map():
+    # every pair of maps from [n] to {0, ..., n + 1} for n <= 3, and at
+    # n = 4 every such map against each pairing, in both slots
+    checked = 0
+    for n in range(1, 4):
+        maps = [_map(v) for v in itertools.product(range(n + 2), repeat=n)]
+        for p in maps:
+            for q in maps:
+                _phi_agrees(p, q, n, 5)
+                checked += 1
+    maps = [_map(v) for v in itertools.product(range(6), repeat=4)]
+    for pairing in enumerate_pairings(4):
+        for m in maps:
+            _phi_agrees(m, pairing, 4, 5)
+            _phi_agrees(pairing, m, 4, 5)
+            checked += 2
+    assert checked == 3 ** 2 + 4 ** 4 + 5 ** 6 + 3 * 2 * 6 ** 4
