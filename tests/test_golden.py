@@ -138,8 +138,12 @@ def _openblas_symbol(lib, what: str):
 def environment_fingerprint() -> dict:
     """What Monte Carlo bytes depend on besides the seed: the numpy
     version, and the runtime configuration and core name (the kernels
-    DYNAMIC_ARCH picked for this CPU) of each loaded OpenBLAS."""
-    libs = [ctypes.CDLL(path) for path in rmt.openblas_libraries()]
+    DYNAMIC_ARCH picked for this CPU) of each OpenBLAS loaded from
+    numpy's own directories (scipy's copy, once some test has imported
+    it, serves no numpy call)."""
+    home = os.path.dirname(np.__file__)
+    libs = [ctypes.CDLL(path) for path in rmt.openblas_libraries()
+            if path.startswith(home)]
     return {"numpy": np.__version__,
             "openblas": [{"config": _openblas_symbol(lib, "get_config"),
                           "core": _openblas_symbol(lib, "get_corename")}
