@@ -34,7 +34,7 @@ from .exact import QCMatrix
 from .haar_expect import (HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (Const, HaarU, Product, Sum, Variant, histogram,
+from .rmt import (STREAMS, Const, HaarU, Product, Sum, Variant, histogram,
                   ks_distance, spectral_replicas, threading_summary,
                   trace_observables)
 from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
@@ -140,7 +140,8 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
     """Monte Carlo mean and standard error of the trace product."""
     nodes = _word_nodes(expr)
     names = [f"w{i}" for i in range(len(nodes))]
-    stats = trace_observables(list(zip(names, nodes)), expr.N, replicas, seed)
+    stats = trace_observables(list(zip(names, nodes)), expr.N, replicas,
+                              seed, stream="moment")
     prod = np.ones(stats.replica_count, dtype=complex)
     for name, word in zip(names, expr.words):
         row = stats.row(name)
@@ -212,15 +213,16 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
     sym = Sum((HaarU(), HaarU(-1, -1)))
     panels = [
-        ("arcsine", arcsine_law(), sym, seed, "spectrum of U + U*"),
+        ("arcsine", arcsine_law(), sym, "spectrum of U + U*"),
         ("sum_law", kesten_mckay_law(), Sum((sym, Variant(sym, -1, 1))),
-         seed ^ 0x5A5A, "spectrum of U + U* + (U + U*)^t"),
+         "spectrum of U + U* + (U + U*)^t"),
     ]
     summary = {"N": N, "replicas": replicas, "seed": seed, "bins": bins,
                "ks_tolerance_hint": 0.05, "files": []}
     print(threading_summary(), file=sys.stderr)
-    for tag, law, node, panel_seed, title in panels:
-        lam = np.sort(spectral_replicas(node, N, replicas, panel_seed),
+    for tag, law, node, title in panels:
+        stream = f"figure1.{tag}"
+        lam = np.sort(spectral_replicas(node, N, replicas, seed, stream),
                       axis=None)
         edges, dens = histogram(lam, bins, law.support)
         hist_rows = [(float(edges[i]), float(edges[i + 1]), float(dens[i]))
@@ -230,7 +232,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         summary[f"ks_{tag}"] = ks
         summary[f"m2_{tag}"] = float(np.mean(lam ** 2))
         summary[f"m4_{tag}"] = float(np.mean(lam ** 4))
-        summary[f"seed_{tag}"] = panel_seed
+        summary[f"stream_{tag}"] = STREAMS[stream]
         hist_path = os.path.join(outdir, f"hist_{tag}.csv")
         over_path = os.path.join(outdir, f"overlay_{tag}.csv")
         svg_path = os.path.join(outdir, f"fig_{tag}.svg")
@@ -282,7 +284,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except CapacityError:
             exact_values[text] = "beyond exact-engine capacity"
     print(threading_summary(), file=sys.stderr)
-    stats = trace_observables(observables, N, replicas, seed)
+    stats = trace_observables(observables, N, replicas, seed,
+                              stream="simulate")
 
     summary = {"N": N, "replicas": replicas, "seed": seed,
                "observables": {}}

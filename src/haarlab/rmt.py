@@ -4,12 +4,13 @@ distances, and per-replica trace statistics.
 
 Everything here is double precision; exact values live in haar_expect.
 Both replica jobs, trace_observables and spectral_replicas, are tasks on
-one runner, _run_replicas.  It is the only replica loop: replica r
-draws its unitary from the derived seed (seed XOR r), replicas run on
-worker_count() threads, and every BLAS and LAPACK call inside runs on
-one thread (the replica workers are the only parallelism).  Each
-replica's result lands in its own row, so the numbers depend neither on
-HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.
+one runner, _run_replicas.  It is the only replica loop: replica j of a
+call from the site whose tag in STREAMS is s draws its unitary from
+numpy's default_rng([seed, s, j]), replicas run on worker_count()
+threads, and every BLAS and LAPACK call inside runs on one thread (the
+replica workers are the only parallelism).  Each replica's result lands
+in its own row, so the numbers depend neither on HAARLAB_THREADS nor on
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -27,17 +28,40 @@ from .errors import (DimensionError, InsufficientSamplesError,
                      NotSelfAdjointError, WordParseError)
 
 HERMITIAN_TOL = 1e-8
+_ROW_BLOCK = 64     # rows per block of hermitian_deviation
 THREADS_ENV = "HAARLAB_THREADS"
 
+# The integer tag of each call site that draws replicas.  Replica j of a
+# call tagged s with seed `seed` samples from default_rng([seed, s, j]),
+# a stream of its own: no two seeds, call sites or replicas share one.
+# A tag is part of the output contract; a new call site takes a new one.
+STREAMS = {
+    "library": 0,               # trace_observables / spectral_replicas default
+    "simulate": 1,
+    "moment": 2,                # moment --mc
+    "figure1.arcsine": 3,
+    "figure1.sum_law": 4,
+    "check07": 5,               # verify checks, by number
+    "check08": 6,
+    "check09.arcsine": 7,
+    "check09.sum_law": 8,
+    "check11": 9,
+    "check12.traces": 10,
+    "check12.spectra": 11,
+}
 
-def sample_haar_unitary(N: int, seed: int) -> np.ndarray:
+
+def sample_haar_unitary(N: int, seed) -> np.ndarray:
     """Haar-distributed N x N unitary: complex Ginibre matrix, QR, then
     column phases fixed so the triangular factor has positive real
-    diagonal.  Without the phase step QR output is not Haar."""
+    diagonal.  Without the phase step QR output is not Haar.  seed is
+    anything numpy's default_rng takes: an int, or a sequence of them
+    such as _run_replicas's [seed, stream tag, replica]."""
     if N < 1:
         raise DimensionError("N must be at least 1")
     rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    # one draw of interleaved (re, im) pairs, read as complex in place
+    g = rng.standard_normal((N, N, 2)).view(complex).reshape(N, N)
     g /= np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -126,14 +150,29 @@ class HaarU(Node):
 
 @dataclass(frozen=True, eq=False)
 class Const(Node):
+    """A constant matrix.  diagonal holds its diagonal when every entry
+    off it is zero (None otherwise), found once here; products and
+    conjugations then scale by it instead of multiplying matrices."""
     name: str
     matrix: np.ndarray
+    diagonal: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"constant {self.name!r} is not square")
+        d = np.diagonal(m)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "diagonal",
+                           d.copy() if np.count_nonzero(m)
+                           == np.count_nonzero(d) else None)
+
+    def checked(self, N: int) -> "Const":
+        """self, once its matrix is N x N; DimensionError otherwise."""
+        if self.matrix.shape != (N, N):
+            raise DimensionError(
+                f"constant {self.name!r} is {self.matrix.shape}, need {N}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -173,8 +212,23 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
     return m
 
 
-def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
-    """The matrix of an ensemble tree at the replica's unitary u.
+def _diagonal_const(node: Node, N: int) -> np.ndarray | None:
+    """The diagonal of node when it is a diagonal N x N constant."""
+    if isinstance(node, Const) and node.diagonal is not None:
+        return node.checked(N).diagonal
+    return None
+
+
+def evaluate(node: Node, u: np.ndarray, N: int, trace: bool = False):
+    """The matrix of an ensemble tree at the replica's unitary u, or with
+    trace=True its trace.
+
+    The trace of a Product of several factors never forms the last
+    product: Tr(P L) = sum(P * L^t), O(N^2), and sum(diag(P) * d) when
+    L is a diagonal constant d.  Any other node's trace is taken of its
+    matrix.  Multiplying by a diagonal constant, in a Product or as
+    U D U*, scales columns instead of calling matmul; for a real
+    diagonal the bytes are those of the dense product.
 
     A node object that the tree reaches more than once (figure1's
     U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
@@ -198,7 +252,28 @@ def evaluate(node: Node, u: np.ndarray, N: int) -> np.ndarray:
             todo.extend(n.terms)
         elif isinstance(n, Product):
             todo.extend(n.factors)
-    return _evaluate(node, u, N, shared)
+    if not trace:
+        return _evaluate(node, u, N, shared)
+    if not (isinstance(node, Product) and len(node.factors) > 1):
+        return np.trace(_evaluate(node, u, N, shared))
+    prefix = _fold(node.factors[:-1], u, N, shared)
+    last = node.factors[-1]
+    d = _diagonal_const(last, N)
+    if d is not None:
+        return np.sum(np.diagonal(prefix) * d)
+    return np.sum(prefix * _evaluate(last, u, N, shared).T)
+
+
+def _fold(factors: tuple, u: np.ndarray, N: int,
+          shared: dict) -> np.ndarray:
+    """The product of a non-empty run of factors, left to right, a
+    diagonal constant after the first factor scaling columns."""
+    out = _evaluate(factors[0], u, N, shared)
+    for f in factors[1:]:
+        d = _diagonal_const(f, N)
+        out = out * d if d is not None else \
+            out @ _evaluate(f, u, N, shared)
+    return out
 
 
 def _evaluate(node: Node, u: np.ndarray, N: int,
@@ -211,15 +286,15 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
     if isinstance(node, HaarU):
         out = variant_matrix(u, node.eps, node.eta)
     elif isinstance(node, Const):
-        if node.matrix.shape != (N, N):
-            raise DimensionError(
-                f"constant {node.name!r} is {node.matrix.shape}, need {N}")
-        out = node.matrix
+        out = node.checked(N).matrix
     elif isinstance(node, Variant):
         out = variant_matrix(_evaluate(node.node, u, N, shared),
                              node.eps, node.eta)
     elif isinstance(node, Conjugated):
-        out = u @ _evaluate(node.node, u, N, shared) @ np.conj(u.T)
+        d = _diagonal_const(node.node, N)
+        left = u * d if d is not None else \
+            u @ _evaluate(node.node, u, N, shared)
+        out = left @ np.conj(u.T)
     elif isinstance(node, Sum):
         if not node.terms:
             out = np.zeros((N, N), dtype=complex)
@@ -228,12 +303,8 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
             for t in node.terms[1:]:
                 out = out + _evaluate(t, u, N, shared)
     elif isinstance(node, Product):
-        if not node.factors:
-            out = np.eye(N, dtype=complex)
-        else:
-            out = _evaluate(node.factors[0], u, N, shared)
-            for f in node.factors[1:]:
-                out = out @ _evaluate(f, u, N, shared)
+        out = _fold(node.factors, u, N, shared) if node.factors else \
+            np.eye(N, dtype=complex)
     else:
         raise TypeError(f"not an ensemble node: {node!r}")
     if id(node) in shared:
@@ -244,12 +315,25 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
 # ----------------------------------------------------------------------
 # spectra
 
+def hermitian_deviation(matrix: np.ndarray) -> float:
+    """max |m_ij - conj(m_ji)|, the max-norm of m - m^H, from the upper
+    triangle one block of rows at a time.  The floating-point
+    |m_ij - conj(m_ji)| is exactly symmetric in i and j (the real parts
+    of the two differences are negatives, the imaginary parts the same
+    sum), so this is the full maximum, NaN included, without the two
+    N x N temporaries."""
+    n = matrix.shape[0]
+    return np.max([np.max(np.abs(matrix[i:i + _ROW_BLOCK, i:]
+                                 - np.conj(matrix[i:, i:i + _ROW_BLOCK].T)))
+                   for i in range(0, n, _ROW_BLOCK)])
+
+
 def spectrum(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix.  A matrix that is
     not hermitian within HERMITIAN_TOL in max-norm is rejected rather
     than silently projected.  One whose imaginary part is exactly zero
     goes to the real solver, which is faster and agrees to rounding."""
-    dev = np.max(np.abs(matrix - np.conj(matrix.T)))
+    dev = hermitian_deviation(matrix)
     if dev > HERMITIAN_TOL:
         raise NotSelfAdjointError(
             f"matrix deviates from self-adjoint by {dev:.3e}")
@@ -334,10 +418,11 @@ class TraceStatistics:
 # ----------------------------------------------------------------------
 # the replica runner
 
-def _run_replicas(N: int, replicas: int, seed: int, task: Callable,
-                  width: int, dtype) -> np.ndarray:
+def _run_replicas(N: int, replicas: int, seed: int, stream: str,
+                  task: Callable, width: int, dtype) -> np.ndarray:
     """The Monte Carlo layer's replica loop: row j of the returned
-    (replicas, width) array is task(sample_haar_unitary(N, seed ^ j)).
+    (replicas, width) array is
+    task(sample_haar_unitary(N, [seed, STREAMS[stream], j])).
 
     Replicas are computed by worker_count() threads, and each worker
     runs its BLAS and LAPACK calls on one thread; the caller's BLAS
@@ -348,10 +433,11 @@ def _run_replicas(N: int, replicas: int, seed: int, task: Callable,
     if replicas < 1:
         raise InsufficientSamplesError(
             f"need at least 1 replica, got {replicas}")
+    tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
 
     def run_one(j: int):
-        out[j] = task(sample_haar_unitary(N, seed ^ j))
+        out[j] = task(sample_haar_unitary(N, [seed, tag, j]))
 
     threads = worker_count()
     setters = list(blas_thread_setters().values())
@@ -373,10 +459,11 @@ def _run_replicas(N: int, replicas: int, seed: int, task: Callable,
     return out
 
 
-def trace_observables(observables, N: int, replicas: int,
-                      seed: int) -> TraceStatistics:
+def trace_observables(observables, N: int, replicas: int, seed: int,
+                      stream: str = "library") -> TraceStatistics:
     """Tr of each observable tree per replica, the whole batch reusing
-    one Haar draw per replica; replicas run on _run_replicas."""
+    one Haar draw per replica; replicas run on _run_replicas, drawing
+    from the call site's stream (a key of STREAMS)."""
     items = list(observables.items() if isinstance(observables, Mapping)
                  else observables)
     if replicas < 10:
@@ -384,16 +471,17 @@ def trace_observables(observables, N: int, replicas: int,
     names = tuple(nm for nm, _ in items)
     nodes = [node for _, node in items]
     rows = _run_replicas(
-        N, replicas, seed,
-        lambda u: [np.trace(evaluate(node, u, N)) for node in nodes],
+        N, replicas, seed, stream,
+        lambda u: [evaluate(node, u, N, trace=True) for node in nodes],
         len(nodes), complex)
     return TraceStatistics(names, rows.T.copy())
 
 
-def spectral_replicas(node: Node, N: int, replicas: int,
-                      seed: int) -> np.ndarray:
+def spectral_replicas(node: Node, N: int, replicas: int, seed: int,
+                      stream: str = "library") -> np.ndarray:
     """(replicas, N) array whose row r holds the ascending eigenvalues
-    of node evaluated at replica r's unitary, run on _run_replicas."""
-    return _run_replicas(N, replicas, seed,
+    of node evaluated at replica r's unitary, run on _run_replicas with
+    the call site's stream (a key of STREAMS)."""
+    return _run_replicas(N, replicas, seed, stream,
                          lambda u: spectrum(evaluate(node, u, N)), N, float)
 

@@ -331,7 +331,7 @@ def check_transpose_second_order(seed: int = 0) -> CheckResult:
 
     stats = trace_observables(
         {"tr_u": HaarU(), "tr_ubar": HaarU(1, -1)}, N=64,
-        replicas=4000, seed=seed)
+        replicas=4000, seed=seed, stream="check07")
     cum = stats.cumulants(2)
     k2 = cum((1, 2))
     se = cum.se((1, 2))
@@ -373,7 +373,8 @@ def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:
     a_np = np.diag([1.0] * (n_mc // 2) + [-1.0] * (n_mc // 2))
     node = Product((Conjugated(Const("A", a_np)),
                     Variant(Conjugated(Const("B", a_np)), -1, 1)))
-    stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed)
+    stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed,
+                              stream="check08")
     mean_tr = stats.mean("w") / n_mc
     if abs(mean_tr) >= 0.02:
         failures.append(("mc mean", mean_tr))
@@ -401,10 +402,12 @@ def check_spectral_laws(seed: int = 0) -> CheckResult:
     arc = arcsine_law()
     km = kesten_mckay_law()
 
-    d1 = ks_distance(spectral_replicas(sym, N, reps, seed), arc.cdf)
+    d1 = ks_distance(spectral_replicas(sym, N, reps, seed, "check09.arcsine"),
+                     arc.cdf)
     if d1 >= 0.05:
         failures.append(("arcsine KS", d1))
-    lam = np.sort(spectral_replicas(both, N, reps, seed ^ 0x5A5A), axis=None)
+    lam = np.sort(spectral_replicas(both, N, reps, seed, "check09.sum_law"),
+                  axis=None)
     d2 = ks_distance(lam, km.cdf)
     if d2 >= 0.05:
         failures.append(("sum-law KS", d2))
@@ -482,7 +485,7 @@ def check_cumulant_algebra(seed: int = 0) -> CheckResult:
     stats = trace_observables(
         {"u": HaarU(), "ut": HaarU(-1, 1), "ubar": HaarU(1, -1),
          "ustar": HaarU(-1, -1)},
-        N=64, replicas=4000, seed=seed)
+        N=64, replicas=4000, seed=seed, stream="check11")
     cum = stats.cumulants(3)
     worst = 0.0
     for combo in itertools.combinations_with_replacement((1, 2, 3, 4), 3):
@@ -506,13 +509,14 @@ def check_determinism(seed: int = 0) -> CheckResult:
     obs = {"u": HaarU(), "uubar": Product((HaarU(), HaarU(1, -1)))}
 
     def trace_csv() -> bytes:
-        stats = trace_observables(obs, N=16, replicas=50, seed=seed)
+        stats = trace_observables(obs, N=16, replicas=50, seed=seed,
+                                  stream="check12.traces")
         return csv_bytes(("observable", "replica", "re", "im"),
                          stats.csv_rows())
 
     def hist_csv() -> bytes:
         spectra = spectral_replicas(Sum((HaarU(), HaarU(-1, -1))), 32, 4,
-                                    seed)
+                                    seed, "check12.spectra")
         edges, dens = histogram(spectra, 20, (-2.0, 2.0))
         rows = [(float(edges[i]), float(edges[i + 1]), float(dens[i]))
                 for i in range(len(dens))]

@@ -101,9 +101,10 @@ def test_spectral_replicas_and_pooling():
     node = Sum((HaarU(), HaarU(-1, -1)))
     spectra = spectral_replicas(node, 8, 5, seed=3)
     assert spectra.shape == (5, 8) and spectra.dtype == float
-    # row r is the spectrum of replica r's unitary, seeded with seed ^ r
+    # row r is the spectrum of replica r's unitary, drawn from the
+    # stream [seed, tag of the default call site, r]
     for r in range(5):
-        u = sample_haar_unitary(8, 3 ^ r)
+        u = sample_haar_unitary(8, [3, rmt.STREAMS["library"], r])
         assert np.array_equal(spectra[r], spectrum(evaluate(node, u, 8)))
     pooled = np.sort(spectra, axis=None)
     assert pooled.shape == (40,)
@@ -296,3 +297,184 @@ def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
     assert len(calls) == 3
     s = u + np.conj(u.T)
     assert np.array_equal(m, s + s.T)
+
+
+def _diag_const(name, d):
+    return Const(name, np.diag(np.asarray(d, dtype=complex)))
+
+
+def _trace_trees(n):
+    """Trees whose trace the fast path takes: products ending in a
+    Haar letter, a dense or diagonal constant, a Sum, a Variant or a
+    Conjugated, with subtrees shared by object."""
+    rng = np.random.default_rng(11)
+    dense = Const("B", rng.standard_normal((n, n))
+                  + 1j * rng.standard_normal((n, n)))
+    signs = _diag_const("A", ([1.0, -1.0] * n)[:n])
+    gauss = _diag_const("G", rng.standard_normal(n))
+    cplx = _diag_const("C", rng.standard_normal(n)
+                       + 1j * rng.standard_normal(n))
+    sym = Sum((HaarU(), HaarU(-1, -1)))
+    conj_a = Conjugated(signs)
+    return [
+        Product((HaarU(), HaarU(-1, 1))),
+        Product((HaarU(), signs, HaarU(-1, -1), HaarU(1, -1), gauss,
+                 HaarU(-1, 1))),
+        Product((HaarU(), cplx)),
+        Product((dense, HaarU(), dense)),
+        Product((sym, Variant(sym, -1, 1))),
+        Product((conj_a, Variant(conj_a, -1, 1))),
+        Product((Conjugated(dense), Variant(Conjugated(gauss), -1, -1),
+                 Sum((signs, HaarU(1, -1))))),
+        Product((signs, HaarU(), Conjugated(Product((dense, cplx))))),
+        Product((HaarU(),)),
+        Sum((Product((HaarU(), signs)), dense)),
+        Conjugated(signs),
+        HaarU(1, -1),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 16, 33])
+def test_trace_path_matches_trace_of_evaluate(n):
+    u = sample_haar_unitary(n, seed=[1, 2, n])
+    for node in _trace_trees(n):
+        got = evaluate(node, u, n, trace=True)
+        want = np.trace(evaluate(node, u, n))
+        # relative, with a floor for traces near 0
+        assert abs(got - want) <= 1e-12 * max(abs(want), n), node
+
+
+def test_trace_of_a_shared_subtree_is_evaluated_once(monkeypatch):
+    calls = []
+    inner = rmt.variant_matrix
+
+    def counting(m, eps, eta):
+        calls.append((eps, eta))
+        return inner(m, eps, eta)
+
+    monkeypatch.setattr(rmt, "variant_matrix", counting)
+    u = sample_haar_unitary(6, seed=3)
+    sym = Sum((HaarU(), HaarU(-1, -1)))
+    evaluate(Product((sym, Variant(sym, -1, 1), sym)), u, 6, trace=True)
+    # U, U* once for the shared sum, and its transpose
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_diagonal_constants_equal_dense_products(n):
+    rng = np.random.default_rng(n)
+    u = sample_haar_unitary(n, seed=n)
+    uh = np.conj(u.T)
+    for d in ([1.0, -1.0] * (n // 2), rng.standard_normal(n)):
+        a = _diag_const("A", d)
+        assert a.diagonal is not None
+        dense = np.diag(np.asarray(d, dtype=complex))
+        assert np.array_equal(evaluate(Conjugated(a), u, n), u @ dense @ uh)
+        assert np.array_equal(evaluate(Product((HaarU(), a, HaarU(1, -1))),
+                                       u, n), u @ dense @ np.conj(u))
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = _diag_const("C", d)
+    dense = np.diag(d)
+    got = evaluate(Conjugated(c), u, n)
+    assert np.max(np.abs(got - u @ dense @ uh)) <= 1e-15
+    got = evaluate(Product((HaarU(), c, HaarU(1, -1))), u, n)
+    assert np.max(np.abs(got - u @ dense @ np.conj(u))) <= 1e-15
+    off = np.diag(d)
+    off[0, 1] = 1e-300
+    assert Const("D", off).diagonal is None
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_wrong_size_diagonal_constant_raises(trace):
+    u = sample_haar_unitary(4, seed=1)
+    wrong = Const("A", np.eye(3))
+    assert wrong.diagonal is not None
+    for node in (Product((HaarU(), wrong)), Product((wrong, HaarU())),
+                 Product((HaarU(), wrong, HaarU())), Conjugated(wrong),
+                 Product((Conjugated(wrong), HaarU()))):
+        with pytest.raises(DimensionError):
+            evaluate(node, u, 4, trace=trace)
+
+
+def test_seeds_draw_disjoint_unitaries():
+    # with seed ^ j, seeds 0 and 1 drew the same unitaries whenever the
+    # replica count was even
+    obs = [("u", HaarU())]
+    a = trace_observables(obs, 8, 10, seed=0).row("u")
+    b = trace_observables(obs, 8, 10, seed=1).row("u")
+    assert set(a.tolist()).isdisjoint(b.tolist())
+
+
+def test_call_sites_draw_from_distinct_streams(monkeypatch, tmp_path):
+    """The two figure1 panels and checks 07 and 11 each draw from their
+    own stream: every replica seed [seed, tag, j] differs."""
+    from haarlab import cli, verify
+    drawn = []
+    one = {}    # one real draw per N keeps the run short
+
+    def sampler(N, seed):
+        drawn.append(tuple(seed))
+        if N not in one:
+            one[N] = sample_haar_unitary(N, 0)
+        return one[N]
+
+    monkeypatch.setattr(rmt, "sample_haar_unitary", sampler)
+    assert cli.main(["figure1", "--N", "32", "--replicas", "2", "--outdir",
+                     str(tmp_path)]) == 0
+    verify.CHECKS["transpose_second_order"](0)
+    verify.CHECKS["cumulant_algebra"](0)
+    tags = {name: rmt.STREAMS[name] for name in
+            ("figure1.arcsine", "figure1.sum_law", "check07", "check11")}
+    assert len(set(tags.values())) == 4
+    by_tag = {}
+    for seed, tag, j in drawn:
+        by_tag.setdefault(tag, []).append((seed, j))
+    assert sorted(by_tag) == sorted(tags.values())
+    assert len(by_tag[tags["figure1.arcsine"]]) == 2
+    assert len(by_tag[tags["check07"]]) == 4000
+    assert len(set(drawn)) == len(drawn)
+    assert len(set(rmt.STREAMS.values())) == len(rmt.STREAMS)
+
+
+def _full_deviation(m):
+    return np.max(np.abs(m - np.conj(m.T)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+def test_hermitian_deviation_is_the_full_max(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g + np.conj(g.T)
+    noisy = h + 1e-9 * rng.standard_normal((n, n))
+    for m in (h, noisy, g, h.real, noisy.real):
+        assert rmt.hermitian_deviation(m) == _full_deviation(m)
+    for i, j in {(0, 0), (n - 1, 0), (n // 2, n - 1)}:
+        bad = noisy.copy()
+        bad[i, j] = np.nan
+        assert np.isnan(rmt.hermitian_deviation(bad))
+        assert np.isnan(_full_deviation(bad))
+
+
+def test_spectrum_accepts_and_rejects_right_at_the_tolerance():
+    tol = rmt.HERMITIAN_TOL
+    above = np.nextafter(tol, 1.0)
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    for where in ((0, 1), (2, 0)):
+        at = m.copy()
+        at[where] = tol
+        assert rmt.hermitian_deviation(at) == tol
+        spectrum(at)
+        over = m.copy()
+        over[where] = above
+        with pytest.raises(NotSelfAdjointError,
+                           match=f"deviates from self-adjoint by "
+                                 f"{_full_deviation(over):.3e}"):
+            spectrum(over)
+    # a diagonal entry off the real line deviates by twice its imaginary part
+    at = m.copy()
+    at[1, 1] += 0.5j * tol
+    assert rmt.hermitian_deviation(at) == tol
+    spectrum(at)
+    at[1, 1] += 0.5j * (above - tol)
+    with pytest.raises(NotSelfAdjointError):
+        spectrum(at)
