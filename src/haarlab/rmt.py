@@ -167,12 +167,11 @@ class Const(Node):
                            d.copy() if np.count_nonzero(m)
                            == np.count_nonzero(d) else None)
 
-    def checked(self, N: int) -> "Const":
-        """self, once its matrix is N x N; DimensionError otherwise."""
+    def check_size(self, N: int) -> None:
+        """DimensionError unless the matrix is N x N."""
         if self.matrix.shape != (N, N):
             raise DimensionError(
                 f"constant {self.name!r} is {self.matrix.shape}, need {N}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,8 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
 def _diagonal_const(node: Node, N: int) -> np.ndarray | None:
     """The diagonal of node when it is a diagonal N x N constant."""
     if isinstance(node, Const) and node.diagonal is not None:
-        return node.checked(N).diagonal
+        node.check_size(N)
+        return node.diagonal
     return None
 
 
@@ -226,9 +226,10 @@ def evaluate(node: Node, u: np.ndarray, N: int, trace: bool = False):
     The trace of a Product of several factors never forms the last
     product: Tr(P L) = sum(P * L^t), O(N^2), and sum(diag(P) * d) when
     L is a diagonal constant d.  Any other node's trace is taken of its
-    matrix.  Multiplying by a diagonal constant, in a Product or as
-    U D U*, scales columns instead of calling matmul; for a real
-    diagonal the bytes are those of the dense product.
+    matrix.  Multiplying by a diagonal constant (a Product factor after
+    the first, or D in U D U*) scales columns instead of calling
+    matmul; for a real diagonal the bytes are those of the dense
+    product.
 
     A node object that the tree reaches more than once (figure1's
     U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
@@ -286,7 +287,8 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
     if isinstance(node, HaarU):
         out = variant_matrix(u, node.eps, node.eta)
     elif isinstance(node, Const):
-        out = node.checked(N).matrix
+        node.check_size(N)
+        out = node.matrix
     elif isinstance(node, Variant):
         out = variant_matrix(_evaluate(node.node, u, N, shared),
                              node.eps, node.eta)

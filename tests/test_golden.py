@@ -130,6 +130,7 @@ def _openblas_symbol(lib, what: str):
                  f"scipy_openblas_{what}"):
         fn = getattr(lib, name, None)
         if fn is not None:
+            fn.argtypes = []
             fn.restype = ctypes.c_char_p
             return fn().decode()
     return "unknown"
