@@ -219,7 +219,8 @@ def _diagonal_const(node: Node, N: int) -> np.ndarray | None:
     return None
 
 
-def evaluate(node: Node, u: np.ndarray, N: int, trace: bool = False):
+def evaluate(node: Node, u: np.ndarray, N: int,
+             trace: bool = False) -> np.ndarray | complex:
     """The matrix of an ensemble tree at the replica's unitary u, or with
     trace=True its trace.
 
