@@ -3,6 +3,9 @@ expression trees sharing one U per replica, spectra, histograms, KS
 distances, and per-replica trace statistics.
 
 Everything here is double precision; exact values live in haar_expect.
+Haar unitaries are products of Householder reflectors drawn directly
+(Stewart 1980, Mezzadri 2007; see sample_haar_unitary), which have the
+law of the phase-fixed QR of a Ginibre matrix without factoring one.
 Both replica jobs, trace_observables and spectral_replicas, are tasks on
 one runner, _run_replicas.  It is the only replica loop: replica j of a
 call from the site whose tag in STREAMS is s draws its unitary from
@@ -29,6 +32,10 @@ from .errors import (DimensionError, InsufficientSamplesError,
 
 HERMITIAN_TOL = 1e-8
 _ROW_BLOCK = 64     # rows per block of hermitian_deviation
+# reflectors per compact-WY block of sample_haar_unitary: at one BLAS
+# thread, 32 was the fastest of 16-96 at N = 64 and 128, and within the
+# host's noise of the fastest at N = 512 and 1024
+_HOUSEHOLDER_BLOCK = 32
 THREADS_ENV = "HAARLAB_THREADS"
 
 # The integer tag of each call site that draws replicas.  Replica j of a
@@ -52,20 +59,62 @@ STREAMS = {
 
 
 def sample_haar_unitary(N: int, seed) -> np.ndarray:
-    """Haar-distributed N x N unitary: complex Ginibre matrix, QR, then
-    column phases fixed so the triangular factor has positive real
-    diagonal.  Without the phase step QR output is not Haar.  seed is
+    """Haar-distributed N x N unitary, a product of Householder
+    reflectors drawn directly (Stewart, "The efficient generation of
+    random orthogonal matrices with an application to condition
+    estimators", SIAM J. Numer. Anal. 17, 1980; Mezzadri, "How to
+    generate random matrices from the classical compact groups",
+    Notices AMS 54, 2007).
+
+    For k = 1..N, x_k in C^(N-k+1) is complex Gaussian; e^{i theta_k} =
+    x_k1 / |x_k1| (1 when x_k1 is exactly 0, as LAPACK's zlarfg takes
+    it), v_k = x_k + e^{i theta_k} |x_k| e_1, and H_k = I - 2 v_k v_k^H /
+    |v_k|^2 maps x_k to -e^{i theta_k} |x_k| e_1.  The result is
+    U = H_1 diag(1, H_2) ... diag(I_{N-1}, H_N) diag(-e^{i theta_k}).
+
+    This is the law of Mezzadri's sampler, the Q of a complex Ginibre
+    matrix's QR factorization with the phases fixed so that R has a
+    positive diagonal, less the trailing updates of Householder QR:
+    after the first reflection of a Ginibre matrix, the trailing
+    (N-1) x (N-1) block is again Ginibre and independent of the first
+    column, so drawing it afresh changes nothing about the law.  Neither
+    H_k nor theta_k depends on the scale of x_k, which is therefore
+    drawn with unit variance per real part.
+
+    All N(N+1)/2 entries come from one standard_normal draw of
+    interleaved (re, im) pairs, x_1 first, then x_2, and so on.  U is
+    formed from the last block of _HOUSEHOLDER_BLOCK reflectors
+    backwards, each block applied in compact WY form, I - V T V^H with
+    T^-1 = diag(|v|^2 / 2) + (strict upper triangle of V^H V) (Joffrain
+    et al., "Accumulating Householder transformations, revisited", ACM
+    TOMS 32, 2006).  seed is
     anything numpy's default_rng takes: an int, or a sequence of them
     such as _run_replicas's [seed, stream tag, replica]."""
     if N < 1:
         raise DimensionError("N must be at least 1")
     rng = np.random.default_rng(seed)
-    # one draw of interleaved (re, im) pairs, read as complex in place
-    g = rng.standard_normal((N, N, 2)).view(complex).reshape(N, N)
-    g /= np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    # row k holds x_{k+1} in columns k..N-1, zeros to its left
+    v = np.zeros((N, N), dtype=complex)
+    v[~np.tri(N, k=-1, dtype=bool)] = \
+        rng.standard_normal((N * (N + 1) // 2, 2)).view(complex)[:, 0]
+    norm = np.linalg.norm(v, axis=1)
+    first = v.diagonal()
+    size = np.abs(first)
+    phase = np.divide(first, size, out=np.ones(N, dtype=complex),
+                      where=size > 0)
+    v.flat[::N + 1] += phase * norm
+    half = norm * (norm + size)     # |v_k|^2 / 2
+    q = np.eye(N, dtype=complex)
+    block = _HOUSEHOLDER_BLOCK
+    for j in range((N - 1) // block * block, -1, -block):
+        rows = v[j:j + block, j:]       # V^T of the block
+        vh = np.conj(rows)
+        t_inv = np.triu(vh @ rows.T, 1)
+        t_inv.flat[::len(t_inv) + 1] = half[j:j + block]
+        # q is the identity outside q[j:, j:], so only that block moves
+        q[j:, j:] -= rows.T @ (np.linalg.inv(t_inv) @ (vh @ q[j:, j:]))
+    q *= -phase
+    return q
 
 
 def worker_count() -> int:
@@ -347,15 +396,18 @@ def spectrum(matrix: np.ndarray) -> np.ndarray:
 
 def histogram(points, bins: int, hist_range: tuple) -> tuple:
     """Binned density of an array of points (of any shape), normalized
-    to integrate to 1.  Returns (bin_edges, densities)."""
+    to integrate to 1.  Returns (bin_edges, densities).  Raises
+    InsufficientSamplesError when no point lies in hist_range."""
     if bins < 10:
         raise WordParseError("need at least 10 bins")
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        raise InsufficientSamplesError("no points to bin")
-    density, edges = np.histogram(points, bins=bins, range=hist_range,
-                                  density=True)
-    return edges, density
+    counts, edges = np.histogram(np.asarray(points, dtype=float),
+                                 bins=bins, range=hist_range)
+    total = counts.sum()
+    if total == 0:
+        raise InsufficientSamplesError(
+            f"no point lies in the histogram range {hist_range}")
+    # numpy's density=True, without its 0/0 when no point is in range
+    return edges, counts / np.diff(edges) / total
 
 
 def ks_distance(points, cdf: Callable[[float], float],

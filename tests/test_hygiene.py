@@ -103,6 +103,19 @@ def test_no_unreferenced_definitions():
     assert unused == []
 
 
+def test_no_qr_factorization_in_the_package():
+    """sample_haar_unitary builds its unitary from Householder
+    reflectors; no module of the package factors a matrix by QR, so the
+    sampler has one path."""
+    found = []
+    for path in sorted((ROOT / "src" / "haarlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "qr"
+                  or isinstance(node, ast.alias) and node.name == "qr"]
+    assert found == []
+
+
 _INEXACT = re.compile(r"^(linalg|random|fft|float|complex|double|cdouble|"
                       r"longdouble|clongdouble|single|csingle|half|inexact)")
 _CONSTRUCTORS = {"array", "asarray", "zeros", "ones", "empty", "full", "eye",

@@ -10,6 +10,7 @@ import pytest
 
 import haarlab
 from haarlab import rmt
+from haarlab.haar_expect import expected_trace_product, parse_trace_product
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
                             NotSelfAdjointError, WordParseError)
 from haarlab.rmt import (Conjugated, Const, HaarU, Product, Sum, Variant,
@@ -27,6 +28,106 @@ def test_haar_unitary_is_unitary_and_deterministic():
     assert not np.allclose(u, w)
     with pytest.raises(DimensionError):
         sample_haar_unitary(0, seed=1)
+
+
+def _draws(N, seed):
+    """The one standard_normal draw sample_haar_unitary makes."""
+    return np.random.default_rng(seed).standard_normal((N * (N + 1) // 2, 2))
+
+
+def _reflector_vectors(draws):
+    """x_1, ..., x_N as sample_haar_unitary reads them from its draw:
+    interleaved (re, im) pairs, x_1 first; views into draws."""
+    z = draws.view(complex)[:, 0]
+    N = int(np.sqrt(2 * len(z)))
+    return np.split(z, np.cumsum(np.arange(N, 1, -1)))
+
+
+def _dense_reflector_product(xs):
+    """H_1 diag(1, H_2) ... diag(I_{N-1}, H_N) diag(-e^{i theta_k}),
+    each reflector an explicit N x N matrix."""
+    N = len(xs)
+    u = np.eye(N, dtype=complex)
+    phases = []
+    for k, x in enumerate(xs):
+        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        v = x.copy()
+        v[0] += phase * np.linalg.norm(x)
+        h = np.eye(N, dtype=complex)
+        h[k:, k:] -= 2 * np.outer(v, np.conj(v)) / np.vdot(v, v).real
+        u = u @ h
+        phases.append(-phase)
+    return u * np.array(phases)
+
+
+def _ginibre_qr_phase(g):
+    """The QR sampler's path: Q of g with its columns rotated so that R
+    has a positive real diagonal."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def test_sampler_equals_the_dense_reflector_product():
+    # N = 1..70 runs one, two and three blocks of reflectors, most of
+    # them with a ragged last block
+    for N in range(1, 71):
+        seed = [7, N]
+        got = sample_haar_unitary(N, seed)
+        want = _dense_reflector_product(_reflector_vectors(_draws(N, seed)))
+        assert np.max(np.abs(got - want)) <= 1e-13, N
+        assert np.max(np.abs(got.conj().T @ got - np.eye(N))) <= 1e-14, N
+
+
+def test_zero_leading_entry_takes_phase_one(monkeypatch):
+    N = 5
+    draws = _draws(N, 3)
+    xs = _reflector_vectors(draws)
+    # x_5 has length 1: an exact 0 there is the zero vector, which
+    # defines no reflector
+    for k in (0, 2, 3):
+        xs[k][0] = 0.0
+
+    class Fixed:
+        def standard_normal(self, shape):
+            assert shape == draws.shape
+            return draws.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
+    got = sample_haar_unitary(N, 0)
+    assert np.max(np.abs(got - _dense_reflector_product(xs))) <= 1e-13
+    assert np.max(np.abs(got.conj().T @ got - np.eye(N))) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [1, 8, 33, 70])
+def test_qr_round_trip_returns_the_sample(N):
+    """U R with R upper triangular and its diagonal positive has U as
+    the unitary factor of the QR sampler, whose R has such a diagonal."""
+    rng = np.random.default_rng(N)
+    u = sample_haar_unitary(N, [5, N])
+    r = np.triu(rng.standard_normal((N, N))
+                + 1j * rng.standard_normal((N, N)), 1) / N
+    r += np.diag(rng.uniform(1.0, 2.0, N))
+    assert np.max(np.abs(_ginibre_qr_phase(u @ r) - u)) <= 1e-12
+
+
+def test_monte_carlo_means_match_the_exact_layer():
+    """Transpose words at N = 3: the Monte Carlo mean of each trace
+    product lies within 4 standard errors of expected_trace_product."""
+    words = ["Tr(U Ut)Tr(U* Uc)", "Tr(U Ut U* Uc)", "Tr(U Uc)Tr(Ut U*)",
+             "Tr(U U Ut)Tr(Uc)"]
+    exprs = [parse_trace_product(w, N=3) for w in words]
+    obs = [(f"{i}.{k}", Product(tuple(HaarU(l.eps, l.eta)
+                                      for l in word.letters)))
+           for i, expr in enumerate(exprs)
+           for k, word in enumerate(expr.words)]
+    stats = trace_observables(obs, 3, 2000, seed=0)
+    for i, (text, expr) in enumerate(zip(words, exprs)):
+        prod = np.prod([stats.row(f"{i}.{k}")
+                        for k in range(len(expr.words))], axis=0)
+        se = np.std(prod) / np.sqrt(prod.size)
+        exact = complex(expected_trace_product(expr))
+        assert abs(np.mean(prod) - exact) <= 4 * se, (text, exact)
 
 
 def test_haar_mean_entries_vanish():
@@ -123,6 +224,9 @@ def test_histogram_normalization():
     assert np.array_equal(dens_2d, dens)
     with pytest.raises(InsufficientSamplesError):
         histogram(np.empty((0, 8)), 20, (-2.0, 2.0))
+    # points that all miss the range: an error, not 0/0 densities
+    with pytest.raises(InsufficientSamplesError):
+        histogram([5.0, 6.0], 10, (-2.0, 2.0))
 
 
 def test_histogram_refuses_few_bins_with_a_package_error():
