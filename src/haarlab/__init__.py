@@ -20,7 +20,7 @@ from .cumulants import (CumulantFunctional, MomentFunctional,
                         cumulants_to_moments, empirical_cumulants,
                         moments_to_cumulants)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
-                           freeness_residual, one_by_one_real_prediction,
+                           one_by_one_real_prediction,
                            real_spoke_prediction)
 from .densities import (arcsine_law, free_self_convolution,
                         kesten_mckay_law)
@@ -37,7 +37,7 @@ __all__ = [
     "parse_trace_product", "simplify_word", "CumulantFunctional",
     "MomentFunctional", "cumulants_to_moments", "empirical_cumulants",
     "moments_to_cumulants", "FirstOrderTable", "complex_spoke_prediction",
-    "freeness_residual", "one_by_one_real_prediction",
+    "one_by_one_real_prediction",
     "real_spoke_prediction", "arcsine_law", "free_self_convolution",
     "kesten_mckay_law", "HaarU", "Sum", "Variant", "histogram",
     "ks_distance", "sample_haar_unitary", "spectral_replicas",

@@ -1,4 +1,4 @@
-"""Permutation and pairing maps, and set partitions, on [n] and [+-n].
+"""Permutation and pairing maps on [n] and [+-n].
 
 Conventions used throughout:
 
@@ -17,15 +17,14 @@ Conventions used throughout:
   leader and cycle lists are sorted by leader.
 
 The leader rule is what makes the mate-pair representative choice in
-pq_cycle_pairs and pi_epsilon deterministic; any choice would give the
-same downstream traces, but tests need reproducible output.
+pi_epsilon deterministic; any choice would give the same downstream
+traces, but tests need reproducible output.
 
-Set partitions appear only as plain tuples of sorted blocks, from
-enumerate_partitions and enumerate_nc_partitions.  No runtime path
-enumerates them: the moment-cumulant transforms recurse on the block
-of the first point instead, and the tests sum over these generators
-as the brute-force oracle, as they use pq_cycle_pairs for the pairing
-walks.
+No runtime path enumerates set partitions: the moment-cumulant
+transforms recurse on the block of the first point instead.  The
+brute-force partition sums and the explicit mate-pair grouping of pq
+(pq_cycle_pairs) live in tests/oracles.py, as the oracles the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -38,15 +37,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import CapacityError
 
 PAIRING_POINT_CAP = 12
-PARTITION_POINT_CAP = 10
 
 
 def _leader_key(k: int) -> tuple[int, int]:
     return (abs(k), 0 if k > 0 else 1)
-
-
-def leader(points: Iterable[int]) -> int:
-    return min(points, key=_leader_key)
 
 
 @functools.cache
@@ -139,54 +133,6 @@ def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[dict[int, int]]:
         yield {**dict(zip(plus, perm)), **dict(zip(perm, plus))}
 
 
-# -- set partitions: brute-force oracles for the tests ----------------
-
-def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of [n], Bell(n) of them, each a tuple of
-    sorted blocks ordered by their smallest point."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > PARTITION_POINT_CAP:
-        raise CapacityError(
-            f"partition enumeration for n={n} exceeds cap {PARTITION_POINT_CAP}")
-
-    def rec(k: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
-        if k > n:
-            yield blocks
-            return
-        for b in blocks:
-            b.append(k)
-            yield from rec(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        yield from rec(k + 1, blocks)
-        blocks.pop()
-
-    for blocks in rec(1, []):
-        yield tuple(tuple(b) for b in blocks)
-
-
-def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """Brute four-index crossing test: a < b < c < d with a,c in one
-    block and b,d in another means a crossing."""
-    owner: dict[int, int] = {}
-    for i, blk in enumerate(blocks):
-        for k in blk:
-            owner[k] = i
-    pts = sorted(owner)
-    for a, b, c, d in itertools.combinations(pts, 4):
-        if owner[a] == owner[c] != owner[b] == owner[d]:
-            return False  # crossing found
-    return True
-
-
-def enumerate_nc_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Non-crossing partitions of [n]; Catalan(n) of them."""
-    for pi in enumerate_partitions(n):
-        if is_noncrossing(pi):
-            yield pi
-
-
 # -- Moebius functions -------------------------------------------------
 
 def catalan(k: int) -> int:
@@ -201,56 +147,6 @@ def moebius_cycle_type(lengths: Iterable[int]) -> int:
     return out
 
 
-# -- mate-pair machinery ------------------------------------------------
-
-def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    i = cycle.index(leader(cycle))
-    return cycle[i:] + cycle[:i]
-
-
-def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
-                   ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Cycles of the product pq of two pairings, given as partner maps,
-    grouped into mate pairs (c, c').
-
-    The mate of a cycle c = (i_1, ..., i_l) is c' = (q(i_l), ..., q(i_1)),
-    which as a permutation is q c^{-1} q.  The representative (first slot
-    of each returned pair) is the cycle containing the leader of the
-    union of the two cycles' points.  A failed grouping means the inputs
-    were not genuine pairings of the same domain, or a bug; it raises.
-    """
-    if p.keys() != q.keys():
-        raise ValueError("p and q must live on the same domain")
-    prod = {k: p[q[k]] for k in q}
-    prod_cycles = cycles(prod)
-    index = {_canonical_rotation(c): c for c in prod_cycles}
-    used: set[tuple[int, ...]] = set()
-    out = []
-    for c in prod_cycles:
-        key = _canonical_rotation(c)
-        if key in used:
-            continue
-        mate_seq = tuple(q[x] for x in reversed(c))
-        mate_key = _canonical_rotation(mate_seq)
-        mate = index.get(mate_key)
-        if mate is None or mate_key == key or mate_key in used:
-            raise RuntimeError(
-                "mate-pair grouping failed; pq cycles do not pair up")
-        # pointwise check that the mate really is q c^{-1} q
-        for x, y in zip(mate_seq, mate_seq[1:] + mate_seq[:1]):
-            if prod[x] != y:
-                raise RuntimeError("mate cycle is not a cycle of pq")
-        used.add(key)
-        used.add(mate_key)
-        lead = leader(set(c) | set(mate))
-        if lead in c:
-            out.append((_canonical_rotation(c), mate_key))
-        else:
-            out.append((mate_key, _canonical_rotation(c)))
-    out.sort(key=lambda pair: _leader_key(pair[0][0]))
-    return out
-
-
 def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     """The cycles/sign pair encoding the constrained index sum of a
     signed pairing, given as its partner map {k: p(k)} on [+-n].
@@ -261,8 +157,8 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     pair, and marking |l| for every visited l marks the mate as well.
     Each representative (l_1, ..., l_r) is read as the cycle
     (|l_1|, ..., |l_r|) of pi with signs eps_{|l_k|} = sign(l_k); this
-    is the grouping pq_cycle_pairs(p, delta) spells out, with delta the
-    partner map {k: -k}.
+    is the grouping that pq_cycle_pairs(p, delta) in tests/oracles.py
+    spells out, with delta the partner map {k: -k}.
     No cycle is its own mate: delta would then reverse it without a
     fixed point, so some k would have p(-k) = -k, which the input check
     excludes.  Hence no walk revisits a magnitude, and every start is

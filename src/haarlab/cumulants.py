@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .combinat import PARTITION_POINT_CAP
 from .errors import CapacityError, InsufficientSamplesError, MissingMomentError
 
 BATCH_COUNT = 10
+PARTITION_POINT_CAP = 10
 
 
 def _key(indices: Sequence[int]) -> tuple:

@@ -74,9 +74,6 @@ class QC:
     def __neg__(self) -> "QC":
         return QC(-self.re, -self.im)
 
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
     # -- structure -----------------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QC)):

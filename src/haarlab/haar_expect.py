@@ -384,16 +384,6 @@ def _word_from_slots(slots, normalized: bool, counter: list[int]) -> TraceWord:
     return TraceWord(tuple(letters), normalized=normalized)
 
 
-def is_simplified(word: TraceWord) -> bool:
-    """Whether the word meets the reduced form: alternating constants and
-    Haar letters with every constant centered, identities only between
-    non-adjoint neighbours; or a single centered constant word."""
-    if word.haar_count() == 0:
-        return mat_trace(_constant_product(word.letters)) == QC_ZERO
-    slots = _rotate_to_slot_form(word.letters)
-    return all(_slot_ok(slots, i) for i in range(len(slots)))
-
-
 def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
     """Rewrite Tr(word) as c0 + sum of coeff * Tr(simplified word).
 

@@ -104,6 +104,9 @@ def sample_haar_unitary(N: int, seed) -> np.ndarray:
                       where=size > 0)
     v.flat[::N + 1] += phase * norm
     half = norm * (norm + size)     # |v_k|^2 / 2
+    # an exactly zero x_k gives v_k = 0; any nonzero |v_k|^2 / 2 then
+    # keeps T^-1 invertible and makes H_k the identity
+    half[half == 0] = 1.0
     q = np.eye(N, dtype=complex)
     block = _HOUSEHOLDER_BLOCK
     for j in range((N - 1) // block * block, -1, -block):
@@ -200,8 +203,8 @@ class HaarU(Node):
 @dataclass(frozen=True, eq=False)
 class Const(Node):
     """A constant matrix.  diagonal holds its diagonal when every entry
-    off it is zero (None otherwise), found once here; products and
-    conjugations then scale by it instead of multiplying matrices."""
+    off it is zero (None otherwise), found once here; products then
+    scale by it instead of multiplying matrices."""
     name: str
     matrix: np.ndarray
     diagonal: np.ndarray | None = field(init=False, repr=False)
@@ -228,12 +231,6 @@ class Variant(Node):
     node: Node
     eps: int = 1
     eta: int = 1
-
-
-@dataclass(frozen=True)
-class Conjugated(Node):
-    """U . node . U* with the replica's shared U."""
-    node: Node
 
 
 @dataclass(frozen=True)
@@ -277,9 +274,9 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     product: Tr(P L) = sum(P * L^t), O(N^2), and sum(diag(P) * d) when
     L is a diagonal constant d.  Any other node's trace is taken of its
     matrix.  Multiplying by a diagonal constant (a Product factor after
-    the first, or D in U D U*) scales columns instead of calling
-    matmul; for a real diagonal the bytes are those of the dense
-    product.
+    the first, as D in U D U* = Product((HaarU(), D, HaarU(-1, -1))))
+    scales columns instead of calling matmul; for a real diagonal the
+    bytes are those of the dense product.
 
     A node object that the tree reaches more than once (figure1's
     U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
@@ -297,7 +294,7 @@ def evaluate(node: Node, u: np.ndarray, N: int,
             shared[id(n)] = None
             continue
         seen.add(id(n))
-        if isinstance(n, (Variant, Conjugated)):
+        if isinstance(n, Variant):
             todo.append(n.node)
         elif isinstance(n, Sum):
             todo.extend(n.terms)
@@ -342,11 +339,6 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
     elif isinstance(node, Variant):
         out = variant_matrix(_evaluate(node.node, u, N, shared),
                              node.eps, node.eta)
-    elif isinstance(node, Conjugated):
-        d = _diagonal_const(node.node, N)
-        left = u * d if d is not None else \
-            u @ _evaluate(node.node, u, N, shared)
-        out = left @ np.conj(u.T)
     elif isinstance(node, Sum):
         if not node.terms:
             out = np.zeros((N, N), dtype=complex)

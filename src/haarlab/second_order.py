@@ -1,7 +1,6 @@
 """Spoke-diagram predictors for fluctuation covariances of traces of
 alternating centered words, in the complex rule (cyclic spoke products)
-and the real rule (spokes plus reversed spokes), with residuals against
-measured covariances.
+and the real rule (spokes plus reversed spokes).
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ class FirstOrderTable:
 
     def phi_t_at(self, i: int, j: int):
         return self.phi_t[(i - 1) % self.m][(j - 1) % self.n]
-
-    def rotate_rows(self, shift: int) -> "FirstOrderTable":
-        """The table for the cyclically rotated letter sequence
-        a_{1+shift}, a_{2+shift}, ..."""
-        s = shift % self.m
-        return FirstOrderTable(self.m, self.n,
-                               self.phi[s:] + self.phi[:s],
-                               self.phi_t[s:] + self.phi_t[:s])
 
 
 @dataclass(frozen=True)
@@ -113,22 +104,3 @@ def one_by_one_real_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
     a = tbl.phi_at(1, 1)
     b = tbl.phi_t_at(1, 1)
     return SecondOrderPrediction(a + b, (a,), (b,))
-
-
-def freeness_residual(empirical_cov, tbl: FirstOrderTable,
-                      mode: str = "real"):
-    """Measured covariance minus the spoke prediction.
-
-    mode selects the rule; real mode falls back to the two-term 1-cycle
-    convention when m = n = 1.
-    """
-    if mode == "complex":
-        pred = complex_spoke_prediction(tbl)
-    elif mode == "real":
-        if tbl.m == 1 and tbl.n == 1:
-            pred = one_by_one_real_prediction(tbl)
-        else:
-            pred = real_spoke_prediction(tbl)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return empirical_cov - pred.value

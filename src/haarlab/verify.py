@@ -29,12 +29,11 @@ from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           TraceWord, U, U_BAR, U_STAR, U_T,
                           expected_trace_product, first_order_limit,
                           invariance_counterexample)
-from .rmt import (Conjugated, Const, HaarU, Product, Sum, Variant,
-                  histogram, ks_distance, spectral_replicas,
-                  trace_observables)
+from .rmt import (Const, HaarU, Product, Sum, Variant, histogram,
+                  ks_distance, spectral_replicas, trace_observables)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            one_by_one_real_prediction)
-from .weingarten import gram_entry, wg_leading, wg_table
+from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
 from .emit import csv_bytes
 
 VARIANTS = {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}
@@ -105,7 +104,6 @@ def check_weingarten_asymptotics(seed=None) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     failures = []
-    from .weingarten import integer_partitions
     for n in (1, 2, 3):
         for ctype in integer_partitions(n):
             scaled = []
@@ -371,8 +369,10 @@ def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:
 
     n_mc = 128
     a_np = np.diag([1.0] * (n_mc // 2) + [-1.0] * (n_mc // 2))
-    node = Product((Conjugated(Const("A", a_np)),
-                    Variant(Conjugated(Const("B", a_np)), -1, 1)))
+    # U A U* and U B U*
+    a, b = (Product((HaarU(), Const(name, a_np), HaarU(-1, -1)))
+            for name in "AB")
+    node = Product((a, Variant(b, -1, 1)))
     stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed,
                               stream="check08")
     mean_tr = stats.mean("w") / n_mc

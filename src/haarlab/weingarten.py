@@ -194,8 +194,8 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     lengths.  One walk of pq on [n] does it: the mate of a cycle c is
     q c^{-1} q, whose points are the q-partners of c's points, so each
     cycle started at the smallest unseen point is a representative and
-    the walk marks its mate as it goes.  pq_cycle_pairs spells out the
-    same grouping.
+    the walk marks its mate as it goes.  pq_cycle_pairs in
+    tests/oracles.py spells out the same grouping.
     The input check rides on the walk.  Beyond the domains (maps on a
     signed domain, or on two different ones, raise ValueError), each
     step k -> q(k) = m -> p(m) = k' tests both of its edges: m != k and

@@ -1,0 +1,155 @@
+"""Brute-force oracles that the tests compare the runtime against.
+
+Nothing in haarlab calls these.  Each spells out, slowly and directly,
+a quantity that the package computes another way:
+
+* enumerate_partitions and is_noncrossing list the set partitions and
+  non-crossing partitions whose sums the moment-cumulant transforms
+  (cumulants, densities) compute by recursion on the first block;
+* pq_cycle_pairs groups the cycles of pq into mate pairs, the grouping
+  that the single walks of combinat.pi_epsilon and weingarten.phi make;
+* is_simplified tests the reduced form that haar_expect.simplify_word
+  returns;
+* rotate_rows rotates a spoke table's letters, under which the spoke
+  predictions are invariant.
+
+Set partitions are plain tuples of sorted blocks ordered by their
+smallest point.  The leader of a set of signed points is the one with
+smallest absolute value, positive sign winning ties (combinat's rule).
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Iterator, Mapping
+
+from haarlab.combinat import _leader_key, cycles
+from haarlab.cumulants import PARTITION_POINT_CAP
+from haarlab.errors import CapacityError
+from haarlab.exact import QC_ZERO, mat_trace
+from haarlab.haar_expect import (TraceWord, _constant_product,
+                                 _rotate_to_slot_form, _slot_ok)
+from haarlab.second_order import FirstOrderTable
+
+
+# -- set partitions ------------------------------------------------------
+
+def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All set partitions of [n], Bell(n) of them, each a tuple of
+    sorted blocks ordered by their smallest point."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > PARTITION_POINT_CAP:
+        raise CapacityError(
+            f"partition enumeration for n={n} exceeds cap {PARTITION_POINT_CAP}")
+
+    def rec(k: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
+        if k > n:
+            yield blocks
+            return
+        for b in blocks:
+            b.append(k)
+            yield from rec(k + 1, blocks)
+            b.pop()
+        blocks.append([k])
+        yield from rec(k + 1, blocks)
+        blocks.pop()
+
+    for blocks in rec(1, []):
+        yield tuple(tuple(b) for b in blocks)
+
+
+def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
+    """Brute four-index crossing test: a < b < c < d with a,c in one
+    block and b,d in another means a crossing."""
+    owner: dict[int, int] = {}
+    for i, blk in enumerate(blocks):
+        for k in blk:
+            owner[k] = i
+    pts = sorted(owner)
+    for a, b, c, d in itertools.combinations(pts, 4):
+        if owner[a] == owner[c] != owner[b] == owner[d]:
+            return False  # crossing found
+    return True
+
+
+def enumerate_nc_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Non-crossing partitions of [n]; Catalan(n) of them."""
+    for pi in enumerate_partitions(n):
+        if is_noncrossing(pi):
+            yield pi
+
+
+# -- mate pairs of pq ----------------------------------------------------
+
+def leader(points: Iterable[int]) -> int:
+    return min(points, key=_leader_key)
+
+
+def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    i = cycle.index(leader(cycle))
+    return cycle[i:] + cycle[:i]
+
+
+def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
+                   ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Cycles of the product pq of two pairings, given as partner maps,
+    grouped into mate pairs (c, c').
+
+    The mate of a cycle c = (i_1, ..., i_l) is c' = (q(i_l), ..., q(i_1)),
+    which as a permutation is q c^{-1} q.  The representative (first slot
+    of each returned pair) is the cycle containing the leader of the
+    union of the two cycles' points.  A failed grouping means the inputs
+    were not genuine pairings of the same domain, or a bug; it raises.
+    """
+    if p.keys() != q.keys():
+        raise ValueError("p and q must live on the same domain")
+    prod = {k: p[q[k]] for k in q}
+    prod_cycles = cycles(prod)
+    index = {_canonical_rotation(c): c for c in prod_cycles}
+    used: set[tuple[int, ...]] = set()
+    out = []
+    for c in prod_cycles:
+        key = _canonical_rotation(c)
+        if key in used:
+            continue
+        mate_seq = tuple(q[x] for x in reversed(c))
+        mate_key = _canonical_rotation(mate_seq)
+        mate = index.get(mate_key)
+        if mate is None or mate_key == key or mate_key in used:
+            raise RuntimeError(
+                "mate-pair grouping failed; pq cycles do not pair up")
+        # pointwise check that the mate really is q c^{-1} q
+        for x, y in zip(mate_seq, mate_seq[1:] + mate_seq[:1]):
+            if prod[x] != y:
+                raise RuntimeError("mate cycle is not a cycle of pq")
+        used.add(key)
+        used.add(mate_key)
+        lead = leader(set(c) | set(mate))
+        if lead in c:
+            out.append((_canonical_rotation(c), mate_key))
+        else:
+            out.append((mate_key, _canonical_rotation(c)))
+    out.sort(key=lambda pair: _leader_key(pair[0][0]))
+    return out
+
+
+# -- reduced words and spoke tables --------------------------------------
+
+def is_simplified(word: TraceWord) -> bool:
+    """Whether the word meets the reduced form: alternating constants and
+    Haar letters with every constant centered, identities only between
+    non-adjoint neighbours; or a single centered constant word."""
+    if word.haar_count() == 0:
+        return mat_trace(_constant_product(word.letters)) == QC_ZERO
+    slots = _rotate_to_slot_form(word.letters)
+    return all(_slot_ok(slots, i) for i in range(len(slots)))
+
+
+def rotate_rows(tbl: FirstOrderTable, shift: int) -> FirstOrderTable:
+    """The table for the cyclically rotated letter sequence
+    a_{1+shift}, a_{2+shift}, ..."""
+    s = shift % tbl.m
+    return FirstOrderTable(tbl.m, tbl.n,
+                           tbl.phi[s:] + tbl.phi[:s],
+                           tbl.phi_t[s:] + tbl.phi_t[:s])

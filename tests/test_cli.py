@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, config merging."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,17 @@ A_CSV = ("row,col,re_num,re_den,im_num,im_den\n"
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-m", "haarlab", "wg", "--n", "2",
+                          "--N", "3"], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("# Weingarten table n=2 N=3")
 
 
 def test_wg_prints_table_and_dumps(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Permutation and pairing maps, set partitions, Moebius weights."""
+"""Permutation and pairing maps, Moebius weights, and the set-partition
+and mate-pair oracles of tests/oracles.py."""
 
 import itertools
 import math
@@ -6,11 +7,10 @@ import math
 import pytest
 
 from haarlab.combinat import (catalan, cycle_type, cycles,
-                              enumerate_alpha_pairings,
-                              enumerate_nc_partitions, enumerate_pairings,
-                              enumerate_partitions, is_noncrossing,
-                              leader, moebius_cycle_type, pi_epsilon,
-                              pq_cycle_pairs)
+                              enumerate_alpha_pairings, enumerate_pairings,
+                              moebius_cycle_type, pi_epsilon)
+from oracles import (enumerate_nc_partitions, enumerate_partitions,
+                     is_noncrossing, leader, pq_cycle_pairs)
 
 
 def _delta(n):

@@ -16,11 +16,11 @@ from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  _rotate_to_haar_form,
                                  entry_product_expectation,
                                  expected_trace_product, first_order_limit,
-                                 invariance_counterexample, is_simplified,
-                                 load_matrix_csv, parse_trace_product,
-                                 simplify_word)
+                                 invariance_counterexample, load_matrix_csv,
+                                 parse_trace_product, simplify_word)
 from haarlab.rmt import sample_haar_unitary
 from haarlab.weingarten import phi
+from oracles import is_simplified
 
 U = HaarLetter(1, 1)
 UT = HaarLetter(-1, 1)

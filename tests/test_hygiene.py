@@ -80,25 +80,49 @@ def _definitions(tree):
                                           ast.AsyncFunctionDef)))
 
 
+def _reached(tree):
+    """(name, line) of every name the module's code reaches: names
+    read, attribute names, names imported (re-exports included), and
+    names in string annotations, at the annotation's line.  Docstrings
+    and comments reach nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        annotation = getattr(node, "annotation", None) or \
+            getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and \
+                isinstance(annotation.value, str):
+            names = _referenced(ast.parse(annotation.value, mode="eval"))
+            yield from ((name, annotation.lineno) for name in names)
+
+
 def test_no_unreferenced_definitions():
-    """Every definition in src/haarlab is named somewhere outside its
-    own body, in the package, the tests or perfbench (which looks some
-    up by name, so strings and comments count)."""
+    """Every definition in src/haarlab is reached by package code
+    outside its own body, or named in perfbench, whose tracer looks
+    some up by name (so any word there counts).  Tests do not count:
+    code that only they call belongs in tests/oracles.py."""
     package = sorted((ROOT / "src" / "haarlab").glob("*.py"))
-    words = defaultdict(list)   # word -> [(path, line)]
-    for path in package + sorted((ROOT / "tests").glob("*.py")) + \
-            sorted((ROOT / "perfbench").glob("*.py")):
-        for line_no, line in enumerate(path.read_text().splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                words[word].append((path, line_no))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in package}
+    reached = defaultdict(list)     # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in _reached(tree):
+            reached[name].append((path, line))
+    perfbench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        perfbench.update(re.findall(r"\w+", path.read_text()))
     unused = []
-    for path in package:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in trees.items():
         for name, first, last in _definitions(tree):
-            if name.startswith("__") and name.endswith("__"):
+            if name.startswith("__") and name.endswith("__") or \
+                    name in perfbench:
                 continue
             if all(p == path and first <= line <= last
-                   for p, line in words[name]):
+                   for p, line in reached[name]):
                 unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
     assert unused == []
 

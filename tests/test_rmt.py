@@ -13,8 +13,7 @@ from haarlab import rmt
 from haarlab.haar_expect import expected_trace_product, parse_trace_product
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
                             NotSelfAdjointError, WordParseError)
-from haarlab.rmt import (Conjugated, Const, HaarU, Product, Sum, Variant,
-                         evaluate, histogram, ks_distance,
+from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate, histogram, ks_distance,
                          sample_haar_unitary, spectral_replicas, spectrum,
                          trace_observables, variant_matrix, worker_count)
 
@@ -45,7 +44,8 @@ def _reflector_vectors(draws):
 
 def _dense_reflector_product(xs):
     """H_1 diag(1, H_2) ... diag(I_{N-1}, H_N) diag(-e^{i theta_k}),
-    each reflector an explicit N x N matrix."""
+    each reflector an explicit N x N matrix; a zero x_k reflects
+    nothing, H_k = I."""
     N = len(xs)
     u = np.eye(N, dtype=complex)
     phases = []
@@ -54,7 +54,8 @@ def _dense_reflector_product(xs):
         v = x.copy()
         v[0] += phase * np.linalg.norm(x)
         h = np.eye(N, dtype=complex)
-        h[k:, k:] -= 2 * np.outer(v, np.conj(v)) / np.vdot(v, v).real
+        if np.any(v):
+            h[k:, k:] -= 2 * np.outer(v, np.conj(v)) / np.vdot(v, v).real
         u = u @ h
         phases.append(-phase)
     return u * np.array(phases)
@@ -83,14 +84,33 @@ def test_zero_leading_entry_takes_phase_one(monkeypatch):
     N = 5
     draws = _draws(N, 3)
     xs = _reflector_vectors(draws)
-    # x_5 has length 1: an exact 0 there is the zero vector, which
-    # defines no reflector
+    # x_5 has length 1: an exact 0 there is the zero vector, the case
+    # of test_zero_householder_vector_is_the_identity_reflector
     for k in (0, 2, 3):
         xs[k][0] = 0.0
 
     class Fixed:
         def standard_normal(self, shape):
             assert shape == draws.shape
+            return draws.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
+    got = sample_haar_unitary(N, 0)
+    assert np.max(np.abs(got - _dense_reflector_product(xs))) <= 1e-13
+    assert np.max(np.abs(got.conj().T @ got - np.eye(N))) <= 1e-14
+
+
+def test_zero_householder_vector_is_the_identity_reflector(monkeypatch):
+    # an exactly zero x_k made the block's T^-1 singular, and
+    # np.linalg.inv raised LinAlgError
+    N = 5
+    draws = _draws(N, 3)
+    xs = _reflector_vectors(draws)
+    for k in (2, 4):
+        xs[k][:] = 0.0
+
+    class Fixed:
+        def standard_normal(self, shape):
             return draws.copy()
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
@@ -160,13 +180,18 @@ def test_evaluate_tree():
     assert np.array_equal(evaluate(Product(()), u, 3), np.eye(3))
 
 
+def _conjugated(node):
+    """U node U* with the replica's shared U."""
+    return Product((HaarU(), node, HaarU(-1, -1)))
+
+
 def test_conjugated_node():
     u = sample_haar_unitary(4, seed=2)
     b = np.eye(4, dtype=complex) * 0.5
-    got = evaluate(Conjugated(Const("B", b)), u, 4)
+    got = evaluate(_conjugated(Const("B", b)), u, 4)
     assert np.allclose(got, u @ b @ np.conj(u).T)
-    # a Variant of a Conjugated transposes the whole sandwich
-    got_t = evaluate(Variant(Conjugated(Const("B", b)), -1, 1), u, 4)
+    # a Variant of U B U* transposes the whole sandwich
+    got_t = evaluate(Variant(_conjugated(Const("B", b)), -1, 1), u, 4)
     assert np.allclose(got_t, (u @ b @ np.conj(u).T).T)
 
 
@@ -410,7 +435,7 @@ def _diag_const(name, d):
 def _trace_trees(n):
     """Trees whose trace the fast path takes: products ending in a
     Haar letter, a dense or diagonal constant, a Sum, a Variant or a
-    Conjugated, with subtrees shared by object."""
+    U X U* product, with subtrees shared by object."""
     rng = np.random.default_rng(11)
     dense = Const("B", rng.standard_normal((n, n))
                   + 1j * rng.standard_normal((n, n)))
@@ -419,7 +444,7 @@ def _trace_trees(n):
     cplx = _diag_const("C", rng.standard_normal(n)
                        + 1j * rng.standard_normal(n))
     sym = Sum((HaarU(), HaarU(-1, -1)))
-    conj_a = Conjugated(signs)
+    conj_a = _conjugated(signs)
     return [
         Product((HaarU(), HaarU(-1, 1))),
         Product((HaarU(), signs, HaarU(-1, -1), HaarU(1, -1), gauss,
@@ -428,12 +453,12 @@ def _trace_trees(n):
         Product((dense, HaarU(), dense)),
         Product((sym, Variant(sym, -1, 1))),
         Product((conj_a, Variant(conj_a, -1, 1))),
-        Product((Conjugated(dense), Variant(Conjugated(gauss), -1, -1),
+        Product((_conjugated(dense), Variant(_conjugated(gauss), -1, -1),
                  Sum((signs, HaarU(1, -1))))),
-        Product((signs, HaarU(), Conjugated(Product((dense, cplx))))),
+        Product((signs, HaarU(), _conjugated(Product((dense, cplx))))),
         Product((HaarU(),)),
         Sum((Product((HaarU(), signs)), dense)),
-        Conjugated(signs),
+        _conjugated(signs),
         HaarU(1, -1),
     ]
 
@@ -473,13 +498,13 @@ def test_diagonal_constants_equal_dense_products(n):
         a = _diag_const("A", d)
         assert a.diagonal is not None
         dense = np.diag(np.asarray(d, dtype=complex))
-        assert np.array_equal(evaluate(Conjugated(a), u, n), u @ dense @ uh)
+        assert np.array_equal(evaluate(_conjugated(a), u, n), u @ dense @ uh)
         assert np.array_equal(evaluate(Product((HaarU(), a, HaarU(1, -1))),
                                        u, n), u @ dense @ np.conj(u))
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c = _diag_const("C", d)
     dense = np.diag(d)
-    got = evaluate(Conjugated(c), u, n)
+    got = evaluate(_conjugated(c), u, n)
     assert np.max(np.abs(got - u @ dense @ uh)) <= 1e-15
     got = evaluate(Product((HaarU(), c, HaarU(1, -1))), u, n)
     assert np.max(np.abs(got - u @ dense @ np.conj(u))) <= 1e-15
@@ -494,8 +519,8 @@ def test_wrong_size_diagonal_constant_raises(trace):
     wrong = Const("A", np.eye(3))
     assert wrong.diagonal is not None
     for node in (Product((HaarU(), wrong)), Product((wrong, HaarU())),
-                 Product((HaarU(), wrong, HaarU())), Conjugated(wrong),
-                 Product((Conjugated(wrong), HaarU()))):
+                 Product((HaarU(), wrong, HaarU())), _conjugated(wrong),
+                 Product((_conjugated(wrong), HaarU()))):
         with pytest.raises(DimensionError):
             evaluate(node, u, 4, trace=trace)
 

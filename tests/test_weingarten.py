@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from haarlab.combinat import cycle_type, enumerate_pairings, pq_cycle_pairs
+from haarlab.combinat import cycle_type, enumerate_pairings
 from haarlab.errors import CapacityError
 from haarlab.weingarten import (dump_table_csv, gram_entry,
                                 integer_partitions, normalize_cycle_type,
                                 phi, wg_leading, wg_table)
+from oracles import pq_cycle_pairs
 
 
 def _perms(n):
