@@ -13,9 +13,10 @@ from haarlab import rmt
 from haarlab.haar_expect import expected_trace_product, parse_trace_product
 from haarlab.errors import (DimensionError, InsufficientSamplesError,
                             NotSelfAdjointError, WordParseError)
-from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate, histogram, ks_distance,
-                         sample_haar_unitary, spectral_replicas, spectrum,
-                         trace_observables, variant_matrix, worker_count)
+from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate,
+                         histogram, ks_distance, sample_haar_unitary,
+                         spectral_replicas, spectrum, trace_observables,
+                         variant_matrix, worker_count)
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
