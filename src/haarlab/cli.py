@@ -28,15 +28,13 @@ from .cumulants import BATCH_COUNT
 from .densities import arcsine_law, kesten_mckay_law, pdf_table
 from .emit import csv_bytes, json_bytes, svg_histogram
 from .errors import (CapacityError, DimensionError, HaarlabError,
-                     InsufficientSamplesError, NoReductionError,
-                     NotSelfAdjointError, WordParseError)
-from .exact import QCMatrix
-from .haar_expect import (HaarLetter, TraceProductExpr,
+                     InsufficientSamplesError, WordParseError)
+from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (STREAMS, Const, HaarU, Product, Sum, Variant, histogram,
-                  ks_distance, spectral_replicas, threading_summary,
-                  trace_observables)
+from .rmt import (BIN_CAP, STREAMS, Const, HaarU, Product, Sum, Variant,
+                  histogram, ks_distance, spectral_replicas,
+                  threading_summary, trace_observables)
 from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
                          wg_table)
 
@@ -50,8 +48,11 @@ EXIT_CHECKS_FAILED = 4
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise WordParseError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise WordParseError("config root must be a JSON object")
     return cfg
@@ -78,11 +79,12 @@ def _int_option(args: argparse.Namespace, cfg: dict, key: str, default=None,
     if val is None:
         return None
     try:
-        if isinstance(val, bool) or (isinstance(val, float) and val % 1):
-            raise ValueError
         num = int(val)
     except (TypeError, ValueError, OverflowError):
-        raise WordParseError(f"{key} must be an integer, got {val!r}") from None
+        num = None
+    if num is None or isinstance(val, bool) or \
+            (isinstance(val, float) and num != val):
+        raise WordParseError(f"{key} must be an integer, got {val!r}")
     if minimum is not None and num < minimum:
         raise WordParseError(f"{key} must be at least {minimum}, got {num}")
     return num
@@ -122,16 +124,23 @@ def _word_nodes(expr: TraceProductExpr) -> list:
                 factors.append(HaarU(letter.eps, letter.eta))
             else:
                 factors.append(Const(letter.name,
-                                     _complex_matrix(letter.resolved())))
+                                     _complex_matrix(letter)))
         nodes.append(factors[0] if len(factors) == 1
                      else Product(tuple(factors)))
     return nodes
 
 
-def _complex_matrix(m: QCMatrix) -> np.ndarray:
-    """An exact matrix in complex doubles, each part correctly rounded."""
+def _complex_matrix(letter: ConstantLetter) -> np.ndarray:
+    """A constant letter's exact matrix in complex doubles, each part
+    correctly rounded; an entry beyond the double range raises
+    HaarlabError."""
+    m = letter.resolved()
     out = np.empty(m.shape, dtype=complex)
-    out.real, out.imag = m.re / m.den, m.im / m.den
+    try:
+        out.real, out.imag = m.re / m.den, m.im / m.den
+    except OverflowError:
+        raise HaarlabError(f"constant {letter.name!r} has an entry too "
+                           "large for a double") from None
     return out
 
 
@@ -206,6 +215,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     outdir = _str_option(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")
+    if bins > BIN_CAP:
+        raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
     if not outdir:
         raise WordParseError("figure1 needs --outdir")
     if not os.path.isdir(outdir):
@@ -322,11 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _int_option(args, {}, "seed", 0, minimum=0)
-    try:
-        results = verify_mod.run_suite(args.suite, seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+    results = verify_mod.run_suite(args.suite, seed)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -409,19 +416,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (WordParseError, json.JSONDecodeError) as exc:
+    except WordParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, DimensionError, NoReductionError,
-            NotSelfAdjointError, InsufficientSamplesError, ValueError) as exc:
+    except HaarlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except HaarlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

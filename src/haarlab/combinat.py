@@ -34,7 +34,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, DimensionError, HaarlabError
 
 PAIRING_POINT_CAP = 12
 
@@ -55,9 +55,9 @@ def cycles(perm: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
     """Canonical cycles of a permutation given as its map {k: sigma(k)}:
     fixed points included, each cycle starting at its leader, the cycles
     sorted by leader.  A map that is not a bijection of its keys raises
-    ValueError."""
+    HaarlabError."""
     if set(perm.values()) != perm.keys():
-        raise ValueError("map is not a bijection of its keys")
+        raise HaarlabError("map is not a bijection of its keys")
     seen: set[int] = set()
     out = []
     for start in sorted(perm, key=_leader_key):  # leader order: first unseen
@@ -100,7 +100,7 @@ def enumerate_pairings(n: int, signed: bool = False
     Odd point counts give an empty sequence, matching the convention
     P2(odd) = empty set."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DimensionError("n must be nonnegative")
     if signed:
         points = sorted(list(range(1, n + 1)) + list(range(-n, 0)),
                         key=_leader_key)
@@ -118,7 +118,7 @@ def enumerate_alpha_pairings(alpha: Sequence[int]) -> Iterator[dict[int, int]]:
     """
     n = len(alpha)
     if any(a not in (1, -1) for a in alpha):
-        raise ValueError("alpha entries must be +1 or -1")
+        raise HaarlabError("alpha entries must be +1 or -1")
     if n > PAIRING_POINT_CAP:
         raise CapacityError(
             f"alpha-pairing enumeration over {n} points exceeds cap "
@@ -166,7 +166,7 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     Returns (cycles, eps): the canonical cycles of pi on [n] (each
     starting at its smallest point, sorted by it, fixed points
     included) and eps a tuple indexed by position 1..n.  A map that is
-    not a fixed-point-free involution of [+-n] raises ValueError.
+    not a fixed-point-free involution of [+-n] raises HaarlabError.
 
     Beyond the keys, the input check rides on the walk.  Each step
     k -> p(-k) = k' tests its edge: k' != -k and p(k') == -k.  Two
@@ -179,7 +179,7 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
     """
     n = len(partner) // 2
     if partner.keys() != _signed_points(n):
-        raise ValueError(_NOT_SIGNED_PAIRING)
+        raise HaarlabError(_NOT_SIGNED_PAIRING)
     eps = [0] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -194,7 +194,7 @@ def pi_epsilon(partner: Mapping[int, int]) -> tuple[tuple, tuple[int, ...]]:
             x = -k
             k = partner[x]
             if k == x or partner.get(k) != x:
-                raise ValueError(_NOT_SIGNED_PAIRING)
+                raise HaarlabError(_NOT_SIGNED_PAIRING)
             if k == start:
                 break
         cycles.append(tuple(tilde))

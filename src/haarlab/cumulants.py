@@ -180,7 +180,7 @@ def empirical_cumulants(samples, max_order: int = 2) -> CumulantFunctional:
     if count < 2:
         raise InsufficientSamplesError("need at least 2 replicas")
     if max_order > 4:
-        raise ValueError("empirical cumulants supported up to order 4")
+        raise CapacityError("empirical cumulants supported up to order 4")
 
     nvars = len(rows)
     moments = _sample_moments(rows, max_order)

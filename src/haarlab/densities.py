@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import CapacityError
+
 MOMENT_ORDER = 8
 _QUAD_POINTS = 64
 
@@ -93,7 +95,7 @@ def free_cumulants_from_moments(moments: Sequence, order: int) -> list:
     """Invert m_n = sum over NC(n) of block-products of cumulants:
     kappa_n = m_n - rest(n), for each n in turn."""
     if order > MOMENT_ORDER:
-        raise ValueError(f"order capped at {MOMENT_ORDER}")
+        raise CapacityError(f"order capped at {MOMENT_ORDER}")
     m = [Fraction(x) for x in moments[:order]]
     kappa: list = []
     for n in range(1, order + 1):
@@ -105,7 +107,7 @@ def moments_from_free_cumulants(kappa: Sequence, order: int) -> list:
     """m_n = sum over NC(n) of the block-products of cumulants,
     kappa_n + rest(n), for each n in turn."""
     if order > MOMENT_ORDER:
-        raise ValueError(f"order capped at {MOMENT_ORDER}")
+        raise CapacityError(f"order capped at {MOMENT_ORDER}")
     k = [Fraction(x) for x in kappa[:order]]
     m: list = []
     for n in range(1, order + 1):

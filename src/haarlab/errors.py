@@ -1,13 +1,20 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes, so library code should raise the
-most specific class that applies rather than bare ValueError.
+HaarlabError is the package's only exception family for bad input:
+library code raises the most specific class that applies (a size or
+dimension problem DimensionError, a cap CapacityError, a malformed word
+or file WordParseError), and HaarlabError itself when none does.  The
+CLI maps them onto exit codes: WordParseError to 1, every other
+HaarlabError to 2.  HaarlabError derives from ValueError, so callers
+that catch ValueError keep working.  TypeError for an argument of the
+wrong Python type, and RuntimeError for a broken internal invariant,
+stay as they are: neither is a problem with the input's values.
 """
 
 from __future__ import annotations
 
 
-class HaarlabError(Exception):
+class HaarlabError(ValueError):
     """Base class for all errors raised by this package."""
 
 

@@ -46,11 +46,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinat import enumerate_alpha_pairings, pi_epsilon
-from .errors import CapacityError, DimensionError, WordParseError
+from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
                     mat_mul, mat_trace, mat_trace_product, mat_transpose,
                     mat_unit, qc_matrix)
 from .weingarten import DEFAULT_ORDER_CAP, phi
+
+# The four Haar variants, (eps, eta) -> the word grammar's token; the
+# tokens are also the letters' reprs, by which simplify_word sorts.
+VARIANT_NAMES = {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}
+# The largest dimension load_matrix_csv reads: its dense object arrays
+# then hold 2 x 4096^2 references, and an exact product at that size is
+# already billions of Python-int operations.
+CONSTANT_DIMENSION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -63,14 +71,13 @@ class HaarLetter:
 
     def __post_init__(self):
         if self.eps not in (1, -1) or self.eta not in (1, -1):
-            raise ValueError("eps and eta must be +1 or -1")
+            raise HaarlabError("eps and eta must be +1 or -1")
 
     def adjoint(self) -> "HaarLetter":
         return HaarLetter(-self.eps, -self.eta)
 
     def __repr__(self) -> str:
-        return {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}[
-            (self.eps, self.eta)]
+        return VARIANT_NAMES[(self.eps, self.eta)]
 
 
 U = HaarLetter(1, 1)
@@ -112,7 +119,7 @@ class TraceWord:
     def __post_init__(self):
         letters = tuple(self.letters)
         if not letters:
-            raise ValueError("a trace word must contain at least one letter")
+            raise HaarlabError("a trace word must contain at least one letter")
         for l in letters:
             if not isinstance(l, (HaarLetter, ConstantLetter)):
                 raise TypeError(f"not a letter: {l!r}")
@@ -141,7 +148,7 @@ class TraceProductExpr:
         words = tuple(self.words)
         object.__setattr__(self, "words", words)
         if self.N < 1:
-            raise ValueError("dimension N must be at least 1")
+            raise DimensionError("dimension N must be at least 1")
         for w in words:
             d = w.constant_dim()
             if d is not None and d != self.N:
@@ -169,11 +176,11 @@ def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
     if n == 0:
         return Fraction(1)
     if len(rows) != n or len(cols) != n:
-        raise ValueError("alpha, rows and cols must have equal length")
+        raise DimensionError("alpha, rows and cols must have equal length")
     if any(a not in (1, -1) for a in alpha):
-        raise ValueError("alpha entries must be +1 or -1")
+        raise HaarlabError("alpha entries must be +1 or -1")
     if any(not (1 <= i <= N) for i in list(rows) + list(cols)):
-        raise ValueError(f"matrix indices must lie in 1..{N}")
+        raise DimensionError(f"matrix indices must lie in 1..{N}")
     if n % 2 or sum(alpha) != 0:
         return Fraction(0)
     words = tuple(
@@ -467,11 +474,11 @@ def first_order_limit(m: int, variant: tuple[int, int],
     exactly when the powers match and the variants are mutual adjoints,
     zero otherwise."""
     if m < 1 or n < 1:
-        raise ValueError("powers must be positive")
+        raise HaarlabError("powers must be positive")
     (e1, h1), (e2, h2) = variant, variant2
     for s in (e1, h1, e2, h2):
         if s not in (1, -1):
-            raise ValueError("variant signs must be +1 or -1")
+            raise HaarlabError("variant signs must be +1 or -1")
     return int(m == n and e1 == -e2 and h1 == -h2)
 
 
@@ -487,9 +494,9 @@ def invariance_counterexample(cos_sq: Fraction, N: int) -> tuple[Fraction, Fract
     """
     cos_sq = Fraction(cos_sq)
     if not 0 <= cos_sq <= 1:
-        raise ValueError("cos^2(theta) must lie in [0, 1]")
+        raise HaarlabError("cos^2(theta) must lie in [0, 1]")
     if N < 2:
-        raise ValueError("need N >= 2 for 2x2 corner indices")
+        raise DimensionError("need N >= 2 for 2x2 corner indices")
     sin_sq = 1 - cos_sq
     x_sq = -cos_sq * sin_sq
 
@@ -519,7 +526,7 @@ def invariance_counterexample(cos_sq: Fraction, N: int) -> tuple[Fraction, Fract
 # word grammar
 
 _FACTOR_RE = re.compile(r"\s*(Tr|tr)\s*\(\s*([^()]*?)\s*\)")
-_HAAR_TOKENS = {"U": (1, 1), "Ut": (-1, 1), "Uc": (1, -1), "U*": (-1, -1)}
+_HAAR_TOKENS = {name: variant for variant, name in VARIANT_NAMES.items()}
 
 
 def parse_trace_product(text: str,
@@ -566,27 +573,37 @@ def parse_trace_product(text: str,
 
 
 def load_matrix_csv(path: str) -> QCMatrix:
-    """Read one exact matrix from CSV rows (row, col, re_num, re_den,
-    im_num, im_den); omitted entries are zero, indices are 1-based."""
+    """Read one exact matrix from UTF-8 CSV rows (row, col, re_num,
+    re_den, im_num, im_den); omitted entries are zero, indices are
+    1-based.  A file that is not UTF-8 CSV raises WordParseError, and an
+    index beyond CONSTANT_DIMENSION_CAP raises CapacityError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise WordParseError(
+            f"cannot read matrix file {path}: {exc}") from None
     entries: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            head = line[0].strip().lower() if line else "#"
-            if head.startswith("#") or head == "row":
-                continue
-            try:
-                r, c, re_num, re_den, im_num, im_den = map(int, line[:6])
-            except ValueError as exc:
-                raise WordParseError(f"bad matrix row {line!r} in {path}") from exc
-            if r < 1 or c < 1:
-                raise WordParseError(f"matrix indices are 1-based: {line!r}")
-            if re_den == 0 or im_den == 0:
-                raise WordParseError(
-                    f"zero denominator in matrix row {line!r} in {path}")
-            entries[(r, c)] = (re_num, re_den, im_num, im_den)
+    for line in lines:
+        head = line[0].strip().lower() if line else "#"
+        if head.startswith("#") or head == "row":
+            continue
+        try:
+            r, c, re_num, re_den, im_num, im_den = map(int, line[:6])
+        except ValueError as exc:
+            raise WordParseError(f"bad matrix row {line!r} in {path}") from exc
+        if r < 1 or c < 1:
+            raise WordParseError(f"matrix indices are 1-based: {line!r}")
+        if re_den == 0 or im_den == 0:
+            raise WordParseError(
+                f"zero denominator in matrix row {line!r} in {path}")
+        entries[(r, c)] = (re_num, re_den, im_num, im_den)
     if not entries:
         raise WordParseError(f"no entries in matrix file {path}")
     dim = max(max(rc) for rc in entries)
+    if dim > CONSTANT_DIMENSION_CAP:
+        raise CapacityError(f"matrix index {dim} in {path} exceeds the cap "
+                            f"{CONSTANT_DIMENSION_CAP}")
     den = math.lcm(*(d for e in entries.values() for d in e[1::2]))
     re_part = np.zeros((dim, dim), dtype=object)
     im_part = np.zeros((dim, dim), dtype=object)

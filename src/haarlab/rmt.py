@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .cumulants import CumulantFunctional, empirical_cumulants
-from .errors import (DimensionError, InsufficientSamplesError,
+from .errors import (CapacityError, DimensionError, InsufficientSamplesError,
                      NotSelfAdjointError, WordParseError)
 
 HERMITIAN_TOL = 1e-8
@@ -37,6 +37,13 @@ _ROW_BLOCK = 64     # rows per block of hermitian_deviation
 # host's noise of the fastest at N = 512 and 1024
 _HOUSEHOLDER_BLOCK = 32
 THREADS_ENV = "HAARLAB_THREADS"
+# Caps checked before anything is allocated (CapacityError beyond them):
+# the largest N _run_replicas samples (one N x N complex matrix is then
+# 1 GiB, and each worker holds a few), the most values its result array
+# holds (1 GiB of doubles), and the most bins of a histogram.
+DIMENSION_CAP = 8192
+VALUE_CAP = 2 ** 27
+BIN_CAP = 10 ** 4
 
 # The integer tag of each call site that draws replicas.  Replica j of a
 # call tagged s with seed `seed` samples from default_rng([seed, s, j]),
@@ -392,6 +399,8 @@ def histogram(points, bins: int, hist_range: tuple) -> tuple:
     InsufficientSamplesError when no point lies in hist_range."""
     if bins < 10:
         raise WordParseError("need at least 10 bins")
+    if bins > BIN_CAP:
+        raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
     counts, edges = np.histogram(np.asarray(points, dtype=float),
                                  bins=bins, range=hist_range)
     total = counts.sum()
@@ -475,11 +484,19 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     runs its BLAS and LAPACK calls on one thread; the caller's BLAS
     thread counts are restored on return.  Rows land in preassigned
     slots, so the output depends neither on HAARLAB_THREADS nor on
-    OPENBLAS_NUM_THREADS.
+    OPENBLAS_NUM_THREADS.  N beyond DIMENSION_CAP, or more than
+    VALUE_CAP results, raise CapacityError before any allocation.
     """
     if replicas < 1:
         raise InsufficientSamplesError(
             f"need at least 1 replica, got {replicas}")
+    if N > DIMENSION_CAP:
+        raise CapacityError(
+            f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
+    if replicas * width > VALUE_CAP:
+        raise CapacityError(
+            f"{replicas} replicas of {width} values exceed the cap of "
+            f"{VALUE_CAP} stored values")
     tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
 

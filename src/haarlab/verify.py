@@ -26,7 +26,7 @@ from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
                     mat_trace, mat_transpose, qc_matrix)
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
-                          TraceWord, U, U_BAR, U_STAR, U_T,
+                          TraceWord, U, U_BAR, U_STAR, U_T, VARIANT_NAMES,
                           expected_trace_product, first_order_limit,
                           invariance_counterexample)
 from .rmt import (Const, HaarU, Product, Sum, Variant, histogram,
@@ -35,8 +35,7 @@ from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            one_by_one_real_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
 from .emit import csv_bytes
-
-VARIANTS = {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}
+from .errors import WordParseError
 
 
 @dataclass
@@ -260,8 +259,8 @@ def check_first_order_limits(seed=None) -> CheckResult:
     worst = 0.0
     for m in (1, 2):
         for n in (1, 2):
-            for v in VARIANTS:
-                for v2 in VARIANTS:
+            for v in VARIANT_NAMES:
+                for v2 in VARIANT_NAMES:
                     limit = first_order_limit(m, v, n, v2)
                     dev16 = abs(_power_word_value(m, v, n, v2, 16) - limit)
                     dev32 = abs(_power_word_value(m, v, n, v2, 32) - limit)
@@ -562,5 +561,6 @@ SUITES["all"] = SUITES["exact"] + SUITES["mc"]
 
 def run_suite(suite: str, seed: int = 0) -> list:
     if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
+        raise WordParseError(
+            f"unknown suite {suite!r}; have {sorted(SUITES)}")
     return [CHECKS[name](seed) for name in SUITES[suite]]

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, TextIO
 
 from .combinat import cycles, moebius_cycle_type
-from .errors import CapacityError
+from .errors import CapacityError, DimensionError, HaarlabError
 
 DEFAULT_ORDER_CAP = 6
 
@@ -61,7 +61,7 @@ def integer_partitions(n: int) -> list[CycleType]:
 def normalize_cycle_type(cycle_type: Iterable[int]) -> CycleType:
     ct = tuple(sorted(cycle_type, reverse=True))
     if any(p < 1 for p in ct):
-        raise ValueError("cycle type parts must be positive")
+        raise HaarlabError("cycle type parts must be positive")
     return ct
 
 
@@ -72,7 +72,8 @@ def gram_entry(sigma: Mapping[int, int], tau: Mapping[int, int],
     points = set(range(1, len(sigma) + 1))
     if not (sigma.keys() == tau.keys() == points
             == set(sigma.values()) == set(tau.values())):
-        raise ValueError("gram_entry expects two permutations of the same [n]")
+        raise HaarlabError(
+            "gram_entry expects two permutations of the same [n]")
     return N ** len(cycles({t: sigma[k] for k, t in tau.items()}))
 
 
@@ -131,12 +132,12 @@ def wg_exact(n: int, N: int) -> WeingartenTable:
     for N < n that is the pseudo-inverse table.
     """
     if n < 1:
-        raise ValueError("order n must be at least 1")
+        raise DimensionError("order n must be at least 1")
     if n > DEFAULT_ORDER_CAP:
         raise CapacityError(
             f"Weingarten order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     if N < 1:
-        raise ValueError("dimension N must be at least 1")
+        raise DimensionError("dimension N must be at least 1")
     types = integer_partitions(n)
     values = dict.fromkeys(types, Fraction(0))
     for lam in types:
@@ -173,7 +174,7 @@ def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
     """First-order asymptotics N^{-2n+#sigma} Moeb(sigma)."""
     ct = normalize_cycle_type(cycle_type)
     if sum(ct) != n:
-        raise ValueError(f"cycle type {ct} is not a partition of {n}")
+        raise HaarlabError(f"cycle type {ct} is not a partition of {n}")
     return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
 
 
@@ -197,7 +198,7 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     the walk marks its mate as it goes.  pq_cycle_pairs in
     tests/oracles.py spells out the same grouping.
     The input check rides on the walk.  Beyond the domains (maps on a
-    signed domain, or on two different ones, raise ValueError), each
+    signed domain, or on two different ones, raise HaarlabError), each
     step k -> q(k) = m -> p(m) = k' tests both of its edges: m != k and
     q(m) == k, then k' != m and p(k') == m.  Two passing steps never
     lead into one k' (q(p(k')) would name two points), so each walk
@@ -206,13 +207,13 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
     point is touched, and the tested edges then hold every point of
     [n], each k as the k' of the step into it and each m as the mate
     of a step.  So the maps are pairings of [n] exactly when every step
-    passes; otherwise phi raises ValueError, whatever values the maps
+    passes; otherwise phi raises HaarlabError, whatever values the maps
     hold.  On pairings the walks go round the loops that the p and q
     edges split [n] into, marking each point once.
     """
     n = len(p)
     if not p.keys() == q.keys() == _points(n):
-        raise ValueError("phi expects two pairings of the same [n]")
+        raise HaarlabError("phi expects two pairings of the same [n]")
     seen = [False] * (n + 1)
     lengths = []
     for start in range(1, n + 1):
@@ -223,12 +224,12 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
         while True:
             mate = q[k]
             if mate == k or q.get(mate) != k:
-                raise ValueError(_NOT_PAIRINGS)
+                raise HaarlabError(_NOT_PAIRINGS)
             seen[k] = seen[mate] = True
             length += 1
             k = p[mate]
             if k == mate or p.get(k) != mate:
-                raise ValueError(_NOT_PAIRINGS)
+                raise HaarlabError(_NOT_PAIRINGS)
             if k == start:
                 break
         lengths.append(length)

@@ -167,7 +167,7 @@ def test_verify_exact_suite(tmp_path, capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
 
 
 def test_bad_config_json(tmp_path, capsys):
@@ -304,4 +304,66 @@ def test_config_value_of_wrong_type_is_usage_error(command, key, value,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_constant_beyond_double_range_is_domain_error(tmp_path, capsys):
+    # a 2x2 constant whose (1, 1) entry, 10^400, overflows a double
+    mat = tmp_path / "big.csv"
+    mat.write_text("1,1,1" + "0" * 400 + ",1,0,1\n2,2,1,1,0,1\n")
+    const = f"A={mat}"
+    assert main(["moment", "Tr(U A U*)", "--constant", const]) == 0
+    # E Tr(U A U*) = Tr(A) = 10^400 + 1
+    assert f"exact: 1{'0' * 399}1\n" in capsys.readouterr().out
+    for argv in (["moment", "Tr(U A U*)", "--constant", const, "--mc", "10"],
+                 ["simulate", "--N", "2", "--word", "Tr(U A U*)",
+                  "--constant", const, "--replicas", "20"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: constant 'A' has an entry too large for a double" \
+            in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure1", "--N", "10000000000", "--replicas", "1"],
+     "exceeds the Monte Carlo cap"),
+    (["simulate", "--N", str(10 ** 30), "--word", "Tr(U)"],
+     "exceeds the Monte Carlo cap"),
+    (["moment", "Tr(U Uc)", "--N", "2", "--mc", str(10 ** 20)],
+     "stored values"),
+    (["figure1", "--N", "32", "--replicas", "1", "--bins", str(10 ** 20)],
+     "bins exceed the cap"),
+])
+def test_oversized_run_is_refused_before_sampling(argv, message, tmp_path,
+                                                  capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    if argv[0] == "figure1":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert draws == []
+
+
+def test_constant_index_beyond_cap_is_refused(tmp_path, capsys):
+    mat = tmp_path / "far.csv"
+    mat.write_text("10000000000,1,1,1,0,1\n")
+    assert main(["moment", "Tr(U A)", "--constant", f"A={mat}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix index 10000000000")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--config", "--constant"])
+def test_file_that_is_not_utf8_is_parse_error(option, tmp_path, capsys):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"\xff\xfe1,1,1,1,0,1\n")
+    value = f"A={path}" if option == "--constant" else str(path)
+    assert main(["moment", "Tr(U)", "--N", "2", option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "utf-8" in err
     assert "Traceback" not in err

@@ -140,6 +140,23 @@ def test_no_qr_factorization_in_the_package():
     assert found == []
 
 
+def test_package_raises_no_bare_value_error():
+    """Bad input raises a HaarlabError (itself a ValueError), never a
+    bare ValueError, so the CLI can map exactly the package's own
+    errors onto exit codes and let a bug show its traceback."""
+    found = []
+    for path in sorted((ROOT / "src" / "haarlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 _INEXACT = re.compile(r"^(linalg|random|fft|float|complex|double|cdouble|"
                       r"longdouble|clongdouble|single|csingle|half|inexact)")
 _CONSTRUCTORS = {"array", "asarray", "zeros", "ones", "empty", "full", "eye",
