@@ -32,8 +32,8 @@ from .errors import (CapacityError, DimensionError, HaarlabError,
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (BIN_CAP, STREAMS, Const, HaarU, Product, Sum, Variant,
-                  histogram, ks_distance, spectral_replicas,
+from .rmt import (BIN_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const,
+                  HaarU, Product, histogram, ks_distance, spectral_replicas,
                   threading_summary, trace_observables)
 from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
                          wg_table)
@@ -222,10 +222,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     if not os.path.isdir(outdir):
         raise FileNotFoundError(f"output directory {outdir!r} does not exist")
 
-    sym = Sum((HaarU(), HaarU(-1, -1)))
     panels = [
-        ("arcsine", arcsine_law(), sym, "spectrum of U + U*"),
-        ("sum_law", kesten_mckay_law(), Sum((sym, Variant(sym, -1, 1))),
+        ("arcsine", arcsine_law(), FIGURE1_ARCSINE, "spectrum of U + U*"),
+        ("sum_law", kesten_mckay_law(), FIGURE1_SUM_LAW,
          "spectrum of U + U* + (U + U*)^t"),
     ]
     summary = {"N": N, "replicas": replicas, "seed": seed, "bins": bins,

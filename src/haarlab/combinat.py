@@ -36,6 +36,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DimensionError, HaarlabError
 
+# The exact engine's order limit: at most this many points (Haar
+# letters) are paired; weingarten.DEFAULT_ORDER_CAP is half of it.
 PAIRING_POINT_CAP = 12
 
 

@@ -29,17 +29,13 @@ _QUAD_POINTS = 64
 @dataclass(frozen=True)
 class LimitLaw:
     """A compactly supported limit law: density, closed-form CDF (0 below
-    the support, 1 above it), and exact moments through order 8."""
+    the support, 1 above it), and exact moments through order 8, the
+    k-th at moments[k - 1]."""
 
     support: tuple
     pdf: Callable[[float], float]
     cdf: Callable[[float], float]
     moments: tuple
-
-    def moment(self, k: int):
-        if k == 0:
-            return 1
-        return self.moments[k - 1]
 
 
 def moment_by_quadrature(law: LimitLaw, k: int) -> float:

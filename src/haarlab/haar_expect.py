@@ -30,8 +30,8 @@ Everything stays exact; nothing is floated.
 
 That kernel is the only pairing sum: entry products go through it too,
 each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
-unit.  A product of more than 2 * DEFAULT_ORDER_CAP Haar letters
-raises CapacityError.
+unit.  A product of more than PAIRING_POINT_CAP Haar letters raises
+CapacityError.
 """
 
 from __future__ import annotations
@@ -45,12 +45,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinat import enumerate_alpha_pairings, pi_epsilon
+from .combinat import (PAIRING_POINT_CAP, enumerate_alpha_pairings,
+                       pi_epsilon)
 from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
                     mat_mul, mat_trace, mat_trace_product, mat_transpose,
                     mat_unit, qc_matrix)
-from .weingarten import DEFAULT_ORDER_CAP, phi
+from .weingarten import phi
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
 # tokens are also the letters' reprs, by which simplify_word sorts.
@@ -283,9 +284,9 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
 
     flat = [pair for seg in segments for pair in seg]
     M = len(flat)
-    if M > 2 * DEFAULT_ORDER_CAP:
+    if M > PAIRING_POINT_CAP:
         raise CapacityError(f"trace product with {M} Haar letters exceeds "
-                            f"engine cap {2 * DEFAULT_ORDER_CAP}")
+                            f"engine cap {PAIRING_POINT_CAP}")
     eta = [u.eta for u, _ in flat]
     if sum(eta) != 0:
         return QC_ZERO
@@ -575,8 +576,9 @@ def parse_trace_product(text: str,
 def load_matrix_csv(path: str) -> QCMatrix:
     """Read one exact matrix from UTF-8 CSV rows (row, col, re_num,
     re_den, im_num, im_den); omitted entries are zero, indices are
-    1-based.  A file that is not UTF-8 CSV raises WordParseError, and an
-    index beyond CONSTANT_DIMENSION_CAP raises CapacityError."""
+    1-based.  A file that is not UTF-8 CSV, or that gives one entry
+    twice, raises WordParseError, and an index beyond
+    CONSTANT_DIMENSION_CAP raises CapacityError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -597,6 +599,9 @@ def load_matrix_csv(path: str) -> QCMatrix:
         if re_den == 0 or im_den == 0:
             raise WordParseError(
                 f"zero denominator in matrix row {line!r} in {path}")
+        if (r, c) in entries:
+            raise WordParseError(
+                f"matrix entry ({r}, {c}) is given twice in {path}")
         entries[(r, c)] = (re_num, re_den, im_num, im_den)
     if not entries:
         raise WordParseError(f"no entries in matrix file {path}")

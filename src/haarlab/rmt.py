@@ -40,10 +40,13 @@ THREADS_ENV = "HAARLAB_THREADS"
 # Caps checked before anything is allocated (CapacityError beyond them):
 # the largest N _run_replicas samples (one N x N complex matrix is then
 # 1 GiB, and each worker holds a few), the most values its result array
-# holds (1 GiB of doubles), and the most bins of a histogram.
+# holds (1 GiB of doubles), the most bins of a histogram, and the most
+# replica workers HAARLAB_THREADS may ask for (the pool starts a thread
+# per submitted replica while none is idle, up to its worker count).
 DIMENSION_CAP = 8192
 VALUE_CAP = 2 ** 27
 BIN_CAP = 10 ** 4
+WORKER_CAP = 256
 
 # The integer tag of each call site that draws replicas.  Replica j of a
 # call tagged s with seed `seed` samples from default_rng([seed, s, j]),
@@ -129,7 +132,9 @@ def sample_haar_unitary(N: int, seed) -> np.ndarray:
 
 def worker_count() -> int:
     """Replica workers of _run_replicas: HAARLAB_THREADS when set,
-    else the cores this process may run on."""
+    else the cores this process may run on.  A HAARLAB_THREADS that is
+    not a positive integer raises WordParseError, and one above
+    WORKER_CAP CapacityError, before any worker starts."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
@@ -142,6 +147,9 @@ def worker_count() -> int:
     if count < 1:
         raise WordParseError(
             f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    if count > WORKER_CAP:
+        raise CapacityError(
+            f"{THREADS_ENV} = {count} exceeds the worker cap {WORKER_CAP}")
     return count
 
 
@@ -254,6 +262,13 @@ class Product(Node):
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+
+
+# The trees of figure1's two panels, built once: U + U* and
+# U + U* + (U + U*)^t.  The second reaches the first twice, so evaluate
+# computes U + U* once per replica.
+FIGURE1_ARCSINE = Sum((HaarU(), HaarU(-1, -1)))
+FIGURE1_SUM_LAW = Sum((FIGURE1_ARCSINE, Variant(FIGURE1_ARCSINE, -1, 1)))
 
 
 def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:

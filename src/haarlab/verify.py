@@ -2,10 +2,14 @@
 criteria combining exact finite-N identities, oracle equivalences, and
 tolerance-scaled Monte Carlo runs.
 
-Each check returns a CheckResult carrying the claim it tested, what was
-expected and observed, the tolerance, the seed (None for fully exact
-checks), and the wall time.  Suites: "exact" for the deterministic
-checks, "mc" for everything stochastic, "all" for both.
+A check is a plain function of the seed that returns its outcome, the
+tuple (claim, expected, observed, tolerance, passed).  CHECKS maps each
+check's name to the check wrapped by _recorded, which times it and
+returns a CheckResult carrying that outcome, the seed it was given and
+the wall time.  The checks that never use their seed still record it.
+Suites: "exact" for the deterministic checks, "mc" for everything
+stochastic, "all" for both; a new check is one function here plus one
+entry in EXACT or MONTE_CARLO.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           TraceWord, U, U_BAR, U_STAR, U_T, VARIANT_NAMES,
                           expected_trace_product, first_order_limit,
-                          invariance_counterexample)
-from .rmt import (Const, HaarU, Product, Sum, Variant, histogram,
-                  ks_distance, spectral_replicas, trace_observables)
+                          invariance_counterexample as counterexample_values)
+from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Product,
+                  Variant, histogram, ks_distance, spectral_replicas,
+                  trace_observables)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            one_by_one_real_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
@@ -46,17 +51,24 @@ class CheckResult:
     observed: str
     tolerance: str
     passed: bool
-    seed: int | None
+    seed: int
     runtime: float
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _result(name, claim, expected, observed, tolerance, passed, seed, t0):
-    return CheckResult(name, claim, str(expected), str(observed),
-                       str(tolerance), bool(passed), seed,
-                       round(time.perf_counter() - t0, 3))
+def _recorded(check):
+    """check as a function of the seed returning its CheckResult, named
+    after the check and timed."""
+    def run(seed: int = 0) -> CheckResult:
+        clock = time.perf_counter
+        start = clock()
+        claim, expected, observed, tolerance, passed = check(seed)
+        return CheckResult(check.__name__, claim, str(expected),
+                           str(observed), str(tolerance), bool(passed), seed,
+                           round(clock() - start, 3))
+    return run
 
 
 def _perms(n):
@@ -67,8 +79,7 @@ def _perms(n):
 # ----------------------------------------------------------------------
 # 1: exact Weingarten tables
 
-def check_weingarten_exactness(seed=None) -> CheckResult:
-    t0 = time.perf_counter()
+def weingarten_exactness(seed: int) -> tuple:
     failures = []
     for n in (1, 2, 3, 4):
         for N in sorted({n, n + 1, 8}):
@@ -89,18 +100,16 @@ def check_weingarten_exactness(seed=None) -> CheckResult:
             failures.append(("closed form", (1, 1), N))
         if t2[(2,)] != Fraction(-1, N * (N * N - 1)):
             failures.append(("closed form", (2,), N))
-    return _result(
-        "weingarten_exactness",
+    return (
         "Gram identity sum_tau N^cycles(sigma tau^-1) Wg(tau) = [sigma = id] "
         "for n <= 4, and the n <= 2 closed forms",
         "no failures", failures or "no failures", "exact",
-        not failures, seed, t0)
+        not failures)
 
 
 # 2: leading-order behaviour of Wg
 
-def check_weingarten_asymptotics(seed=None) -> CheckResult:
-    t0 = time.perf_counter()
+def weingarten_asymptotics(seed: int) -> tuple:
     worst = 0.0
     failures = []
     for n in (1, 2, 3):
@@ -121,18 +130,16 @@ def check_weingarten_asymptotics(seed=None) -> CheckResult:
             worst = max(worst, ratio)
             if ratio >= 1.5:
                 failures.append((ctype, scaled, ratio))
-    return _result(
-        "weingarten_asymptotics",
+    return (
         "|Wg - leading term| scaled by N^(2n - cycles + 2) stays bounded "
         "(spread below 50%) across N in {8,16,32,64}, n <= 3",
         "spread ratio < 1.5", f"worst ratio {worst:.4f}; failures {failures}",
-        "ratio < 1.5", not failures, seed, t0)
+        "ratio < 1.5", not failures)
 
 
 # 3: constrained index sums match the trace-product form
 
-def check_index_sum_oracle(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def index_sum_oracle(seed: int) -> tuple:
     rng = random.Random(seed)
     mismatches = 0
     for _trial in range(200):
@@ -168,13 +175,12 @@ def check_index_sum_oracle(seed: int = 0) -> CheckResult:
             rhs = rhs * mat_trace(prod)
         if QC(total) != rhs:
             mismatches += 1
-    return _result(
-        "index_sum_oracle",
+    return (
         "for a signed pairing p, the index sum constrained by i = i o p of "
         "prod A_k[i_k, i_-k] equals the trace product over pi(p) with "
         "transposes from eps(p); 200 random instances, n <= 4",
         "0 mismatches", f"{mismatches} mismatches", "exact",
-        mismatches == 0, seed, t0)
+        mismatches == 0)
 
 
 # 4: conjugation-variance counterexample + orthogonal invariance
@@ -195,12 +201,11 @@ def _random_word(rng: random.Random, N: int, length: int) -> TraceWord:
     return TraceWord(tuple(letters), normalized=rng.random() < 0.5)
 
 
-def check_invariance_counterexample(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def invariance_counterexample(seed: int) -> tuple:
     failures = []
     for cos_sq in (Fraction(1, 4), Fraction(1, 2)):
         for N in (2, 4, 10):
-            lhs, rhs = invariance_counterexample(cos_sq, N)
+            lhs, rhs = counterexample_values(cos_sq, N)
             want = 4 * cos_sq * (1 - cos_sq) / N
             if lhs != 0 or rhs != want:
                 failures.append((cos_sq, N, lhs, rhs, want))
@@ -223,13 +228,12 @@ def check_invariance_counterexample(seed: int = 0) -> CheckResult:
             TraceProductExpr((TraceWord(moved, word.normalized),), 2))
         if a != b:
             failures.append(("orthogonal", word, str(a), str(b)))
-    return _result(
-        "invariance_counterexample",
+    return (
         "E(u_11 ubar_22) = 0 while the unitarily conjugated entries give "
         "4 cos^2 sin^2 / N exactly; conjugating U by a real orthogonal O "
         "only moves O onto the constant letters (exact, words <= 4)",
         "no failures", failures or "no failures", "exact",
-        not failures, seed, t0)
+        not failures)
 
 
 # 5: first-order limits of mixed-variant powers
@@ -241,8 +245,7 @@ def _power_word_value(m, v, n, v2, N) -> complex:
     return complex(val)
 
 
-def check_first_order_limits(seed=None) -> CheckResult:
-    t0 = time.perf_counter()
+def first_order_limits(seed: int) -> tuple:
     failures = []
     for N in range(2, 9):
         got = expected_trace_product(TraceProductExpr(
@@ -270,20 +273,18 @@ def check_first_order_limits(seed=None) -> CheckResult:
                     if dev32 > 0.55 * dev16 + 1e-12:
                         failures.append((m, v, n, v2, "not halving",
                                          dev16, dev32))
-    return _result(
-        "first_order_limits",
+    return (
         "E tr((U^v)^m (U^v')^n) tends to [m = n][v' = adjoint of v]: exact "
         "1/N, 0, 1 values for the basic pairs, and the full m, n <= 2 "
         "variant table within 0.07 at N = 16, halving by N = 32",
         "deviation < 0.07, halving", f"worst dev16 {worst:.5f}; "
         f"failures {failures}", "0.07 / halving",
-        not failures, seed, t0)
+        not failures)
 
 
 # 6: power-trace fluctuations and the spoke rule
 
-def check_fluctuation_diagonal(seed=None) -> CheckResult:
-    t0 = time.perf_counter()
+def power_trace_fluctuations(seed: int) -> tuple:
     failures = []
     for k in (1, 2):
         for N in (1, 2, 3, 4, 5):
@@ -299,18 +300,16 @@ def check_fluctuation_diagonal(seed=None) -> CheckResult:
     pred1 = one_by_one_real_prediction(FirstOrderTable(1, 1, [[1]], [[0]]))
     if pred1.value != 1:
         failures.append(("spoke m=n=1", pred1.value))
-    return _result(
-        "power_trace_fluctuations",
+    return (
         "E|Tr U^k|^2 = min(k, N) exactly for k in {1,2}, N in {1..5}, "
         "agreeing with the spoke predictions at large N",
         "min(k, N) and spoke values 1, 2",
-        failures or "all equal", "exact", not failures, seed, t0)
+        failures or "all equal", "exact", not failures)
 
 
 # 7: transpose-pair covariance, exactly and by simulation
 
-def check_transpose_second_order(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def transpose_second_order(seed: int) -> tuple:
     failures = []
     for N in range(1, 7):
         cov = expected_trace_product(TraceProductExpr(
@@ -335,13 +334,12 @@ def check_transpose_second_order(seed: int = 0) -> CheckResult:
     mc_ok = abs(k2 - 1) < 4 * se
     if not mc_ok:
         failures.append(("mc", k2, se))
-    return _result(
-        "transpose_second_order",
+    return (
         "cov(Tr U, Tr Ubar) = 1 exactly at every N, reproduced at N = 64 "
         "by simulation, with the reversed spoke term carrying the whole "
         "prediction (plain spokes give 0)",
         "1 within 4 SE", f"k2 = {k2:.6f} +- {se:.6f}; failures {failures}",
-        "4 SE / exact", not failures, seed, t0)
+        "4 SE / exact", not failures)
 
 
 # 8: decay of tr(U A U* (U B U*)^t)
@@ -351,8 +349,7 @@ def _balanced_diag_qc(N: int) -> QCMatrix:
     return QCMatrix(diag, 0 * diag, 1)
 
 
-def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def conjugate_transpose_decay(seed: int) -> tuple:
     failures = []
     values = {}
     for N in (16, 32, 64):
@@ -377,8 +374,7 @@ def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:
     mean_tr = stats.mean("w") / n_mc
     if abs(mean_tr) >= 0.02:
         failures.append(("mc mean", mean_tr))
-    return _result(
-        "conjugate_transpose_decay",
+    return (
         "E tr(U A U* (U B U*)^t) with balanced +-1 diagonals decays like "
         "1/N (exact ratios in [0.4, 0.6]) and its N = 128 sample mean is "
         "below 0.02 in modulus",
@@ -386,27 +382,24 @@ def check_conjugate_transpose_decay(seed: int = 0) -> CheckResult:
         f"values {dict((k, f'{v.real:.6g}') for k, v in values.items())}, "
         f"ratios ({r1:.3f}, {r2:.3f}), mc {abs(mean_tr):.5f}; "
         f"failures {failures}",
-        "[0.4, 0.6] / 0.02", not failures, seed, t0)
+        "[0.4, 0.6] / 0.02", not failures)
 
 
 # 9: spectra against the reference laws
 
-def check_spectral_laws(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def spectral_laws(seed: int) -> tuple:
     failures = []
     N = 256
     reps = 10
-    sym = Sum((HaarU(), HaarU(-1, -1)))
-    both = Sum((sym, Variant(sym, -1, 1)))
     arc = arcsine_law()
     km = kesten_mckay_law()
 
-    d1 = ks_distance(spectral_replicas(sym, N, reps, seed, "check09.arcsine"),
-                     arc.cdf)
+    d1 = ks_distance(spectral_replicas(FIGURE1_ARCSINE, N, reps, seed,
+                                       "check09.arcsine"), arc.cdf)
     if d1 >= 0.05:
         failures.append(("arcsine KS", d1))
-    lam = np.sort(spectral_replicas(both, N, reps, seed, "check09.sum_law"),
-                  axis=None)
+    lam = np.sort(spectral_replicas(FIGURE1_SUM_LAW, N, reps, seed,
+                                    "check09.sum_law"), axis=None)
     d2 = ks_distance(lam, km.cdf)
     if d2 >= 0.05:
         failures.append(("sum-law KS", d2))
@@ -416,21 +409,19 @@ def check_spectral_laws(seed: int = 0) -> CheckResult:
         failures.append(("m2", m2))
     if abs(m4 - 28) >= 1.5:
         failures.append(("m4", m4))
-    return _result(
-        "spectral_laws",
+    return (
         "pooled spectra at N = 256: U + U* matches the arcsine law and "
         "U + U* + (U + U*)^t matches the free self-convolution law "
         "(KS < 0.05; moments 4 and 28)",
         "KS < 0.05, m2 = 4 +- 0.15, m4 = 28 +- 1.5",
         f"KS ({d1:.4f}, {d2:.4f}), m2 {m2:.4f}, m4 {m4:.4f}; "
         f"failures {failures}",
-        "0.05 / 0.15 / 1.5", not failures, seed, t0)
+        "0.05 / 0.15 / 1.5", not failures)
 
 
 # 10: the free-convolution oracle and the closed-form density
 
-def check_mu2_oracle(seed=None) -> CheckResult:
-    t0 = time.perf_counter()
+def mu2_oracle(seed: int) -> tuple:
     failures = []
     moments = free_self_convolution(arcsine_law(), 8)
     if (moments[1], moments[3]) != (4, 28):
@@ -440,19 +431,17 @@ def check_mu2_oracle(seed=None) -> CheckResult:
         got = moment_by_quadrature(km, k)
         if abs(got - want) > 1e-6:
             failures.append((k, got))
-    return _result(
-        "mu2_oracle",
+    return (
         "doubling the arcsine free cumulants over non-crossing partitions "
         "gives moments 4, 28, 232, ... and the closed-form density "
         "2 sqrt(12 - x^2) / (pi (16 - x^2)) integrates to the same values",
         "m2 = 4, m4 = 28 (quadrature within 1e-6)",
-        failures or "agrees", "1e-6", not failures, seed, t0)
+        failures or "agrees", "1e-6", not failures)
 
 
 # 11: cumulant algebra, exactly and on simulated traces
 
-def check_cumulant_algebra(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def cumulant_algebra(seed: int) -> tuple:
     failures = []
     rng = random.Random(seed)
     for _trial in range(12):
@@ -491,20 +480,18 @@ def check_cumulant_algebra(seed: int = 0) -> CheckResult:
         worst = max(worst, abs(cum(combo)))
     if worst >= 0.1:
         failures.append(("k3", worst))
-    return _result(
-        "cumulant_algebra",
+    return (
         "moment/cumulant transforms round-trip exactly, Gaussian moments "
         "give k3 = k4 = 0, and third cumulants of Haar power traces at "
         "N = 64 stay below 0.1",
         "exact / |k3| < 0.1",
         f"worst |k3| {worst:.5f}; failures {failures}",
-        "exact / 0.1", not failures, seed, t0)
+        "exact / 0.1", not failures)
 
 
 # 12: byte determinism of repeated runs
 
-def check_determinism(seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
+def determinism(seed: int) -> tuple:
     obs = {"u": HaarU(), "uubar": Product((HaarU(), HaarU(1, -1)))}
 
     def trace_csv() -> bytes:
@@ -514,8 +501,8 @@ def check_determinism(seed: int = 0) -> CheckResult:
                          stats.csv_rows())
 
     def hist_csv() -> bytes:
-        spectra = spectral_replicas(Sum((HaarU(), HaarU(-1, -1))), 32, 4,
-                                    seed, "check12.spectra")
+        spectra = spectral_replicas(FIGURE1_ARCSINE, 32, 4, seed,
+                                    "check12.spectra")
         edges, dens = histogram(spectra, 20, (-2.0, 2.0))
         rows = [(float(edges[i]), float(edges[i + 1]), float(dens[i]))
                 for i in range(len(dens))]
@@ -524,38 +511,23 @@ def check_determinism(seed: int = 0) -> CheckResult:
     same_traces = trace_csv() == trace_csv()
     same_hist = hist_csv() == hist_csv()
     passed = same_traces and same_hist
-    return _result(
-        "determinism",
+    return (
         "re-running a simulation with the same seed reproduces CSV "
         "outputs byte for byte",
         "identical bytes",
         f"traces identical: {same_traces}, histograms identical: {same_hist}",
-        "bytes", passed, seed, t0)
+        "bytes", passed)
 
 
-CHECKS = {
-    "weingarten_exactness": check_weingarten_exactness,
-    "weingarten_asymptotics": check_weingarten_asymptotics,
-    "index_sum_oracle": check_index_sum_oracle,
-    "invariance_counterexample": check_invariance_counterexample,
-    "first_order_limits": check_first_order_limits,
-    "power_trace_fluctuations": check_fluctuation_diagonal,
-    "transpose_second_order": check_transpose_second_order,
-    "conjugate_transpose_decay": check_conjugate_transpose_decay,
-    "spectral_laws": check_spectral_laws,
-    "mu2_oracle": check_mu2_oracle,
-    "cumulant_algebra": check_cumulant_algebra,
-    "determinism": check_determinism,
-}
+EXACT = (weingarten_exactness, weingarten_asymptotics, index_sum_oracle,
+         invariance_counterexample, first_order_limits,
+         power_trace_fluctuations, mu2_oracle)
+MONTE_CARLO = (transpose_second_order, conjugate_transpose_decay,
+               spectral_laws, cumulant_algebra, determinism)
 
-SUITES = {
-    "exact": ("weingarten_exactness", "weingarten_asymptotics",
-              "index_sum_oracle", "invariance_counterexample",
-              "first_order_limits", "power_trace_fluctuations",
-              "mu2_oracle"),
-    "mc": ("transpose_second_order", "conjugate_transpose_decay",
-           "spectral_laws", "cumulant_algebra", "determinism"),
-}
+CHECKS = {check.__name__: _recorded(check) for check in EXACT + MONTE_CARLO}
+SUITES = {"exact": tuple(check.__name__ for check in EXACT),
+          "mc": tuple(check.__name__ for check in MONTE_CARLO)}
 SUITES["all"] = SUITES["exact"] + SUITES["mc"]
 
 

@@ -22,7 +22,9 @@ it takes two permutations as plain maps {k: sigma(k)} and counts the
 cycles of sigma tau^-1 with combinat.cycles.
 
 Tables are built up to order DEFAULT_ORDER_CAP, a module constant rather
-than a per-call argument; a higher order raises CapacityError.
+than a per-call argument; a higher order raises CapacityError.  It is
+half of combinat.PAIRING_POINT_CAP: an order-n weight belongs to a pair
+of pairings of 2n Haar letters, so the two caps move together.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, TextIO
 
-from .combinat import cycles, moebius_cycle_type
+from .combinat import PAIRING_POINT_CAP, cycles, moebius_cycle_type
 from .errors import CapacityError, DimensionError, HaarlabError
 
-DEFAULT_ORDER_CAP = 6
+DEFAULT_ORDER_CAP = PAIRING_POINT_CAP // 2
 
 CycleType = tuple[int, ...]
 
@@ -157,17 +159,10 @@ def wg_exact(n: int, N: int) -> WeingartenTable:
 wg_pseudo = wg_exact
 
 
-_TABLE_CACHE: dict[tuple[int, int], WeingartenTable] = {}
-
-
+@functools.cache
 def wg_table(n: int, N: int) -> WeingartenTable:
     """Cached table used by the expectation engine."""
-    key = (n, N)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = wg_exact(n, N)
-        _TABLE_CACHE[key] = table
-    return table
+    return wg_exact(n, N)
 
 
 def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:

@@ -73,6 +73,16 @@ def test_constant_with_zero_denominator_is_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_constant_entry_given_twice_is_parse_error(tmp_path, capsys):
+    mat = tmp_path / "dup.csv"
+    mat.write_text("1,1,1,1,0,1\n1,1,2,1,0,1\n2,2,1,1,0,1\n")
+    assert main(["moment", "Tr(A)", "--constant", f"A={mat}"]) == 1
+    captured = capsys.readouterr()
+    assert "exact:" not in captured.out
+    assert captured.err.startswith("error: matrix entry (1, 1)")
+    assert str(mat) in captured.err and "Traceback" not in captured.err
+
+
 def test_moment_monte_carlo_agrees(capsys):
     assert main(["moment", "Tr(U)Tr(Uc)", "--N", "6", "--mc", "600",
                  "--seed", "5"]) == 0
@@ -228,6 +238,20 @@ def test_bad_thread_count_is_usage_error(raw, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "HAARLAB_THREADS" in err
     assert "Traceback" not in err
+
+
+def test_thread_count_above_the_cap_is_refused(tmp_path, monkeypatch,
+                                              capsys):
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    monkeypatch.setenv("HAARLAB_THREADS", "5000")
+    assert main(["figure1", "--N", "32", "--replicas", "1",
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: HAARLAB_THREADS = 5000 exceeds the "
+                          f"worker cap {rmt.WORKER_CAP}")
+    assert "Traceback" not in err and draws == []
 
 
 def test_simulate_outputs_independent_of_thread_count(tmp_path, monkeypatch,

@@ -58,8 +58,9 @@ def test_no_unused_imports():
 
 
 def _definitions(tree):
-    """(name, first line, last line) of every module-level function,
-    class and assigned name, and of every method; dunders are left out."""
+    """(name, first line, last line, is a method) of every module-level
+    function, class and assigned name, and of every method; dunders are
+    left out."""
     def spans(body):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -72,57 +73,62 @@ def _definitions(tree):
                         yield target.id, node
 
     for name, node in spans(tree.body):
-        yield name, node.lineno, node.end_lineno
+        yield name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
-            yield from ((n, m.lineno, m.end_lineno)
+            yield from ((n, m.lineno, m.end_lineno, True)
                         for n, m in spans(node.body)
                         if isinstance(m, (ast.FunctionDef,
                                           ast.AsyncFunctionDef)))
 
 
 def _reached(tree):
-    """(name, line) of every name the module's code reaches: names
-    read, attribute names, names imported (re-exports included), and
-    names in string annotations, at the annotation's line.  Docstrings
-    and comments reach nothing."""
+    """(name, line, is an attribute access) of every name the module's
+    code reaches: names read, attribute names (x.name), names imported
+    (re-exports included), and names in string annotations, at the
+    annotation's line.  Docstrings and comments reach nothing."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
-            yield from ((alias.name, node.lineno) for alias in node.names)
+            yield from ((alias.name, node.lineno, False)
+                        for alias in node.names)
         annotation = getattr(node, "annotation", None) or \
             getattr(node, "returns", None)
         if isinstance(annotation, ast.Constant) and \
                 isinstance(annotation.value, str):
             names = _referenced(ast.parse(annotation.value, mode="eval"))
-            yield from ((name, annotation.lineno) for name in names)
+            yield from ((name, annotation.lineno, False) for name in names)
 
 
 def test_no_unreferenced_definitions():
     """Every definition in src/haarlab is reached by package code
-    outside its own body, or named in perfbench, whose tracer looks
-    some up by name (so any word there counts).  Tests do not count:
-    code that only they call belongs in tests/oracles.py."""
+    outside its own body.  A module-level name may also be named in
+    perfbench, whose tracer looks some up by name (so any word there
+    counts).  A method is reached only by an attribute access, x.name:
+    a bare name or a perfbench word of the same spelling is some other
+    thing.  Tests do not count: code that only they call belongs in
+    tests/oracles.py."""
     package = sorted((ROOT / "src" / "haarlab").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in package}
-    reached = defaultdict(list)     # name -> [(path, line)]
+    reached = defaultdict(list)     # name -> [(path, line, attribute)]
     for path, tree in trees.items():
-        for name, line in _reached(tree):
-            reached[name].append((path, line))
+        for name, line, attribute in _reached(tree):
+            reached[name].append((path, line, attribute))
     perfbench = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         perfbench.update(re.findall(r"\w+", path.read_text()))
     unused = []
     for path, tree in trees.items():
-        for name, first, last in _definitions(tree):
+        for name, first, last, method in _definitions(tree):
             if name.startswith("__") and name.endswith("__") or \
-                    name in perfbench:
+                    name in perfbench and not method:
                 continue
             if all(p == path and first <= line <= last
-                   for p, line in reached[name]):
+                   or method and not attribute
+                   for p, line, attribute in reached[name]):
                 unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
     assert unused == []
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 import haarlab
 from haarlab import rmt
 from haarlab.haar_expect import expected_trace_product, parse_trace_product
-from haarlab.errors import (DimensionError, InsufficientSamplesError,
-                            NotSelfAdjointError, WordParseError)
+from haarlab.errors import (CapacityError, DimensionError,
+                            InsufficientSamplesError, NotSelfAdjointError,
+                            WordParseError)
 from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate,
                          histogram, ks_distance, sample_haar_unitary,
                          spectral_replicas, spectrum, trace_observables,
@@ -304,6 +306,19 @@ def test_trace_observables_deterministic_and_threaded():
 def test_worker_count_defaults_to_usable_cores(monkeypatch):
     monkeypatch.delenv("HAARLAB_THREADS", raising=False)
     assert worker_count() == len(os.sched_getaffinity(0))
+
+
+def test_worker_count_above_the_cap_is_refused_before_any_thread(
+        monkeypatch):
+    threads = threading.active_count()
+    monkeypatch.setenv("HAARLAB_THREADS", str(rmt.WORKER_CAP))
+    assert worker_count() == rmt.WORKER_CAP
+    monkeypatch.setenv("HAARLAB_THREADS", str(rmt.WORKER_CAP + 1))
+    with pytest.raises(CapacityError, match="worker cap"):
+        worker_count()
+    with pytest.raises(CapacityError, match="worker cap"):
+        spectral_replicas(rmt.FIGURE1_ARCSINE, 4, 1, seed=0)
+    assert threading.active_count() == threads
 
 
 _BYTES_SCRIPT = """
