@@ -35,8 +35,7 @@ from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
 from .rmt import (BIN_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const,
                   HaarU, Product, histogram, ks_distance, spectral_replicas,
                   threading_summary, trace_observables)
-from .weingarten import (dump_table_csv, integer_partitions, wg_leading,
-                         wg_table)
+from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,19 +166,17 @@ def cmd_wg(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     n = _int_option(args, cfg, "n", required=True)
     N = _int_option(args, cfg, "N", required=True)
-    tbl = wg_table(n, N)
-    kind = "pseudo-inverse" if tbl.pseudo else "exact"
+    kind = "pseudo-inverse" if N < n else "exact"
     print(f"# Weingarten table n={n} N={N} ({kind})")
     print(f"{'cycle_type':>12}  {'value':>24}  {'leading':>20}  ratio")
-    for ctype in integer_partitions(n):
-        value = tbl[ctype]
-        lead = wg_leading(ctype, n, N)
+    for ctype, value in wg_table(n, N).items():
+        lead = wg_leading(ctype, N)
         ratio = float(value / lead) if lead else float("nan")
         print(f"{'+'.join(map(str, ctype)):>12}  {str(value):>24}  "
               f"{str(lead):>20}  {ratio:.6f}")
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            dump_table_csv(fh, [tbl])
+            dump_table_csv(fh, [(n, N)])
         print(f"wrote {args.dump}")
     return EXIT_OK
 
@@ -274,6 +271,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
         raise WordParseError("observables must be a string or a list of "
                              f"strings, got {words!r}")
+    for i, text in enumerate(words):
+        if text in words[:i]:
+            raise WordParseError(f"observable {text!r} is given twice")
     if replicas < 2 * BATCH_COUNT:
         raise InsufficientSamplesError(
             f"simulate reports batch standard errors, which need at least "

@@ -87,36 +87,36 @@ def _lower_blocks(kappa: list, m: list, n: int) -> Fraction:
     return rest
 
 
-def free_cumulants_from_moments(moments: Sequence, order: int) -> list:
+def free_cumulants_from_moments(moments: Sequence) -> list:
     """Invert m_n = sum over NC(n) of block-products of cumulants:
-    kappa_n = m_n - rest(n), for each n in turn."""
-    if order > MOMENT_ORDER:
+    kappa_n = m_n - rest(n), for each n up to len(moments)."""
+    if len(moments) > MOMENT_ORDER:
         raise CapacityError(f"order capped at {MOMENT_ORDER}")
-    m = [Fraction(x) for x in moments[:order]]
+    m = [Fraction(x) for x in moments]
     kappa: list = []
-    for n in range(1, order + 1):
+    for n in range(1, len(m) + 1):
         kappa.append(m[n - 1] - _lower_blocks(kappa, m, n))
     return kappa
 
 
-def moments_from_free_cumulants(kappa: Sequence, order: int) -> list:
+def moments_from_free_cumulants(kappa: Sequence) -> list:
     """m_n = sum over NC(n) of the block-products of cumulants,
-    kappa_n + rest(n), for each n in turn."""
-    if order > MOMENT_ORDER:
+    kappa_n + rest(n), for each n up to len(kappa)."""
+    if len(kappa) > MOMENT_ORDER:
         raise CapacityError(f"order capped at {MOMENT_ORDER}")
-    k = [Fraction(x) for x in kappa[:order]]
+    k = [Fraction(x) for x in kappa]
     m: list = []
-    for n in range(1, order + 1):
+    for n in range(1, len(k) + 1):
         m.append(k[n - 1] + _lower_blocks(k, m, n))
     return m
 
 
-def free_self_convolution(law: LimitLaw, order: int = MOMENT_ORDER) -> list:
-    """Moments of law boxplus law: free cumulants of the input, doubled,
-    then summed back over non-crossing partitions.  Exact when the input
-    moments are exact."""
-    kappa = free_cumulants_from_moments(law.moments, order)
-    return moments_from_free_cumulants([2 * x for x in kappa], order)
+def free_self_convolution(law: LimitLaw) -> list:
+    """Moments of law boxplus law, through the order of law.moments:
+    free cumulants of the input, doubled, then summed back over
+    non-crossing partitions.  Exact when the input moments are exact."""
+    kappa = free_cumulants_from_moments(law.moments)
+    return moments_from_free_cumulants([2 * x for x in kappa])
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +172,7 @@ def kesten_mckay_law() -> LimitLaw:
         return 0.5 + (2.0 / math.pi) * (
             theta - 0.5 * math.atan2(math.sin(theta), 2.0 * math.cos(theta)))
 
-    moments = tuple(free_self_convolution(arcsine_law(), MOMENT_ORDER))
+    moments = tuple(free_self_convolution(arcsine_law()))
     law = LimitLaw((-c, c), pdf, cdf, moments)
     for k in (2, 4, 6):
         got = moment_by_quadrature(law, k)

@@ -6,27 +6,29 @@ The trace-product evaluator follows the pairing bookkeeping that makes
 these integrals finite sums: letters are numbered 1..M, the one-cycle-
 per-word permutation gamma and the transpose signs eps build the index
 relabeling phi = eps gamma delta, and each pair of eta-compatible
-pairings (p, q) contributes its Weingarten weight Phi_N(p, q) times the
-trace product read off pi_epsilon of the conjugated involution
-tau = phi^-1 p delta q delta phi.
+pairings (p, q) contributes its Weingarten weight times the trace
+product read off pi_epsilon of the conjugated involution
+tau = phi^-1 p delta q delta phi.  The weight depends on the pair only
+through its class, the cycle type of pq's mate pairs, so the sum is
+
+    E Tr(w) = sum over trace keys of Tr_key * sum over classes of
+              count(key, class) * Wg_N(class).
 
 Every pairing is a plain partner map {k: p(k)}, as
 enumerate_alpha_pairings yields it.  Per pair the engine joins two
 precomputed halves of tau's partner map {k: tau(k)} on [+-M] (one half
 per pairing p, one per q) into a plain dict, walks it once in
-pi_epsilon (the walk also checks that the map is a signed pairing) and
-walks pq once for Phi_N, and reduces pi's cycles and the signs eps to a
-trace key: the number of constant-free cycles plus the constant-
-carrying cycles, found among the letters that carry a constant (for a
-word without constants the key is the cycle count alone).  Pairings and
-permutations are plain dicts here as everywhere, so no class instance
-is built per pair.
-Each distinct trace key has its trace evaluated, and tested for zero,
-once.  Pairs are counted as integers per (trace key, numerator and
-denominator of the weight), so no Fraction is hashed per pair; a
-Fraction is rebuilt once per such cell, and the rational-complex
-arithmetic runs once per key.
-Everything stays exact; nothing is floated.
+pi_epsilon (the walk also checks that the map is a signed pairing), and
+reduces pi's cycles and the signs eps to a trace key: the number of
+constant-free cycles plus the constant-carrying cycles, found among the
+letters that carry a constant (for a word without constants the key is
+the cycle count alone).  Each distinct trace key has its trace
+evaluated, and tested for zero, once; a pair whose trace is nonzero
+walks pq once in weingarten.phi for its class, and is counted as an
+integer per (trace key, class).  The pair counts do not depend on N:
+N enters once per class, through wg_table(M / 2, N), and the
+rational-complex arithmetic runs once per key.  No Fraction is built or
+hashed per pair.  Everything stays exact; nothing is floated.
 
 That kernel is the only pairing sum: entry products go through it too,
 each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
@@ -51,7 +53,7 @@ from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
                     mat_mul, mat_trace, mat_trace_product, mat_transpose,
                     mat_unit, qc_matrix)
-from .weingarten import phi
+from .weingarten import phi, wg_table
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
 # tokens are also the letters' reprs, by which simplify_word sorts.
@@ -321,8 +323,8 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     q_halves = [{x: phi_inv[-q[-phi_map[x]]] for x in on_q} for q in pairings]
 
     # per distinct trace key: its trace, evaluated once, and an integer
-    # count of its pairs per Weingarten weight (numerator, denominator);
-    # a key whose trace vanishes gets no tally, and its pairs skip phi
+    # count of its pairs per class; a key whose trace vanishes gets no
+    # tally, and its pairs skip phi
     carrying = frozenset(j for j in range(1, M + 1) if mats[j - 1] is not None)
     traces: dict[tuple, QC] = {}
     tallies: dict[tuple, dict | None] = {}
@@ -336,14 +338,13 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
                 trace = traces[key] = _key_trace(key, mats, N)
                 tally = tallies[key] = {} if trace else None
             if tally is not None:
-                weight = phi(p, q, N)
-                cell = (weight.numerator, weight.denominator)
-                tally[cell] = tally.get(cell, 0) + 1
+                cls = phi(p, q)
+                tally[cls] = tally.get(cls, 0) + 1
     total = QC_ZERO
     for key, tally in tallies.items():
         if tally is not None:
-            weight = sum(Fraction(num * count, den)
-                         for (num, den), count in tally.items())
+            wg = wg_table(M // 2, N)
+            weight = sum(count * wg[cls] for cls, count in tally.items())
             total = total + traces[key] * QC(weight)
     return const_factor * total * QC(norm_divisor)
 
@@ -576,9 +577,10 @@ def parse_trace_product(text: str,
 def load_matrix_csv(path: str) -> QCMatrix:
     """Read one exact matrix from UTF-8 CSV rows (row, col, re_num,
     re_den, im_num, im_den); omitted entries are zero, indices are
-    1-based.  A file that is not UTF-8 CSV, or that gives one entry
-    twice, raises WordParseError, and an index beyond
-    CONSTANT_DIMENSION_CAP raises CapacityError."""
+    1-based.  A file that is not UTF-8 CSV, a row that is not exactly
+    six integers, or a file that gives one entry twice raises
+    WordParseError, and an index beyond CONSTANT_DIMENSION_CAP raises
+    CapacityError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -591,9 +593,10 @@ def load_matrix_csv(path: str) -> QCMatrix:
         if head.startswith("#") or head == "row":
             continue
         try:
-            r, c, re_num, re_den, im_num, im_den = map(int, line[:6])
+            r, c, re_num, re_den, im_num, im_den = map(int, line)
         except ValueError as exc:
-            raise WordParseError(f"bad matrix row {line!r} in {path}") from exc
+            raise WordParseError(f"bad matrix row {line!r} in {path}: want "
+                                 "exactly six integers") from exc
         if r < 1 or c < 1:
             raise WordParseError(f"matrix indices are 1-based: {line!r}")
         if re_den == 0 or im_den == 0:

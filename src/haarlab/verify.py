@@ -117,7 +117,7 @@ def weingarten_asymptotics(seed: int) -> tuple:
             scaled = []
             for N in (8, 16, 32, 64):
                 wg = wg_table(n, N)[ctype]
-                lead = wg_leading(ctype, n, N)
+                lead = wg_leading(ctype, N)
                 diff = abs(wg - lead)
                 scale = Fraction(N) ** (2 * n - len(ctype) + 2)
                 scaled.append(float(diff * scale))
@@ -423,7 +423,7 @@ def spectral_laws(seed: int) -> tuple:
 
 def mu2_oracle(seed: int) -> tuple:
     failures = []
-    moments = free_self_convolution(arcsine_law(), 8)
+    moments = free_self_convolution(arcsine_law())
     if (moments[1], moments[3]) != (4, 28):
         failures.append(("nc moments", moments[:4]))
     km = kesten_mckay_law()  # raises if the density disagrees with the oracle

@@ -7,8 +7,9 @@ The order-n table comes from the character formula
 
 (Collins & Sniady, CMP 264, 2006), with the characters chi^lambda from
 the Murnaghan-Nakayama rule and s_lambda(1^N) from the hook-content
-formula.  The weight is a class function, so one value per cycle type
-is enough.
+formula.  The weight is a class function, so a table is a read-only
+mapping {cycle type: Fraction}: one value per cycle type, indexed by the
+descending tuple.
 
 Restricting the sum to partitions with at most N rows is what makes the
 formula valid for every N >= 1.  For N >= n no partition is dropped and
@@ -21,6 +22,10 @@ is kept as an independent oracle for the tests and acceptance checks:
 it takes two permutations as plain maps {k: sigma(k)} and counts the
 cycles of sigma tau^-1 with combinat.cycles.
 
+A pair of pairings (p, q) of [2n] enters a pairing sum through its
+class alone: the cycle type of pq's mate pairs, which phi returns, so
+the sum counts pairs per class and reads wg_table(n, N) once per class.
+
 Tables are built up to order DEFAULT_ORDER_CAP, a module constant rather
 than a per-call argument; a higher order raises CapacityError.  It is
 half of combinat.PAIRING_POINT_CAP: an order-n weight belongs to a pair
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, TextIO
 
 from .combinat import PAIRING_POINT_CAP, cycles, moebius_cycle_type
@@ -79,24 +84,6 @@ def gram_entry(sigma: Mapping[int, int], tau: Mapping[int, int],
     return N ** len(cycles({t: sigma[k] for k, t in tau.items()}))
 
 
-@dataclass(frozen=True)
-class WeingartenTable:
-    """Exact Weingarten weights of one order at one dimension.
-
-    values maps every cycle type of n, a descending tuple, to a
-    Fraction; the table is indexed by that tuple.  pseudo marks tables
-    with N < n, which are pseudo-inverses of a singular Gram matrix.
-    """
-
-    n: int
-    N: int
-    values: dict[CycleType, Fraction] = field(compare=False)
-    pseudo: bool = False
-
-    def __getitem__(self, cycle_type: CycleType) -> Fraction:
-        return self.values[cycle_type]
-
-
 def _character(beta: frozenset[int], mu: CycleType) -> int:
     """chi^lambda(mu) by the Murnaghan-Nakayama rule.
 
@@ -126,8 +113,9 @@ def _schur_at_ones(lam: CycleType, N: int) -> Fraction:
     return Fraction(num, den)
 
 
-def wg_exact(n: int, N: int) -> WeingartenTable:
-    """The order-n Weingarten table at dimension N, for every N >= 1
+def wg_exact(n: int, N: int) -> Mapping[CycleType, Fraction]:
+    """The order-n Weingarten table at dimension N, a read-only mapping
+    {cycle type: Fraction} in integer_partitions order, for every N >= 1
     and every n up to DEFAULT_ORDER_CAP (CapacityError beyond it).
 
     Sums the character formula over partitions with at most N rows;
@@ -151,7 +139,7 @@ def wg_exact(n: int, N: int) -> WeingartenTable:
                   / _schur_at_ones(lam, N))
         for mu in types:
             values[mu] += weight * _character(beta, mu)
-    return WeingartenTable(n=n, N=N, values=values, pseudo=N < n)
+    return MappingProxyType(values)
 
 
 # perfbench/tracer.py wraps both module attributes by name, so the old
@@ -160,17 +148,17 @@ wg_pseudo = wg_exact
 
 
 @functools.cache
-def wg_table(n: int, N: int) -> WeingartenTable:
-    """Cached table used by the expectation engine."""
+def wg_table(n: int, N: int) -> Mapping[CycleType, Fraction]:
+    """Cached table used by the expectation engine.  Every caller shares
+    the one mapping, which is why it is read-only."""
     return wg_exact(n, N)
 
 
-def wg_leading(cycle_type: Iterable[int], n: int, N: int) -> Fraction:
-    """First-order asymptotics N^{-2n+#sigma} Moeb(sigma)."""
+def wg_leading(cycle_type: Iterable[int], N: int) -> Fraction:
+    """First-order asymptotics N^{-2n+#sigma} Moeb(sigma), with n the
+    sum of the cycle type."""
     ct = normalize_cycle_type(cycle_type)
-    if sum(ct) != n:
-        raise HaarlabError(f"cycle type {ct} is not a partition of {n}")
-    return Fraction(moebius_cycle_type(ct), N ** (2 * n - len(ct)))
+    return Fraction(moebius_cycle_type(ct), N ** (2 * sum(ct) - len(ct)))
 
 
 _NOT_PAIRINGS = "phi expects two fixed-point-free involutions of [n]"
@@ -181,16 +169,18 @@ def _points(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
-    """The pairing-indexed Weingarten weight of two pairings of [n],
-    given as partner maps {k: p(k)} as the enumerators yield them.
+def phi(p: Mapping[int, int], q: Mapping[int, int]) -> CycleType:
+    """The class of two pairings of [n], given as partner maps
+    {k: p(k)} as the enumerators yield them: the descending tuple of
+    the lengths of pq's mate-pair cycles, one length per pair.  The
+    pair's Weingarten weight at dimension N is wg_table(n // 2, N) at
+    that class (Collins & Sniady, CMP 264, 2006).
 
-    Decomposes pq into mate-pair cycles and evaluates the order-(n/2)
-    weight at the cycle type formed by the representative cycle
-    lengths.  One walk of pq on [n] does it: the mate of a cycle c is
-    q c^{-1} q, whose points are the q-partners of c's points, so each
-    cycle started at the smallest unseen point is a representative and
-    the walk marks its mate as it goes.  pq_cycle_pairs in
+    pq's cycles come in mate pairs of equal length, and one walk of pq
+    on [n] finds them: the mate of a cycle c is q c^{-1} q, whose points
+    are the q-partners of c's points, so each cycle started at the
+    smallest unseen point is a representative and the walk marks its
+    mate as it goes.  pq_cycle_pairs in
     tests/oracles.py spells out the same grouping.
     The input check rides on the walk.  Beyond the domains (maps on a
     signed domain, or on two different ones, raise HaarlabError), each
@@ -228,15 +218,15 @@ def phi(p: Mapping[int, int], q: Mapping[int, int], N: int) -> Fraction:
             if k == start:
                 break
         lengths.append(length)
-    return wg_table(sum(lengths), N)[tuple(sorted(lengths, reverse=True))]
+    return tuple(sorted(lengths, reverse=True))
 
 
-def dump_table_csv(out: TextIO, tables: Iterable[WeingartenTable]) -> None:
-    """Golden-table dump: one row per cycle type, exact rationals split
-    into numerator and denominator."""
+def dump_table_csv(out: TextIO, orders: Iterable[tuple[int, int]]) -> None:
+    """Golden-table dump of wg_table(n, N) for each (n, N) in orders:
+    one row per cycle type, exact rationals split into numerator and
+    denominator."""
     out.write("n,cycle_type,N,numerator,denominator\n")
-    for table in tables:
-        for ct in integer_partitions(table.n):
-            v = table.values[ct]
+    for n, N in orders:
+        for ct, v in wg_table(n, N).items():
             label = "+".join(map(str, ct))
-            out.write(f"{table.n},{label},{table.N},{v.numerator},{v.denominator}\n")
+            out.write(f"{n},{label},{N},{v.numerator},{v.denominator}\n")

@@ -10,6 +10,7 @@ import pytest
 
 from haarlab import rmt
 from haarlab.cli import main
+from haarlab.combinat import PAIRING_POINT_CAP
 
 A_CSV = ("row,col,re_num,re_den,im_num,im_den\n"
          "1,1,1,1,0,1\n1,2,2,1,0,1\n2,1,3,1,0,1\n2,2,4,1,0,1\n")
@@ -39,6 +40,15 @@ def test_wg_prints_table_and_dumps(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert lines[0] == "n,cycle_type,N,numerator,denominator"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("n, N, kind", [("3", "3", "exact"),
+                                        ("3", "2", "pseudo-inverse")])
+def test_wg_labels_pseudo_inverse_tables(n, N, kind, capsys):
+    # N < n: the table is the Moore-Penrose pseudo-inverse
+    assert main(["wg", "--n", n, "--N", N]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"# Weingarten table n={n} N={N} ({kind})\n")
 
 
 @pytest.mark.parametrize("argv", [["wg", "--N", "5"], ["wg", "--n", "2"],
@@ -161,6 +171,41 @@ def test_simulate_stdout_when_no_outdir(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["observables"]["Tr(U)"]["exact"] == "0"
+
+
+def test_simulate_refuses_a_repeated_observable(capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    assert main(["simulate", "--N", "4", "--replicas", "20",
+                 "--word", "Tr(U)", "--word", "Tr(U Uc)",
+                 "--word", "Tr(U)"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "'Tr(U)' is given twice" in err
+    assert draws == []
+
+
+# one Haar pair more than the exact engine takes
+OVER_CAP_WORD = "Tr({})".format(
+    " ".join(["U", "U*"] * (PAIRING_POINT_CAP // 2 + 1)))
+
+
+def test_moment_refuses_a_word_over_the_engine_cap(capsys, monkeypatch):
+    from haarlab import haar_expect
+    monkeypatch.setattr(haar_expect, "enumerate_alpha_pairings",
+                        lambda eta: pytest.fail("pairings enumerated"))
+    assert main(["moment", OVER_CAP_WORD, "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "exceeds engine cap" in err
+    assert f"{PAIRING_POINT_CAP + 2} Haar letters" in err
+
+
+def test_simulate_reports_a_word_over_the_engine_cap(capsys):
+    assert main(["simulate", "--N", "2", "--replicas", "20",
+                 "--word", OVER_CAP_WORD]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["observables"][OVER_CAP_WORD]["exact"] \
+        == "beyond exact-engine capacity"
 
 
 def test_verify_exact_suite(tmp_path, capsys):

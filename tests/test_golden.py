@@ -36,7 +36,7 @@ import pytest
 from haarlab import cli, rmt
 from haarlab.emit import json_bytes
 from haarlab.verify import run_suite
-from haarlab.weingarten import dump_table_csv, wg_table
+from haarlab.weingarten import dump_table_csv
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,8 +57,7 @@ def verify_exact_bytes() -> bytes:
 def wg_tables_bytes() -> bytes:
     """`dump_table_csv` of the tables for n = 1..6 and N = 1..8."""
     out = io.StringIO()
-    dump_table_csv(out, [wg_table(n, N) for n in range(1, 7)
-                         for N in range(1, 9)])
+    dump_table_csv(out, [(n, N) for n in range(1, 7) for N in range(1, 9)])
     return out.getvalue().encode()
 
 

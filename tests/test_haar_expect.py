@@ -19,7 +19,7 @@ from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  invariance_counterexample, load_matrix_csv,
                                  parse_trace_product, simplify_word)
 from haarlab.rmt import sample_haar_unitary
-from haarlab.weingarten import phi
+from haarlab.weingarten import phi, wg_table
 from oracles import is_simplified
 
 U = HaarLetter(1, 1)
@@ -76,9 +76,10 @@ def test_entry_product_validates():
 
 
 def _entry_pair_loop(alpha, rows, cols, N):
-    """The entry-product pairing sum written out: Phi_N(p, q) over pairs
-    of alpha-compatible pairings with rows constant on the blocks of p
-    and columns constant on the blocks of q."""
+    """The entry-product pairing sum written out: the Weingarten weight
+    of each pair's class over pairs of alpha-compatible pairings with
+    rows constant on the blocks of p and columns constant on the blocks
+    of q."""
     if len(alpha) % 2 or sum(alpha) != 0:
         return Fraction(0)
     pairings = list(enumerate_alpha_pairings(alpha))
@@ -90,7 +91,7 @@ def _entry_pair_loop(alpha, rows, cols, N):
     for p, pok in zip(pairings, row_ok):
         for q, qok in zip(pairings, col_ok):
             if pok and qok:
-                total += phi(p, q, N)
+                total += wg_table(len(alpha) // 2, N)[phi(p, q)]
     return total
 
 
@@ -409,6 +410,16 @@ def test_load_matrix_csv_rejects_zero_based(tmp_path):
         load_matrix_csv(str(p))
 
 
+@pytest.mark.parametrize("row", ["1,1,1,1,0,1,7", "2,2,1,1,0,1,junk",
+                                 "1,1,1,1,0,1,", "1,1,1,1,0"])
+def test_load_matrix_csv_wants_exactly_six_fields(tmp_path, row):
+    p = tmp_path / "m.csv"
+    p.write_text(f"1,2,1,1,0,1\n{row}\n")
+    with pytest.raises(WordParseError) as err:
+        load_matrix_csv(str(p))
+    assert repr(row.split(",")) in str(err.value) and str(p) in str(err.value)
+
+
 # -- the pairing-sum kernel against the per-pair object loop ------------
 
 def _per_pair_oracle(expr):
@@ -476,7 +487,7 @@ def _per_pair_oracle(expr):
                 tau[x] = phi_inv[y]
             val = cycle_trace(*pi_epsilon(tau))
             if val:
-                total = total + val * QC(phi(p, q, N))
+                total = total + val * QC(wg_table(M // 2, N)[phi(p, q)])
     return const_factor * total * QC(norm)
 
 

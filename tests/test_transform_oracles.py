@@ -92,14 +92,14 @@ def test_free_transforms_match_noncrossing_sums(seed):
     order = densities.MOMENT_ORDER
     seq = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
            for _ in range(order)]
-    assert densities.moments_from_free_cumulants(seq, order) \
+    assert densities.moments_from_free_cumulants(seq) \
         == [_nc_sum(seq, n) for n in range(1, order + 1)]
     # peel the one-block partition off m_n = sum over NC(n), n = 1, 2, ...
     kappa = []
     for n in range(1, order + 1):
         kappa.append(seq[n - 1] - _nc_sum(kappa + [0], n,
                                           skip_one_block=True))
-    assert densities.free_cumulants_from_moments(seq, order) == kappa
+    assert densities.free_cumulants_from_moments(seq) == kappa
 
 
 def test_transforms_enumerate_no_partitions(monkeypatch):
@@ -116,7 +116,7 @@ def test_transforms_enumerate_no_partitions(monkeypatch):
 
     densities.arcsine_law()
     law = densities.kesten_mckay_law()
-    assert densities.free_self_convolution(law, 4)[1] == 8
+    assert densities.free_self_convolution(law)[1] == 8
     vals = {(1,): 2, (2,): -1, (1, 1): 5, (1, 2): 3, (2, 2): 4,
             (1, 1, 2): 7}
     assert cumulants_to_moments(CumulantFunctional(vals), (1, 2, 1)) \

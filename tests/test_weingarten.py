@@ -1,5 +1,6 @@
 """Weingarten tables: exact values, the defining Gram identity,
-pseudo-inverse regime, leading asymptotics, CSV dump."""
+pseudo-inverse regime, leading asymptotics, CSV dump, and the class
+phi gives a pair of pairings."""
 
 import io
 import itertools
@@ -95,7 +96,6 @@ def test_pseudo_inverse_regime():
     # unitary is a uniform phase u, and E |u|^(2n) = 1.
     for n in (2, 3):
         table = wg_table(n, 1)
-        assert table.pseudo
         total = sum(table[cycle_type(_map(_compose(sigma, _inverse(tau))))]
                     for sigma in _perms(n) for tau in _perms(n))
         assert total == 1
@@ -109,33 +109,40 @@ def test_pseudo_inverse_is_moore_penrose(n, N):
     perms = _perms(n)
     ident = _map(range(1, n + 1))
     table = wg_table(n, N)
-    assert table.pseudo
     gram = {s: Fraction(gram_entry(_map(s), ident, N)) for s in perms}
     wg = {s: table[cycle_type(_map(s))] for s in perms}
     assert _convolve(_convolve(gram, wg, perms), gram, perms) == gram
     assert _convolve(_convolve(wg, gram, perms), wg, perms) == wg
 
 
-def test_pseudo_flag_off_in_regular_regime():
-    assert not wg_table(3, 3).pseudo
-    assert wg_table(3, 2).pseudo
+def test_tables_are_read_only_mappings():
+    # functools.cache hands every caller the same table object
+    table = wg_table(2, 5)
+    assert table is wg_table(2, 5)
+    assert dict(table) == {(2,): Fraction(-1, 120), (1, 1): Fraction(1, 24)}
+    with pytest.raises(TypeError):
+        table[(2,)] = Fraction(0)
+    assert wg_table(2, 5)[(2,)] == Fraction(-1, 120)
 
 
 def test_leading_asymptotics():
     # Wg(sigma) ~ N^(#sigma - 2n) Moeb(sigma)
-    assert wg_leading((2,), 2, 10) == Fraction(-1, 1000)
-    assert wg_leading((1, 1), 2, 10) == Fraction(1, 10 ** 2)
+    assert wg_leading((2,), 10) == Fraction(-1, 1000)
+    assert wg_leading((1, 1), 10) == Fraction(1, 10 ** 2)
     N = 101
     for n in (2, 3, 4):
         table = wg_table(n, N)
         for ct in integer_partitions(n):
-            lead = wg_leading(ct, n, N)
+            lead = wg_leading(ct, N)
             assert abs(float(table[ct] / lead) - 1.0) < 0.01
 
 
 def test_wg_leading_validates_partition():
-    with pytest.raises(ValueError):
-        wg_leading((2, 2), 3, 10)
+    # n is read off the cycle type, whose parts must be positive
+    assert wg_leading((2, 1), 10) == wg_leading([1, 2], 10)
+    for bad in ((2, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            wg_leading(bad, 10)
 
 
 def test_capacity_cap():
@@ -144,24 +151,24 @@ def test_capacity_cap():
 
 
 def test_phi_matches_low_order_tables():
-    # the pairing weight is the order-m Weingarten value at the
-    # mate-pair cycle type, m = n/2
+    # the class of a pair is the cycle type of its mate pairs, one
+    # length per pair, m = n/2 in all
     p = {1: 2, 2: 1, 3: 4, 4: 3}
     q = {1: 2, 2: 1, 3: 4, 4: 3}
     # identical pairings give m fixed-point representatives
-    assert phi(p, q, 5) == wg_table(2, 5)[(1, 1)]
+    assert phi(p, q) == (1, 1)
     r = {1: 4, 4: 1, 2: 3, 3: 2}
-    assert phi(p, r, 5) == wg_table(2, 5)[(2,)]
+    assert phi(p, r) == (2,)
 
 
 def test_phi_rejects_signed_pairings():
     with pytest.raises(ValueError):
-        phi({1: -1, -1: 1, 2: -2, -2: 2}, {1: -1, -1: 1, 2: -2, -2: 2}, 5)
+        phi({1: -1, -1: 1, 2: -2, -2: 2}, {1: -1, -1: 1, 2: -2, -2: 2})
 
 
 def test_dump_table_csv_layout():
     buf = io.StringIO()
-    dump_table_csv(buf, [wg_table(2, 5)])
+    dump_table_csv(buf, [(2, 5)])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,cycle_type,N,numerator,denominator"
     assert lines[1] == "2,2,5,-1,120"
@@ -169,35 +176,42 @@ def test_dump_table_csv_layout():
     assert len(lines) == 3
 
 
+def _oracle_class(p: dict, q: dict) -> tuple:
+    """The cycle type of the representative cycles of pq, from the
+    explicit mate-pair grouping."""
+    lengths = [len(rep) for rep, _mate in pq_cycle_pairs(p, q)]
+    return tuple(sorted(lengths, reverse=True))
+
+
 @pytest.mark.parametrize("N", [1, 2, 5])
 def test_phi_walk_matches_mate_pair_oracle(N):
+    # the class is a cycle type of m, and indexes the order-m table
     for m in range(1, 4):
         pairings = list(enumerate_pairings(2 * m))
         for p in pairings:
             for q in pairings:
-                lengths = [len(rep) for rep, _mate in pq_cycle_pairs(p, q)]
-                ctype = tuple(sorted(lengths, reverse=True))
-                assert phi(p, q, N) == wg_table(m, N)[ctype]
+                assert phi(p, q) == _oracle_class(p, q)
+                assert phi(p, q) in wg_table(m, N)
 
 
 def test_phi_rejects_mismatched_domains():
     with pytest.raises(ValueError):
-        phi({1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3}, 5)
+        phi({1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3})
 
 
 def test_phi_raises_on_a_map_that_is_not_a_pairing():
     # p has the fixed point 2: the walk from 1 reaches the marked point 2
     # before it closes, where it once looped forever
     with pytest.raises(ValueError):
-        phi({1: 2, 2: 2}, {1: 2, 2: 1}, 3)
+        phi({1: 2, 2: 2}, {1: 2, 2: 1})
 
 
 def test_phi_rejects_a_map_leaving_its_domain():
     # p(1) = 3 lies outside [2]: once this returned Wg(1)(3) = 1/3
     with pytest.raises(ValueError):
-        phi({1: 3, 2: 1}, {1: 2, 2: 1}, 3)
+        phi({1: 3, 2: 1}, {1: 2, 2: 1})
     with pytest.raises(ValueError):
-        phi({1: 2, 2: 1}, {1: 0, 2: 1}, 3)
+        phi({1: 2, 2: 1}, {1: 0, 2: 1})
 
 
 def _is_pairing(m: dict, n: int) -> bool:
@@ -206,14 +220,12 @@ def _is_pairing(m: dict, n: int) -> bool:
         all(v != k and m.get(v) == k for k, v in m.items())
 
 
-def _phi_agrees(p: dict, q: dict, n: int, N: int) -> None:
+def _phi_agrees(p: dict, q: dict, n: int) -> None:
     if _is_pairing(p, n) and _is_pairing(q, n):
-        lengths = [len(rep) for rep, _mate in pq_cycle_pairs(p, q)]
-        ctype = tuple(sorted(lengths, reverse=True))
-        assert phi(p, q, N) == wg_table(n // 2, N)[ctype], (p, q)
+        assert phi(p, q) == _oracle_class(p, q), (p, q)
     else:
         with pytest.raises(ValueError):
-            phi(p, q, N)
+            phi(p, q)
 
 
 def test_phi_check_agrees_with_oracle_on_every_small_map():
@@ -224,12 +236,12 @@ def test_phi_check_agrees_with_oracle_on_every_small_map():
         maps = [_map(v) for v in itertools.product(range(n + 2), repeat=n)]
         for p in maps:
             for q in maps:
-                _phi_agrees(p, q, n, 5)
+                _phi_agrees(p, q, n)
                 checked += 1
     maps = [_map(v) for v in itertools.product(range(6), repeat=4)]
     for pairing in enumerate_pairings(4):
         for m in maps:
-            _phi_agrees(m, pairing, 4, 5)
-            _phi_agrees(pairing, m, 4, 5)
+            _phi_agrees(m, pairing, 4)
+            _phi_agrees(pairing, m, 4)
             checked += 2
     assert checked == 3 ** 2 + 4 ** 4 + 5 ** 6 + 3 * 2 * 6 ** 4
