@@ -33,8 +33,8 @@ from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
 from .rmt import (BIN_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const,
-                  HaarU, Product, histogram, ks_distance, spectral_replicas,
-                  threading_summary, trace_observables)
+                  HaarU, Product, Variant, histogram, ks_distance,
+                  spectral_replicas, threading_summary, trace_observables)
 from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
@@ -114,26 +114,33 @@ def _load_constants(pairs, cfg: dict) -> dict:
 
 
 def _word_nodes(expr: TraceProductExpr) -> list:
-    """rmt observable tree for each trace factor of a parsed expression."""
+    """rmt observable tree for each trace factor of a parsed expression.
+    Each constant becomes one Const, converted once and shared by every
+    occurrence, and a transposed letter its Variant(const, -1, 1), so
+    that rmt sees At as the transpose of A."""
+    consts: dict = {}
     nodes = []
     for word in expr.words:
         factors = []
         for letter in word.letters:
             if isinstance(letter, HaarLetter):
                 factors.append(HaarU(letter.eps, letter.eta))
-            else:
-                factors.append(Const(letter.name,
-                                     _complex_matrix(letter)))
+                continue
+            key = letter.name, letter.matrix
+            if key not in consts:
+                consts[key] = Const(letter.name, _complex_matrix(letter))
+            factors.append(Variant(consts[key], -1, 1) if letter.transpose
+                           else consts[key])
         nodes.append(factors[0] if len(factors) == 1
                      else Product(tuple(factors)))
     return nodes
 
 
 def _complex_matrix(letter: ConstantLetter) -> np.ndarray:
-    """A constant letter's exact matrix in complex doubles, each part
-    correctly rounded; an entry beyond the double range raises
-    HaarlabError."""
-    m = letter.resolved()
+    """A constant letter's exact matrix, untransposed, in complex
+    doubles, each part correctly rounded; an entry beyond the double
+    range raises HaarlabError."""
+    m = letter.matrix
     out = np.empty(m.shape, dtype=complex)
     try:
         out.real, out.imag = m.re / m.den, m.im / m.den

@@ -5,7 +5,8 @@ QCMatrix holds Gaussian integers over one denominator: numpy object
 arrays re and im of Python ints and a positive int den, entries
 (re + i im) / den, kept in lowest terms so that equal matrices compare
 and hash equal.  A product is re re - im im and re im + im re over
-den * den; Tr(ab) sums the entries of a times b transposed.  numpy is
+den * den, less the terms with an all-zero imaginary part; Tr(ab) sums
+the entries of a times b transposed.  numpy is
 only a container of Python ints here: nothing is floated.
 """
 
@@ -180,12 +181,28 @@ def mat_unit(n: int, i: int, j: int) -> QCMatrix:
     return QCMatrix(unit, np.zeros((n, n), dtype=object), 1)
 
 
+def _product_parts(a: QCMatrix, b: QCMatrix, product) -> tuple:
+    """The real and imaginary numerators of a times b, re re - im im and
+    re im + im re, where product multiplies two integer parts.  A term
+    with an all-zero imaginary factor is skipped, so a real times a real
+    costs one product, not four."""
+    re = product(a.re, b.re)
+    im = re * 0
+    a_complex, b_complex = a.im.any(), b.im.any()
+    if a_complex:
+        im = im + product(a.im, b.re)
+        if b_complex:
+            re = re - product(a.im, b.im)
+    if b_complex:
+        im = im + product(a.re, b.im)
+    return re, im
+
+
 def mat_mul(a: QCMatrix, b: QCMatrix) -> QCMatrix:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"cannot multiply {a.shape[0]}x{a.shape[1]} "
                              f"by {b.shape[0]}x{b.shape[1]}")
-    return QCMatrix(a.re @ b.re - a.im @ b.im, a.re @ b.im + a.im @ b.re,
-                    a.den * b.den)
+    return QCMatrix(*_product_parts(a, b, np.matmul), a.den * b.den)
 
 
 def mat_transpose(a: QCMatrix) -> QCMatrix:
@@ -205,9 +222,9 @@ def mat_trace_product(a: QCMatrix, b: QCMatrix) -> QC:
     if a.shape != b.shape[::-1]:
         raise DimensionError(f"Tr of a {a.shape[0]}x{a.shape[1]} times a "
                              f"{b.shape[0]}x{b.shape[1]} matrix")
+    re, im = _product_parts(a, b, lambda x, y: (x * y.T).sum())
     den = a.den * b.den
-    return QC(Fraction((a.re * b.re.T).sum() - (a.im * b.im.T).sum(), den),
-              Fraction((a.re * b.im.T).sum() + (a.im * b.re.T).sum(), den))
+    return QC(Fraction(re, den), Fraction(im, den))
 
 
 def mat_center(a: QCMatrix) -> tuple[QC, QCMatrix]:

@@ -19,6 +19,7 @@ OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -218,11 +219,15 @@ class HaarU(Node):
 @dataclass(frozen=True, eq=False)
 class Const(Node):
     """A constant matrix.  diagonal holds its diagonal when every entry
-    off it is zero (None otherwise), found once here; products then
-    scale by it instead of multiplying matrices."""
+    off it is zero (None otherwise), and real says whether every
+    imaginary part is zero, both found once here; products then scale
+    by a diagonal instead of multiplying matrices, and a Product's
+    mirror treats a diagonal constant as its own transpose and a real
+    one as its own conjugate."""
     name: str
     matrix: np.ndarray
     diagonal: np.ndarray | None = field(init=False, repr=False)
+    real: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -233,6 +238,14 @@ class Const(Node):
         object.__setattr__(self, "diagonal",
                            d.copy() if np.count_nonzero(m)
                            == np.count_nonzero(d) else None)
+        object.__setattr__(self, "real", not np.any(m.imag))
+
+    @functools.cached_property
+    def transposed(self) -> np.ndarray:
+        """The transposed matrix, C-contiguous like matrix, made on first
+        use.  A trace sums an entrywise product in memory order, so a
+        transposed view would sum in another order than this copy."""
+        return np.ascontiguousarray(self.matrix.T)
 
     def check_size(self, N: int) -> None:
         """DimensionError unless the matrix is N x N."""
@@ -258,10 +271,65 @@ class Sum(Node):
 
 @dataclass(frozen=True)
 class Product(Node):
+    """The product of factors, left to right.  mirror is (eps, eta)
+    when the factors split into two equal halves L and R with R the
+    (eps, eta) variant of L as a matrix, for every U (None otherwise),
+    found once here; the trace is then Tr(L v(L)) from L alone."""
     factors: tuple
+    mirror: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "mirror", _mirror(factors))
+
+
+def _canonical(node, eps: int, eta: int):
+    """The (eps, eta) variant of node with every transpose and
+    conjugation pushed down to the letters, as nested tuples: a letter
+    is (HaarU or the Const, eps, eta), a diagonal constant always with
+    eps = 1 and a real one with eta = 1, and transposing a Product
+    reverses its factors.  Equal forms are equal matrices.  None when
+    the tree holds something that is not a node."""
+    if isinstance(node, HaarU):
+        return HaarU, node.eps * eps, node.eta * eta
+    if isinstance(node, Const):
+        return (node, 1 if node.diagonal is not None else eps,
+                1 if node.real else eta)
+    if isinstance(node, Variant):
+        return _canonical(node.node, node.eps * eps, node.eta * eta)
+    if isinstance(node, Sum):
+        parts = tuple(_canonical(t, eps, eta) for t in node.terms)
+    elif isinstance(node, Product):
+        parts = _canonical_factors(node.factors, eps, eta)
+    else:
+        return None
+    return None if None in parts else (type(node), parts)
+
+
+def _canonical_factors(factors: tuple, eps: int, eta: int):
+    """_canonical of each factor of the (eps, eta) variant of the
+    product of factors, in the order they multiply."""
+    if eps == -1:
+        factors = factors[::-1]
+    return tuple(_canonical(f, eps, eta) for f in factors)
+
+
+# the variants a mirrored half is tried against, in this order
+_MIRRORS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def _mirror(factors: tuple) -> tuple | None:
+    """(eps, eta) when factors = L + R, two halves of equal length,
+    with R equal to the (eps, eta) variant of L; else None."""
+    half, odd = divmod(len(factors), 2)
+    if odd or not half:
+        return None
+    right = _canonical_factors(factors[half:], 1, 1)
+    if None in right:
+        return None
+    return next((m for m in _MIRRORS
+                 if _canonical_factors(factors[:half], *m) == right), None)
 
 
 # The trees of figure1's two panels, built once: U + U* and
@@ -280,7 +348,12 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
 
 
 def _diagonal_const(node: Node, N: int) -> np.ndarray | None:
-    """The diagonal of node when it is a diagonal N x N constant."""
+    """The diagonal of node when it is a diagonal N x N constant or a
+    Variant of one: a transpose keeps the diagonal, and conjugation
+    conjugates it."""
+    if isinstance(node, Variant):
+        d = _diagonal_const(node.node, N)
+        return np.conj(d) if d is not None and node.eta == -1 else d
     if isinstance(node, Const) and node.diagonal is not None:
         node.check_size(N)
         return node.diagonal
@@ -293,10 +366,17 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     trace=True its trace.
 
     The trace of a Product of several factors never forms the last
-    product: Tr(P L) = sum(P * L^t), O(N^2), and sum(diag(P) * d) when
-    L is a diagonal constant d.  Any other node's trace is taken of its
-    matrix.  Multiplying by a diagonal constant (a Product factor after
-    the first, as D in U D U* = Product((HaarU(), D, HaarU(-1, -1))))
+    product.  A mirrored Product, whose second half R is the first half
+    L or its transpose, conjugate or adjoint v(L) (Product.mirror, found
+    when the Product is built), folds L alone: Tr(L v(L)) = sum(L *
+    v(L)^t), so tr(U A U* Uc At Ut) = Tr(L L^t) with L = U A U* costs
+    one matmul, not two.  Any other Product's trace is Tr(P L) =
+    sum(P * L^t) for the product P of all but its last factor L, O(N^2),
+    and sum(diag(P) * d) when L is a diagonal constant d.  The trace of
+    a bare Haar variant reads u's diagonal, conjugated for Uc and U*.
+    Any other node's trace is taken of its matrix.  Multiplying by a
+    diagonal constant or a Variant of one (a Product factor after the
+    first, as D in U D U* = Product((HaarU(), D, HaarU(-1, -1))))
     scales columns instead of calling matmul; for a real diagonal the
     bytes are those of the dense product.
 
@@ -307,6 +387,9 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     tripled the minor page faults of a 500-replica N = 128 simulate
     pass (to about 340,000) and slowed it by 10-20%.  Results may be
     shared views and are never modified."""
+    if trace and isinstance(node, HaarU):
+        t = np.trace(u)
+        return np.conj(t) if node.eta == -1 else t
     shared: dict = {}
     seen: set = set()
     todo = [node]
@@ -326,6 +409,10 @@ def evaluate(node: Node, u: np.ndarray, N: int,
         return _evaluate(node, u, N, shared)
     if not (isinstance(node, Product) and len(node.factors) > 1):
         return np.trace(_evaluate(node, u, N, shared))
+    if node.mirror is not None:
+        eps, eta = node.mirror
+        half = _fold(node.factors[:len(node.factors) // 2], u, N, shared)
+        return np.sum(half * variant_matrix(half, -eps, eta))
     prefix = _fold(node.factors[:-1], u, N, shared)
     last = node.factors[-1]
     d = _diagonal_const(last, N)
@@ -358,6 +445,10 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
     elif isinstance(node, Const):
         node.check_size(N)
         out = node.matrix
+    elif isinstance(node, Variant) and isinstance(node.node, Const) \
+            and node.eps == -1:
+        node.node.check_size(N)
+        out = variant_matrix(node.node.transposed, 1, node.eta)
     elif isinstance(node, Variant):
         out = variant_matrix(_evaluate(node.node, u, N, shared),
                              node.eps, node.eta)

@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from haarlab import rmt
-from haarlab.cli import main
+from haarlab.cli import _word_nodes, main
 from haarlab.combinat import PAIRING_POINT_CAP
+from haarlab.exact import qc_matrix
+from haarlab.haar_expect import parse_trace_product
 
 A_CSV = ("row,col,re_num,re_den,im_num,im_den\n"
          "1,1,1,1,0,1\n1,2,2,1,0,1\n2,1,3,1,0,1\n2,2,4,1,0,1\n")
@@ -100,6 +103,35 @@ def test_moment_monte_carlo_agrees(capsys):
     assert "exact: 1" in out
     dev = float(out.split("|dev| = ")[1].rstrip(")\n"))
     assert dev < 0.2
+
+
+def test_word_nodes_share_one_const_per_name():
+    a = qc_matrix([[1, 2], [3, 4]])
+    expr = parse_trace_product("Tr(U A U* Uc At Ut)Tr(A At)", {"A": a}, 2)
+    first, second = _word_nodes(expr)
+    const = first.factors[1]
+    assert isinstance(const, rmt.Const) and const.name == "A"
+    assert np.array_equal(const.matrix, [[1, 2], [3, 4]])
+    assert first.factors[4] == rmt.Variant(const, -1, 1)
+    assert second.factors == (const, rmt.Variant(const, -1, 1))
+    assert first.mirror == (-1, 1) and second.mirror == (-1, 1)
+
+
+DENSE_CSV = "".join(f"{i},{j},{(3 * i + j) % 5 - 2},{1 + (i + j) % 3},"
+                    f"{(i * j) % 3 - 1},2\n"
+                    for i in range(1, 5) for j in range(1, 5))
+
+
+def test_mirrored_word_monte_carlo_within_five_standard_errors(tmp_path,
+                                                                capsys):
+    mat = tmp_path / "dense.csv"
+    mat.write_text(DENSE_CSV)
+    assert main(["moment", "tr(U A U* Uc At Ut)", "--constant", f"A={mat}",
+                 "--mc", "4000", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    se = float(out.split(" +- ")[1].split()[0])
+    dev = float(out.split("|dev| = ")[1].rstrip(")\n"))
+    assert 0 < se and dev <= 5 * se
 
 
 def test_moment_parse_error_exit_code(capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haarlab.errors import DimensionError
@@ -161,3 +162,30 @@ def test_shape_mismatch_raises_dimension_error():
         with pytest.raises(DimensionError):
             bad()
     assert mat_trace_product(wide, mat_transpose(wide)) == QC(91)
+
+
+def _integer_part(rng, rows, cols, zero):
+    return np.array([[0 if zero else rng.randint(-9, 9) for _ in range(cols)]
+                     for _ in range(rows)], dtype=object)
+
+
+@pytest.mark.parametrize("a_real, b_real", [(True, True), (True, False),
+                                            (False, True), (False, False)])
+def test_products_equal_the_four_product_formula(a_real, b_real):
+    """Skipping the terms whose imaginary part is all zero changes no
+    value: entries stay Python ints, equal to the four-product sums."""
+    rng = random.Random(31)
+    a = QCMatrix(_integer_part(rng, 3, 4, False),
+                 _integer_part(rng, 3, 4, a_real), 6)
+    b = QCMatrix(_integer_part(rng, 4, 3, False),
+                 _integer_part(rng, 4, 3, b_real), 10)
+    den = a.den * b.den
+    want = QCMatrix(a.re @ b.re - a.im @ b.im, a.re @ b.im + a.im @ b.re,
+                    den)
+    got = mat_mul(a, b)
+    assert got == want and got.den == want.den
+    assert {type(x) for x in [*got.re.flat, *got.im.flat]} == {int}
+    assert bool(got.im.any()) == (not (a_real and b_real))
+    assert mat_trace_product(a, b) == QC(
+        Fraction((a.re * b.re.T).sum() - (a.im * b.im.T).sum(), den),
+        Fraction((a.re * b.im.T).sum() + (a.im * b.re.T).sum(), den))

@@ -323,10 +323,15 @@ def test_worker_count_above_the_cap_is_refused_before_any_thread(
 
 _BYTES_SCRIPT = """
 import hashlib
-from haarlab.rmt import (HaarU, Product, Sum, Variant, spectral_replicas,
-                         trace_observables)
+import numpy as np
+from haarlab.rmt import (Const, HaarU, Product, Sum, Variant,
+                         spectral_replicas, trace_observables)
+a = Const("A", np.diag([1.0, -1.0] * 64))
 obs = [("u", HaarU()), ("uu", Product((HaarU(), HaarU(-1, 1)))),
-       ("uuu", Product((HaarU(), HaarU(1, -1), HaarU(-1, -1))))]
+       ("uuu", Product((HaarU(), HaarU(1, -1), HaarU(-1, -1)))),
+       ("uuuu", Product((HaarU(), HaarU(), HaarU(1, -1), HaarU(1, -1)))),
+       ("uau", Product((HaarU(), a, HaarU(-1, -1), HaarU(1, -1),
+                        Variant(a, -1, 1), HaarU(-1, 1))))]
 stats = trace_observables(obs, 128, 12, seed=5)
 print(hashlib.sha1(stats.samples.tobytes()).hexdigest())
 sym = Sum((HaarU(), HaarU(-1, -1)))
@@ -448,10 +453,9 @@ def _diag_const(name, d):
     return Const(name, np.diag(np.asarray(d, dtype=complex)))
 
 
-def _trace_trees(n):
-    """Trees whose trace the fast path takes: products ending in a
-    Haar letter, a dense or diagonal constant, a Sum, a Variant or a
-    U X U* product, with subtrees shared by object."""
+def _constants(n):
+    """n x n constants: dense complex B, diagonal A (+-1), G (real) and
+    C (complex), dense real R."""
     rng = np.random.default_rng(11)
     dense = Const("B", rng.standard_normal((n, n))
                   + 1j * rng.standard_normal((n, n)))
@@ -459,6 +463,59 @@ def _trace_trees(n):
     gauss = _diag_const("G", rng.standard_normal(n))
     cplx = _diag_const("C", rng.standard_normal(n)
                        + 1j * rng.standard_normal(n))
+    real = Const("R", rng.standard_normal((n, n)))
+    return dense, signs, gauss, cplx, real
+
+
+U, UT, UC, UH = HaarU(), HaarU(-1, 1), HaarU(1, -1), HaarU(-1, -1)
+
+
+def _mirrored_trees(n):
+    """(tree, mirror) for products whose second half is the (eps, eta)
+    = mirror variant of the first, for each of the four variants."""
+    b, a, _g, c, r = _constants(n)
+    sym = Sum((U, UH))
+    ubu = _conjugated(b)
+    mix = Sum((a, UC))
+    return [
+        (Product((U, U, U, U)), (1, 1)),
+        (Product((U, b, U, b)), (1, 1)),
+        (Product((U, UT)), (-1, 1)),
+        (Product((U, a, UH, UC, a, UT)), (-1, 1)),
+        (Product((U, b, UH, UC, Variant(b, -1, 1), UT)), (-1, 1)),
+        (Product((sym, Variant(sym, -1, 1))), (-1, 1)),
+        (Product((Product((U, b)), Product((Variant(b, -1, 1), UT)))),
+         (-1, 1)),
+        (Product((U, U, UC, UC)), (1, -1)),
+        (Product((U, r, UC, r)), (1, -1)),
+        (Product((U, b, UC, Variant(b, 1, -1))), (1, -1)),
+        (Product((U, c, Variant(c, -1, -1), UH)), (-1, -1)),
+        (Product((ubu, mix, Variant(mix, -1, -1), Variant(ubu, -1, -1))),
+         (-1, -1)),
+    ]
+
+
+def _near_misses(n):
+    """Products that look mirrored but are not: odd length, halves that
+    differ in one constant, a dense constant where its transpose would
+    be, complex constants under conjugation."""
+    b, a, g, c, r = _constants(n)
+    return [
+        Product((U, a, UH, UC, a)),
+        Product((U, a, UH, UC, g, UT)),
+        Product((U, b, U, r)),
+        Product((U, b, UH, UC, b, UT)),
+        Product((U, b, UC, b)),
+        Product((U, c, UC, c)),
+    ]
+
+
+def _trace_trees(n):
+    """Trees whose trace the fast path takes: products ending in a
+    Haar letter, a dense or diagonal constant, a Sum, a Variant or a
+    U X U* product, with subtrees shared by object; mirrored products
+    and their near misses."""
+    dense, signs, gauss, cplx, _real = _constants(n)
     sym = Sum((HaarU(), HaarU(-1, -1)))
     conj_a = _conjugated(signs)
     return [
@@ -476,7 +533,7 @@ def _trace_trees(n):
         Sum((Product((HaarU(), signs)), dense)),
         _conjugated(signs),
         HaarU(1, -1),
-    ]
+    ] + [tree for tree, _ in _mirrored_trees(n)] + _near_misses(n)
 
 
 @pytest.mark.parametrize("n", [4, 16, 33])
@@ -487,6 +544,58 @@ def test_trace_path_matches_trace_of_evaluate(n):
         want = np.trace(evaluate(node, u, n))
         # relative, with a floor for traces near 0
         assert abs(got - want) <= 1e-12 * max(abs(want), n), node
+
+
+def test_mirrored_halves_are_found_when_the_product_is_built():
+    for tree, mirror in _mirrored_trees(4):
+        assert tree.mirror == mirror, tree
+    for tree in _near_misses(4):
+        assert tree.mirror is None, tree
+
+
+def test_a_mirrored_word_folds_only_its_left_half(monkeypatch):
+    folded = []
+    inner = rmt._fold
+
+    def counting(factors, *args):
+        folded.append(len(factors))
+        return inner(factors, *args)
+
+    monkeypatch.setattr(rmt, "_fold", counting)
+    u = sample_haar_unitary(8, seed=4)
+    _b, a, g, _c, _r = _constants(8)
+    evaluate(Product((U, a, UH, UC, a, UT)), u, 8, trace=True)
+    assert folded == [3]
+    folded.clear()
+    # one constant differs: the prefix path folds all but the last
+    evaluate(Product((U, a, UH, UC, g, UT)), u, 8, trace=True)
+    assert folded == [5]
+
+
+@pytest.mark.parametrize("n", [1, 3, 128])
+def test_trace_of_a_bare_haar_variant_reads_the_diagonal(n, monkeypatch):
+    u = sample_haar_unitary(n, seed=[7, n])
+    variants = [(eps, eta) for eps in (1, -1) for eta in (1, -1)]
+    want = [np.trace(variant_matrix(u, eps, eta)) for eps, eta in variants]
+    formed = []
+    monkeypatch.setattr(rmt, "variant_matrix",
+                        lambda *args: formed.append(args))
+    got = [evaluate(HaarU(eps, eta), u, n, trace=True)
+           for eps, eta in variants]
+    assert np.array_equal(got, want)
+    assert formed == []
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_a_transposed_constant_traces_like_its_transposed_matrix(n):
+    """Variant(B, -1, 1) gives the bytes of a constant holding B^t."""
+    b = _constants(n)[0]
+    bt = Const("Bt", b.matrix.T.copy())
+    u = sample_haar_unitary(n, seed=n)
+    for make in (lambda x: Product((x, U)), lambda x: Product((U, x)),
+                 lambda x: Product((x, UC, b)), lambda x: Product((x, x))):
+        got = evaluate(make(Variant(b, -1, 1)), u, n, trace=True)
+        assert np.array_equal(got, evaluate(make(bt), u, n, trace=True))
 
 
 def test_trace_of_a_shared_subtree_is_evaluated_once(monkeypatch):
