@@ -14,13 +14,11 @@ from .combinat import pi_epsilon
 from .weingarten import wg_leading, wg_table
 from .haar_expect import (TraceProductExpr, TraceWord,
                           expected_trace_product, first_order_limit,
-                          load_matrix_csv, parse_trace_product,
-                          simplify_word)
+                          load_matrix_csv, parse_trace_product)
 from .cumulants import (CumulantFunctional, MomentFunctional,
                         cumulants_to_moments, empirical_cumulants,
                         moments_to_cumulants)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
-                           one_by_one_real_prediction,
                            real_spoke_prediction)
 from .densities import (arcsine_law, free_self_convolution,
                         kesten_mckay_law)
@@ -34,12 +32,10 @@ __all__ = [
     "QC", "QC_ONE", "QC_ZERO", "pi_epsilon",
     "wg_leading", "wg_table", "TraceProductExpr", "TraceWord",
     "expected_trace_product", "first_order_limit", "load_matrix_csv",
-    "parse_trace_product", "simplify_word", "CumulantFunctional",
-    "MomentFunctional", "cumulants_to_moments", "empirical_cumulants",
-    "moments_to_cumulants", "FirstOrderTable", "complex_spoke_prediction",
-    "one_by_one_real_prediction",
-    "real_spoke_prediction", "arcsine_law", "free_self_convolution",
-    "kesten_mckay_law", "HaarU", "Sum", "Variant", "histogram",
-    "ks_distance", "sample_haar_unitary", "spectral_replicas",
-    "trace_observables", "run_suite",
+    "parse_trace_product", "CumulantFunctional", "MomentFunctional",
+    "cumulants_to_moments", "empirical_cumulants", "moments_to_cumulants",
+    "FirstOrderTable", "complex_spoke_prediction", "real_spoke_prediction",
+    "arcsine_law", "free_self_convolution", "kesten_mckay_law", "HaarU",
+    "Sum", "Variant", "histogram", "ks_distance", "sample_haar_unitary",
+    "spectral_replicas", "trace_observables", "run_suite",
 ]

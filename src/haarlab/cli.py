@@ -59,11 +59,14 @@ def _load_config(path: str | None) -> dict:
 
 def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None,
             required: bool = False):
-    """Flag value if given on the command line, else config, else default.
-    A required value found in neither place is a usage error."""
+    """Flag value if given on the command line, else config, else default
+    (a config null counts as absent).  A required value found in neither
+    place is a usage error."""
     val = getattr(args, key, None)
     if val is None:
-        val = cfg.get(key, default)
+        val = cfg.get(key)
+    if val is None:
+        val = default
     if val is None and required:
         raise WordParseError(f"--{key} is required (flag or config key)")
     return val
@@ -113,14 +116,14 @@ def _load_constants(pairs, cfg: dict) -> dict:
     return consts
 
 
-def _word_nodes(expr: TraceProductExpr) -> list:
-    """rmt observable tree for each trace factor of a parsed expression.
-    Each constant becomes one Const, converted once and shared by every
-    occurrence, and a transposed letter its Variant(const, -1, 1), so
+def _word_nodes(words) -> list:
+    """rmt observable tree for each of the trace words.  Each constant
+    becomes one Const, converted once and shared by every occurrence in
+    every word, and a transposed letter its Variant(const, -1, 1), so
     that rmt sees At as the transpose of A."""
     consts: dict = {}
     nodes = []
-    for word in expr.words:
+    for word in words:
         factors = []
         for letter in word.letters:
             if isinstance(letter, HaarLetter):
@@ -153,7 +156,7 @@ def _complex_matrix(letter: ConstantLetter) -> np.ndarray:
 def _mc_trace_product(expr: TraceProductExpr, replicas: int,
                       seed: int) -> tuple:
     """Monte Carlo mean and standard error of the trace product."""
-    nodes = _word_nodes(expr)
+    nodes = _word_nodes(expr.words)
     names = [f"w{i}" for i in range(len(nodes))]
     stats = trace_observables(list(zip(names, nodes)), expr.N, replicas,
                               seed, stream="moment")
@@ -286,30 +289,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"simulate reports batch standard errors, which need at least "
             f"{2 * BATCH_COUNT} replicas, got {replicas}")
 
-    observables = []
-    exact_values = {}
-    norm = {}
+    exprs = []
     for text in words:
-        expr = parse_trace_product(text, consts, N)
-        if len(expr.words) != 1:
+        exprs.append(parse_trace_product(text, consts, N))
+        if len(exprs[-1].words) != 1:
             raise WordParseError(
                 f"simulate observables are single trace factors, got {text!r}")
-        norm[text] = expr.words[0].normalized
-        observables.append((text, _word_nodes(expr)[0]))
+    nodes = _word_nodes(expr.words[0] for expr in exprs)
+    exact_values = {}
+    for text, expr in zip(words, exprs):
         try:
             exact_values[text] = str(expected_trace_product(expr))
         except CapacityError:
             exact_values[text] = "beyond exact-engine capacity"
     print(threading_summary(), file=sys.stderr)
-    stats = trace_observables(observables, N, replicas, seed,
+    stats = trace_observables(list(zip(words, nodes)), N, replicas, seed,
                               stream="simulate")
 
     summary = {"N": N, "replicas": replicas, "seed": seed,
                "observables": {}}
     cum = stats.cumulants(2)
-    for i, text in enumerate(words, start=1):
+    for i, (text, expr) in enumerate(zip(words, exprs), start=1):
         mean = stats.mean(text)
-        if norm[text]:
+        if expr.words[0].normalized:
             mean /= N
         summary["observables"][text] = {
             "exact": exact_values[text],

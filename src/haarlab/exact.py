@@ -227,15 +227,5 @@ def mat_trace_product(a: QCMatrix, b: QCMatrix) -> QC:
     return QC(Fraction(re, den), Fraction(im, den))
 
 
-def mat_center(a: QCMatrix) -> tuple[QC, QCMatrix]:
-    """a split as tr(a) I + a-ring: the normalized trace tr(a) = Tr(a)/n
-    and the centered a-ring, whose trace is 0."""
-    n = a.shape[0]
-    mean = mat_trace(a) / QC(n)
-    eye = np.eye(n, dtype=object)
-    return mean, QCMatrix(n * a.re - sum(a.re.diagonal()) * eye,
-                          n * a.im - sum(a.im.diagonal()) * eye, n * a.den)
-
-
 def mat_is_identity(a: QCMatrix) -> bool:
     return a.shape[0] == a.shape[1] and a == identity_qc(a.shape[0])

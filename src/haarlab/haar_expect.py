@@ -50,13 +50,13 @@ import numpy as np
 from .combinat import (PAIRING_POINT_CAP, enumerate_alpha_pairings,
                        pi_epsilon)
 from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
-from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_center, mat_is_identity,
-                    mat_mul, mat_trace, mat_trace_product, mat_transpose,
-                    mat_unit, qc_matrix)
+from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_is_identity, mat_mul,
+                    mat_trace, mat_trace_product, mat_transpose, mat_unit,
+                    qc_matrix)
 from .weingarten import phi, wg_table
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
-# tokens are also the letters' reprs, by which simplify_word sorts.
+# tokens are also the letters' reprs.
 VARIANT_NAMES = {(1, 1): "U", (-1, 1): "Ut", (1, -1): "Uc", (-1, -1): "U*"}
 # The largest dimension load_matrix_csv reads: its dense object arrays
 # then hold 2 x 4096^2 references, and an exact product at that size is
@@ -75,9 +75,6 @@ class HaarLetter:
     def __post_init__(self):
         if self.eps not in (1, -1) or self.eta not in (1, -1):
             raise HaarlabError("eps and eta must be +1 or -1")
-
-    def adjoint(self) -> "HaarLetter":
-        return HaarLetter(-self.eps, -self.eta)
 
     def __repr__(self) -> str:
         return VARIANT_NAMES[(self.eps, self.eta)]
@@ -210,13 +207,22 @@ def _constant_product(letters) -> QCMatrix | None:
 
 
 def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | None]]:
-    """The word read as U_1 B_1 U_2 B_2 ... U_M B_M, each B_i the
-    collapsed constant run after U_i (None for an empty or identity
-    run): the slot form, each Haar letter paired with the next slot's
-    run."""
-    slots = _rotate_to_slot_form(letters)
-    return [(u, slots[(i + 1) % len(slots)][0])
-            for i, (_a, u) in enumerate(slots)]
+    """The word read from its first Haar letter as U_1 B_1 U_2 B_2 ...
+    U_M B_M, each B_i the collapsed constant run after U_i (B_M wraps
+    round to the word's start), None for an empty or identity run;
+    assumes at least one Haar letter."""
+    first = next(i for i, l in enumerate(letters) if isinstance(l, HaarLetter))
+    runs: list[tuple[HaarLetter, list]] = []
+    for l in letters[first:] + letters[:first]:
+        if isinstance(l, HaarLetter):
+            runs.append((l, []))
+        else:
+            runs[-1][1].append(l)
+    out = []
+    for u, run in runs:
+        b = _constant_product(run)
+        out.append((u, None if b is not None and mat_is_identity(b) else b))
+    return out
 
 
 def _trace_key(cycles: Sequence[Sequence[int]], lam: Sequence[int],
@@ -347,124 +353,6 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
             weight = sum(count * wg[cls] for cls, count in tally.items())
             total = total + traces[key] * QC(weight)
     return const_factor * total * QC(norm_divisor)
-
-
-# ----------------------------------------------------------------------
-# word simplification
-
-def _slot_ok(slots: list, i: int) -> bool:
-    """Constant slot i (before Haar letter i) is acceptable: centered,
-    or identity where the flanking Haar letters are not mutual adjoints."""
-    a, _u = slots[i]
-    if a is None:
-        prev = slots[i - 1][1]  # cyclic: slot 0 is preceded by the last letter
-        return prev.adjoint() != slots[i][1]
-    return mat_trace(a) == QC_ZERO
-
-
-def _rotate_to_slot_form(letters: tuple) -> list[list]:
-    """Alternating form [A_1, U_1][A_2, U_2]...[A_m, U_m] with each A_i the
-    collapsed constant run before U_i (None for an empty or identity run);
-    assumes at least one Haar letter."""
-    last = max(i for i, l in enumerate(letters) if isinstance(l, HaarLetter))
-    rotated = letters[last + 1:] + letters[:last + 1]
-    slots: list[list] = []
-    run: list = []
-    for l in rotated:
-        if isinstance(l, HaarLetter):
-            slots.append([_constant_product(run), l])
-            run = []
-        else:
-            run.append(l)
-    return [[None, u] if a is not None and mat_is_identity(a) else [a, u]
-            for a, u in slots]
-
-
-def _word_from_slots(slots, normalized: bool, counter: list[int]) -> TraceWord:
-    """The word of (constant or None, Haar letter or None) slots, the
-    constants named A1, A2, ... by the running counter."""
-    letters: list = []
-    for a, u in slots:
-        if a is not None:
-            counter[0] += 1
-            letters.append(ConstantLetter(f"A{counter[0]}", a))
-        if u is not None:
-            letters.append(u)
-    return TraceWord(tuple(letters), normalized=normalized)
-
-
-def simplify_word(word: TraceWord) -> tuple[QC, list[tuple[QC, TraceWord]]]:
-    """Rewrite Tr(word) as c0 + sum of coeff * Tr(simplified word).
-
-    Repeatedly centers the first offending constant (A = A-ring + tr(A) I)
-    and cancels identity constants flanked by mutually adjoint Haar
-    letters (U^(eps,eta) I U^(-eps,-eta) = I), which shortens the word.
-    Constants must be deterministic; the scalars come out exact.
-    """
-    N = word.constant_dim()
-    c0 = QC_ZERO
-    done: dict[tuple, QC] = {}
-
-    def emit_constant(coeff: QC, mat: QCMatrix | None):
-        # the whole word collapsed to a constant; its trace value joins c0
-        nonlocal c0
-        if mat is None:
-            if not word.normalized and N is None:
-                raise DimensionError(
-                    "dimension N required to take Tr of a pure Haar word")
-            c0 = c0 + coeff * QC(1 if word.normalized else N)
-            return
-        mean, ring = mat_center(mat)
-        c0 = c0 + coeff * (mean if word.normalized else mat_trace(mat))
-        if ring:
-            key = ((ring, None),)
-            done[key] = done.get(key, QC_ZERO) + coeff
-
-    stack: list[tuple[QC, list]] = []
-    if word.haar_count() == 0:
-        emit_constant(QC_ONE, _constant_product(word.letters))
-    else:
-        stack.append((QC_ONE, _rotate_to_slot_form(word.letters)))
-
-    while stack:
-        coeff, slots = stack.pop()
-        if not coeff:
-            continue
-        bad = next((i for i in range(len(slots)) if not _slot_ok(slots, i)),
-                   None)
-        if bad is None:
-            key = tuple(map(tuple, slots))
-            done[key] = done.get(key, QC_ZERO) + coeff
-            continue
-        slots = slots[bad + 1:] + slots[:bad + 1]  # offender now in the last slot
-        a_last, u_last = slots[-1]
-        if a_last is None:
-            # identity between mutual adjoints: U_{m-1} I U_m = I
-            u_prev = slots[-2][1]
-            assert u_prev.adjoint() == u_last
-            a_prev = slots[-2][0]
-            rest = slots[:-2]
-            if not rest:
-                emit_constant(coeff, a_prev)
-                continue
-            if a_prev is not None:
-                first = rest[0]
-                merged = a_prev if first[0] is None else mat_mul(a_prev, first[0])
-                rest = [[merged, first[1]]] + rest[1:]
-            stack.append((coeff, rest))
-        else:
-            mean, ring = mat_center(a_last)
-            if ring:
-                stack.append((coeff, slots[:-1] + [[ring, u_last]]))
-            stack.append((coeff * mean, slots[:-1] + [[None, u_last]]))
-
-    counter = [0]
-    terms = []
-    for key in sorted(done, key=repr):
-        if done[key]:
-            terms.append((done[key],
-                          _word_from_slots(key, word.normalized, counter)))
-    return c0, terms
 
 
 # ----------------------------------------------------------------------

@@ -82,25 +82,11 @@ def complex_spoke_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
 
 def real_spoke_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
     """Predicted covariance for the real rule: the complex spoke sum plus
-    the reversed-spoke sum over phi(a_i b_{k+i}^t)."""
-    if tbl.m == 1 and tbl.n == 1:
-        raise NoReductionError(
-            "no spoke reduction for a pair of 1-cycles; use "
-            "one_by_one_real_prediction for the two-term convention")
+    the reversed-spoke sum over phi(a_i b_{k+i}^t), zero when m != n; at
+    m = n = 1 the sums are the single terms phi(a_1 b_1), phi(a_1 b_1^t)."""
     if tbl.m != tbl.n:
         return SecondOrderPrediction(0, (), ())
     spokes = _cyclic_products(tbl.phi_at, tbl.n, -1)
     rev = _cyclic_products(tbl.phi_t_at, tbl.n, 1)
     return SecondOrderPrediction(sum(spokes) + sum(rev),
                                  tuple(spokes), tuple(rev))
-
-
-def one_by_one_real_prediction(tbl: FirstOrderTable) -> SecondOrderPrediction:
-    """The m = n = 1 convention in the real rule: phi(a1 b1) +
-    phi(a1 b1^t).  Exposed separately because the general formulas
-    exclude the pair of 1-cycles."""
-    if tbl.m != 1 or tbl.n != 1:
-        raise DimensionError("one_by_one_real_prediction needs m = n = 1")
-    a = tbl.phi_at(1, 1)
-    b = tbl.phi_t_at(1, 1)
-    return SecondOrderPrediction(a + b, (a,), (b,))

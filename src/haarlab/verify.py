@@ -37,7 +37,7 @@ from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Product,
                   Variant, histogram, ks_distance, spectral_replicas,
                   trace_observables)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
-                           one_by_one_real_prediction)
+                           real_spoke_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
 from .emit import csv_bytes
 from .errors import WordParseError
@@ -297,7 +297,7 @@ def power_trace_fluctuations(seed: int) -> tuple:
     pred2 = complex_spoke_prediction(FirstOrderTable(2, 2, ones, zeros))
     if pred2.value != 2:
         failures.append(("spoke m=n=2", pred2.value))
-    pred1 = one_by_one_real_prediction(FirstOrderTable(1, 1, [[1]], [[0]]))
+    pred1 = real_spoke_prediction(FirstOrderTable(1, 1, [[1]], [[0]]))
     if pred1.value != 1:
         failures.append(("spoke m=n=1", pred1.value))
     return (
@@ -321,7 +321,7 @@ def transpose_second_order(seed: int) -> tuple:
         1, 1,
         [[first_order_limit(1, (1, 1), 1, (1, -1))]],
         [[first_order_limit(1, (1, 1), 1, (-1, -1))]])
-    pred = one_by_one_real_prediction(tbl)
+    pred = real_spoke_prediction(tbl)
     if pred.value != 1 or sum(pred.spoke_terms) != 0:
         failures.append(("reversed term", pred))
 

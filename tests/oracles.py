@@ -8,8 +8,6 @@ a quantity that the package computes another way:
   (cumulants, densities) compute by recursion on the first block;
 * pq_cycle_pairs groups the cycles of pq into mate pairs, the grouping
   that the single walks of combinat.pi_epsilon and weingarten.phi make;
-* is_simplified tests the reduced form that haar_expect.simplify_word
-  returns;
 * rotate_rows rotates a spoke table's letters, under which the spoke
   predictions are invariant.
 
@@ -26,9 +24,6 @@ from typing import Iterable, Iterator, Mapping
 from haarlab.combinat import _leader_key, cycles
 from haarlab.cumulants import PARTITION_POINT_CAP
 from haarlab.errors import CapacityError
-from haarlab.exact import QC_ZERO, mat_trace
-from haarlab.haar_expect import (TraceWord, _constant_product,
-                                 _rotate_to_slot_form, _slot_ok)
 from haarlab.second_order import FirstOrderTable
 
 
@@ -134,17 +129,7 @@ def pq_cycle_pairs(p: Mapping[int, int], q: Mapping[int, int]
     return out
 
 
-# -- reduced words and spoke tables --------------------------------------
-
-def is_simplified(word: TraceWord) -> bool:
-    """Whether the word meets the reduced form: alternating constants and
-    Haar letters with every constant centered, identities only between
-    non-adjoint neighbours; or a single centered constant word."""
-    if word.haar_count() == 0:
-        return mat_trace(_constant_product(word.letters)) == QC_ZERO
-    slots = _rotate_to_slot_form(word.letters)
-    return all(_slot_ok(slots, i) for i in range(len(slots)))
-
+# -- spoke tables --------------------------------------------------------
 
 def rotate_rows(tbl: FirstOrderTable, shift: int) -> FirstOrderTable:
     """The table for the cyclically rotated letter sequence

@@ -108,7 +108,7 @@ def test_moment_monte_carlo_agrees(capsys):
 def test_word_nodes_share_one_const_per_name():
     a = qc_matrix([[1, 2], [3, 4]])
     expr = parse_trace_product("Tr(U A U* Uc At Ut)Tr(A At)", {"A": a}, 2)
-    first, second = _word_nodes(expr)
+    first, second = _word_nodes(expr.words)
     const = first.factors[1]
     assert isinstance(const, rmt.Const) and const.name == "A"
     assert np.array_equal(const.matrix, [[1, 2], [3, 4]])
@@ -217,6 +217,24 @@ def test_simulate_refuses_a_repeated_observable(capsys, monkeypatch):
     assert draws == []
 
 
+def test_simulate_shares_one_const_across_observables(tmp_path, capsys,
+                                                      monkeypatch):
+    from haarlab import cli
+    (tmp_path / "a.csv").write_text(A_CSV)
+    seen = []
+    real = cli.trace_observables
+    monkeypatch.setattr(cli, "trace_observables",
+                        lambda items, *args, **kwargs:
+                        seen.append(items) or real(items, *args, **kwargs))
+    assert main(["simulate", "--N", "2", "--replicas", "20",
+                 "--word", "Tr(U A)", "--word", "Tr(A U*)",
+                 "--constant", f"A={tmp_path / 'a.csv'}"]) == 0
+    capsys.readouterr()
+    [[(_, first), (_, second)]] = seen
+    assert isinstance(first.factors[1], rmt.Const)
+    assert first.factors[1] is second.factors[0]
+
+
 # one Haar pair more than the exact engine takes
 OVER_CAP_WORD = "Tr({})".format(
     " ".join(["U", "U*"] * (PAIRING_POINT_CAP // 2 + 1)))
@@ -305,6 +323,19 @@ def test_integer_strings_in_config_still_parse(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["N"], payload["replicas"], payload["seed"]) == (4, 20, 3)
+
+
+def test_config_null_counts_as_absent(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 32, "replicas": 1, "seed": None,
+                               "bins": None, "outdir": None}))
+    assert main(["figure1", "--config", str(cfg),
+                 "--outdir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["seed"], summary["bins"]) == (0, 60)
+    cfg.write_text(json.dumps({"N": None, "observables": ["Tr(U)"]}))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "--N is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

@@ -8,7 +8,7 @@ import pytest
 
 from haarlab.errors import DimensionError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, QCMatrix, as_qc, identity_qc,
-                           mat_center, mat_is_identity, mat_mul, mat_trace,
+                           mat_is_identity, mat_mul, mat_trace,
                            mat_trace_product, mat_transpose, mat_unit,
                            qc_matrix)
 
@@ -105,12 +105,6 @@ def test_matrix_ops_match_entrywise_reference(rows, inner):
         if rows != inner:
             continue
         assert mat_trace(a) == _ref_trace(a_rows)
-        mean, ring = mat_center(a)
-        assert mean == _ref_trace(a_rows) / QC(rows)
-        assert _entries(ring) == [[x - mean if i == j else x
-                                   for j, x in enumerate(row)]
-                                  for i, row in enumerate(a_rows)]
-        assert mat_trace(ring) == QC_ZERO
         assert mat_is_identity(a) == (a_rows == [[QC(int(i == j))
                                                   for j in range(rows)]
                                                  for i in range(rows)])
@@ -123,8 +117,6 @@ def test_identity_and_matrix_units():
         assert mat_is_identity(identity_qc(n))
         assert mat_is_identity(QCMatrix([[3 * (i == j) for j in range(n)]
                                          for i in range(n)], [[0] * n] * n, 3))
-        mean, ring = mat_center(identity_qc(n))
-        assert mean == QC_ONE and not ring
     assert not mat_is_identity(qc_matrix([[1, 0, 0], [0, 1, 0]]))
     assert not mat_is_identity(qc_matrix([[1, 0], [0, QC(1, 1)]]))
     assert _entries(mat_unit(3, 0, 2)) == [[QC(int((i, j) == (0, 2)))
@@ -156,7 +148,7 @@ def test_shape_mismatch_raises_dimension_error():
     for bad in (lambda: mat_mul(wide, wide), lambda: mat_mul(wide, square),
                 lambda: mat_trace_product(wide, wide),
                 lambda: mat_trace_product(wide, square),
-                lambda: mat_trace(wide), lambda: mat_center(wide),
+                lambda: mat_trace(wide),
                 lambda: qc_matrix([[1, 2], [3]]), lambda: qc_matrix([]),
                 lambda: QCMatrix([[1, 2]], [[1], [2]], 1)):
         with pytest.raises(DimensionError):

@@ -6,6 +6,7 @@ printing an error line and no traceback whenever it is not 0."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,32 @@ csv_bytes = st.one_of(
 # integer options: mostly in range, sometimes not an integer
 ints = st.sampled_from(["2", "3", "1", "2", "3", "0", "-1", "x"])
 
+# figure1: N near its floor of 32 and at most 2 replicas, from flags or
+# from a config whose values may have the wrong JSON type or be null
+# (absent); a config object always sets N and replicas, and without one
+# both flags are given
+figure1_flags = {
+    "--N": st.sampled_from(["32", "33", "32", "33", "31", "0", "x"]),
+    "--replicas": st.sampled_from(["1", "2", "1", "2", "0", "-1", "x"]),
+    "--seed": st.sampled_from(["0", "1", "0", "-1", "x"]),
+    "--bins": st.sampled_from(["10", "60", "60", "9", "10001", "x"]),
+}
+figure1_configs = st.one_of(
+    st.fixed_dictionaries(
+        {"N": st.sampled_from([32, 33, "32", 32.0, 32, 33, 31, 32.5, True,
+                               [32]]),
+         "replicas": st.sampled_from([1, 2, 2.0, "2", 1, 2, 0, 1.5, False])},
+        optional={"seed": st.sampled_from([None, None, 0, 1, -1, 1.5, "1"]),
+                  "bins": st.sampled_from([None, None, 10, 60.0, 9, 10 ** 5,
+                                           "60"])}),
+    st.sampled_from([[], 3, "x", [{"N": 32}]]))
+
+# verify: unknown suites and bad seeds; a real run only for "exact"
+# with a valid seed, and never the slow "mc" or "all"
+suites = st.sampled_from(["exact", "bogus", "", "EXACT", "mc ", "all2",
+                          "exact2"])
+seeds = st.sampled_from(["0", "7", "-1", "x", "1.5"])
+
 
 @pytest.mark.parametrize("call, error", [
     (lambda: parse_trace_product("Tr(U)", {}, 0), DimensionError),
@@ -83,10 +110,14 @@ def test_variant_names_are_the_grammar_and_the_reprs():
 
 
 @pytest.fixture(scope="module")
-def constant_args(tmp_path_factory):
+def tmp(tmp_path_factory):
+    return tmp_path_factory.mktemp("front_door")
+
+
+@pytest.fixture(scope="module")
+def constant_args(tmp):
     """--constant values: a good 2x2 matrix, a broken file, a missing
     file and a malformed pair."""
-    tmp = tmp_path_factory.mktemp("front_door")
     (tmp / "a.csv").write_text("1,1,1,1,0,1\n1,2,2,1,0,1\n2,2,-1,3,0,1\n")
     (tmp / "bad.csv").write_bytes(b"1,1,\xff,1,0,1\n")
     good = f"A={tmp / 'a.csv'}"
@@ -123,9 +154,28 @@ def _run(argv):
 
 
 @st.composite
-def command_lines(draw, command, constant_args):
+def command_lines(draw, command, constant_args, tmp):
     if command == "wg":
         return ["wg", "--n", draw(ints), "--N", draw(ints)]
+    if command == "verify":
+        return ["verify", draw(suites), "--seed", draw(seeds)]
+    if command == "figure1":
+        argv = ["figure1"]
+        outdirs = [str(tmp), str(tmp), str(tmp / "missing")]
+        config = draw(st.none() | figure1_configs)
+        if isinstance(config, dict) and draw(st.booleans()):
+            config["outdir"] = draw(st.sampled_from(outdirs + [3, None]))
+        if config is not None:
+            (tmp / "figure1.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp / "figure1.json")]
+        if not (isinstance(config, dict) and "outdir" in config) or \
+                draw(st.booleans()):
+            argv += ["--outdir", draw(st.sampled_from(outdirs))]
+        for flag, values in figure1_flags.items():
+            if config is None and flag in ("--N", "--replicas") or \
+                    draw(st.booleans()):
+                argv += [flag, draw(values)]
+        return argv
     if command == "moment":
         argv = ["moment", draw(words), "--N", draw(ints)]
         if draw(st.booleans()):
@@ -140,11 +190,12 @@ def command_lines(draw, command, constant_args):
     return argv
 
 
-@pytest.mark.parametrize("command", ["wg", "moment", "simulate"])
+@pytest.mark.parametrize("command",
+                         ["wg", "moment", "simulate", "figure1", "verify"])
 @FUZZ
 @given(data=st.data())
-def test_main_exits_with_a_documented_code(command, data, constant_args):
-    argv = data.draw(command_lines(command, constant_args))
+def test_main_exits_with_a_documented_code(command, data, constant_args, tmp):
+    argv = data.draw(command_lines(command, constant_args, tmp))
     code, err = _run(argv)
     assert 0 <= code <= 4
     assert "Traceback" not in err

@@ -1,5 +1,5 @@
 """The exact trace-expectation engine: entry products, closed-form
-moments, word simplification, the grammar, the invariance gap."""
+moments, the grammar, the invariance gap."""
 
 import random
 from fractions import Fraction
@@ -17,10 +17,9 @@ from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  entry_product_expectation,
                                  expected_trace_product, first_order_limit,
                                  invariance_counterexample, load_matrix_csv,
-                                 parse_trace_product, simplify_word)
+                                 parse_trace_product)
 from haarlab.rmt import sample_haar_unitary
 from haarlab.weingarten import phi, wg_table
-from oracles import is_simplified
 
 U = HaarLetter(1, 1)
 UT = HaarLetter(-1, 1)
@@ -219,106 +218,6 @@ def test_pure_constant_word():
 
 def test_empty_expression_is_one():
     assert expected_trace_product(_expr([], 3)) == QC_ONE
-
-
-# -- simplification -----------------------------------------------------
-
-def _eval_word(word, u):
-    n = u.shape[0]
-    prod = np.eye(n, dtype=complex)
-    for letter in word.letters:
-        if isinstance(letter, HaarLetter):
-            m = u
-            if letter.eps == -1:
-                m = m.T
-            if letter.eta == -1:
-                m = np.conj(m)
-        else:
-            c = letter.resolved()
-            m = (c.re / c.den).astype(float) + 1j * (c.im / c.den).astype(float)
-        prod = prod @ m
-    t = np.trace(prod)
-    return t / n if word.normalized else t
-
-
-def _check_decomposition(word, n_dim, seed):
-    c0, terms = simplify_word(word)
-    for s in range(seed, seed + 4):
-        u = sample_haar_unitary(n_dim, np.random.default_rng(s))
-        lhs = _eval_word(word, u)
-        rhs = complex(c0) + sum(complex(coeff) * _eval_word(t, u)
-                                for coeff, t in terms)
-        assert abs(lhs - rhs) < 1e-9
-    for _, t in terms:
-        assert is_simplified(t)
-
-
-def test_simplify_centers_constants():
-    a = ConstantLetter("A", A_MAT)
-    word = _word([U, a, US])
-    _check_decomposition(word, 2, 11)
-    c0, terms = simplify_word(word)
-    # Tr(U A U*) = Tr(A) + Tr(U Aring U*)
-    assert c0 == QC(Fraction(5))
-    assert len(terms) == 1
-
-
-def test_simplify_cancels_identity_between_adjoints():
-    a = ConstantLetter("A", A_MAT)
-    eye = ConstantLetter("I2", qc_matrix([[1, 0], [0, 1]]))
-    word = _word([U, eye, US, a])
-    c0, terms = simplify_word(word)
-    # collapses to Tr(A), split as Tr(A) + Tr(Aring); the centered
-    # remainder is kept structurally even though its trace is zero
-    assert c0 == QC(Fraction(5))
-    assert len(terms) == 1
-    coeff, leftover = terms[0]
-    assert leftover.haar_count() == 0
-    assert complex(coeff) * _eval_word(leftover, np.eye(2)) == 0
-    _check_decomposition(word, 2, 23)
-
-
-def test_simplify_merges_identical_terms():
-    a = ConstantLetter("A", A_MAT)
-    word = _word([U, a, US, a])
-    _check_decomposition(word, 2, 37)
-
-
-def test_simplify_normalized_word():
-    a = ConstantLetter("A", A_MAT)
-    word = _word([U, a, US], True)
-    c0, terms = simplify_word(word)
-    assert c0 == QC(Fraction(5, 2))
-    _check_decomposition(word, 2, 41)
-
-
-def test_simplify_pure_haar_collapse_needs_a_dimension():
-    # Tr(U U*) = N, which a word without constants cannot supply
-    with pytest.raises(DimensionError):
-        simplify_word(_word([U, US]))
-    assert simplify_word(_word([U, US], True)) == (QC_ONE, [])
-    eye = ConstantLetter("I3", identity_qc(3))
-    c0, terms = simplify_word(_word([U, eye, US]))
-    assert c0 == QC(3)
-    assert terms == []
-
-
-def test_simplify_random_words():
-    rng = np.random.default_rng(5)
-    letters_pool = [U, UT, UC, US]
-    for trial in range(12):
-        parts = []
-        for k in range(rng.integers(2, 5)):
-            parts.append(letters_pool[rng.integers(0, 4)])
-            mat = qc_matrix([[int(rng.integers(-3, 4)) for _ in range(2)]
-                             for _ in range(2)])
-            parts.append(ConstantLetter(f"C{trial}_{k}", mat))
-        _check_decomposition(_word(parts), 2, 100 + trial * 10)
-
-
-def test_is_simplified_rejects_uncentered():
-    a = ConstantLetter("A", A_MAT)
-    assert not is_simplified(_word([U, a, US]))
 
 
 # -- limits and the invariance gap --------------------------------------

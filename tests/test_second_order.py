@@ -1,12 +1,12 @@
 """Spoke-diagram covariance predictions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from haarlab.errors import DimensionError, NoReductionError
 from haarlab.second_order import (FirstOrderTable, complex_spoke_prediction,
-                                  one_by_one_real_prediction,
                                   real_spoke_prediction)
 from oracles import rotate_rows
 
@@ -76,19 +76,20 @@ def test_reversed_spokes_use_transpose_table():
 
 
 def test_one_cycles_rejected_by_general_rules():
-    tbl = _const_table(1, 1, 1, 1)
+    # only the complex rule; the real rule's two terms cover 1-cycles
     with pytest.raises(NoReductionError):
-        complex_spoke_prediction(tbl)
-    with pytest.raises(NoReductionError):
-        real_spoke_prediction(tbl)
+        complex_spoke_prediction(_const_table(1, 1, 1, 1))
 
 
 def test_one_by_one_real_convention():
-    tbl = FirstOrderTable(1, 1, ((Fraction(1, 3),),), ((Fraction(1, 5),),))
-    pred = one_by_one_real_prediction(tbl)
-    assert pred.value == Fraction(1, 3) + Fraction(1, 5)
-    with pytest.raises(DimensionError):
-        one_by_one_real_prediction(_const_table(2, 2, 1, 1))
+    # m = n = 1: one spoke phi(a1 b1) and one reversed spoke phi(a1 b1^t)
+    rng = random.Random(11)
+    for _ in range(20):
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(2))
+        pred = real_spoke_prediction(FirstOrderTable(1, 1, ((a,),), ((b,),)))
+        assert pred.value == a + b
+        assert pred.spoke_terms == (a,) and pred.reversed_terms == (b,)
 
 
 def test_prediction_invariant_under_cycle_rotation():

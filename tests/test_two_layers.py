@@ -63,7 +63,7 @@ def _samples(exprs: list) -> list:
     for N in DIMENSIONS:
         batch = [(i, expr) for i, expr in enumerate(exprs) if expr.N == N]
         observables = [(f"{i}.{k}", node) for i, expr in batch
-                       for k, node in enumerate(_word_nodes(expr))]
+                       for k, node in enumerate(_word_nodes(expr.words))]
         stats = trace_observables(observables, N, REPLICAS, SEED,
                                   stream="moment")
         for i, expr in batch:
