@@ -288,6 +288,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InsufficientSamplesError(
             f"simulate reports batch standard errors, which need at least "
             f"{2 * BATCH_COUNT} replicas, got {replicas}")
+    if outdir and not os.path.isdir(outdir):
+        raise FileNotFoundError(f"output directory {outdir!r} does not exist")
 
     exprs = []
     for text in words:
@@ -326,9 +328,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 [cov.real, cov.imag]
 
     if outdir:
-        if not os.path.isdir(outdir):
-            raise FileNotFoundError(
-                f"output directory {outdir!r} does not exist")
         trace_path = os.path.join(outdir, "traces.csv")
         _write(trace_path, csv_bytes(("observable", "replica", "re", "im"),
                                      stats.csv_rows()))
@@ -341,6 +340,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _int_option(args, {}, "seed", 0, minimum=0)
+    if args.out:
+        # an unwritable report path is refused before any check runs
+        with open(args.out, "ab"):
+            pass
     results = verify_mod.run_suite(args.suite, seed)
     all_ok = True
     for r in results:

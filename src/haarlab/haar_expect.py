@@ -80,12 +80,6 @@ class HaarLetter:
         return VARIANT_NAMES[(self.eps, self.eta)]
 
 
-U = HaarLetter(1, 1)
-U_T = HaarLetter(-1, 1)
-U_BAR = HaarLetter(1, -1)
-U_STAR = HaarLetter(-1, -1)
-
-
 @dataclass(frozen=True)
 class ConstantLetter:
     name: str

@@ -10,6 +10,10 @@ the wall time.  The checks that never use their seed still record it.
 Suites: "exact" for the deterministic checks, "mc" for everything
 stochastic, "all" for both; a new check is one function here plus one
 entry in EXACT or MONTE_CARLO.
+
+Exact words are written in the word grammar users type and go through
+_exact, which parses and evaluates them; check 03 traces its cycles
+with the pairing kernel's own _trace_key and _key_trace.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from .cumulants import (CumulantFunctional, MomentFunctional,
 from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
                         moment_by_quadrature)
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
-                    mat_trace, mat_transpose, qc_matrix)
-from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
-                          TraceWord, U, U_BAR, U_STAR, U_T, VARIANT_NAMES,
+                    mat_transpose, qc_matrix)
+from .haar_expect import (VARIANT_NAMES, _key_trace, _trace_key,
                           expected_trace_product, first_order_limit,
-                          invariance_counterexample as counterexample_values)
+                          invariance_counterexample as counterexample_values,
+                          parse_trace_product)
 from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Product,
                   Variant, histogram, ks_distance, spectral_replicas,
                   trace_observables)
@@ -69,6 +73,11 @@ def _recorded(check):
                            str(observed), str(tolerance), bool(passed), seed,
                            round(clock() - start, 3))
     return run
+
+
+def _exact(word: str, N: int, constants=None) -> QC:
+    """E of the trace-product word, exactly, at dimension N."""
+    return expected_trace_product(parse_trace_product(word, constants, N))
 
 
 def _perms(n):
@@ -164,15 +173,8 @@ def index_sum_oracle(seed: int) -> tuple:
             total += term
         cycles, eps = pi_epsilon(p)
         mats = [qc_matrix(r) for r in rows]
-        rhs = QC_ONE
-        for cyc in cycles:
-            prod = None
-            for k in cyc:
-                m = mats[k - 1]
-                if eps[k - 1] == -1:
-                    m = mat_transpose(m)
-                prod = m if prod is None else mat_mul(prod, m)
-            rhs = rhs * mat_trace(prod)
+        rhs = _key_trace(_trace_key(cycles, eps, frozenset(range(1, n + 1))),
+                         mats, N)
         if QC(total) != rhs:
             mismatches += 1
     return (
@@ -185,20 +187,24 @@ def index_sum_oracle(seed: int) -> tuple:
 
 # 4: conjugation-variance counterexample + orthogonal invariance
 
-def _random_word(rng: random.Random, N: int, length: int) -> TraceWord:
+def _random_word(rng: random.Random, N: int, length: int) -> tuple:
+    """A random word in the grammar and its constants by name."""
     letters = []
-    variants = [U, U_T, U_BAR, U_STAR]
+    constants = {}
+    variants = list(VARIANT_NAMES.values())
     for i in range(length):
         if rng.random() < 0.6:
             letters.append(variants[rng.randrange(4)])
         else:
             rows = [[QC(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
                      for _ in range(N)] for _ in range(N)]
-            letters.append(ConstantLetter(f"C{i}", qc_matrix(rows)))
-    if not any(isinstance(l, ConstantLetter) for l in letters):
-        letters[rng.randrange(len(letters))] = ConstantLetter(
-            "C", identity_qc(N))
-    return TraceWord(tuple(letters), normalized=rng.random() < 0.5)
+            letters.append(f"C{i}")
+            constants[f"C{i}"] = qc_matrix(rows)
+    if not constants:
+        letters[rng.randrange(len(letters))] = "C"
+        constants["C"] = identity_qc(N)
+    trace = "tr" if rng.random() < 0.5 else "Tr"
+    return f"{trace}({' '.join(letters)})", constants
 
 
 def invariance_counterexample(seed: int) -> tuple:
@@ -217,15 +223,11 @@ def invariance_counterexample(seed: int) -> tuple:
     ot = mat_transpose(o)
     rng = random.Random(seed)
     for _trial in range(25):
-        word = _random_word(rng, 2, rng.randint(1, 4))
-        moved = tuple(
-            l if isinstance(l, HaarLetter) else ConstantLetter(
-                l.name, mat_mul(ot, mat_mul(l.resolved(), o)))
-            for l in word.letters)
-        a = expected_trace_product(
-            TraceProductExpr((word,), 2))
-        b = expected_trace_product(
-            TraceProductExpr((TraceWord(moved, word.normalized),), 2))
+        word, constants = _random_word(rng, 2, rng.randint(1, 4))
+        moved = {name: mat_mul(ot, mat_mul(c, o))
+                 for name, c in constants.items()}
+        a = _exact(word, 2, constants)
+        b = _exact(word, 2, moved)
         if a != b:
             failures.append(("orthogonal", word, str(a), str(b)))
     return (
@@ -239,24 +241,19 @@ def invariance_counterexample(seed: int) -> tuple:
 # 5: first-order limits of mixed-variant powers
 
 def _power_word_value(m, v, n, v2, N) -> complex:
-    letters = tuple([HaarLetter(*v)] * m + [HaarLetter(*v2)] * n)
-    word = TraceWord(letters, normalized=True)
-    val = expected_trace_product(TraceProductExpr((word,), N))
-    return complex(val)
+    letters = [VARIANT_NAMES[v]] * m + [VARIANT_NAMES[v2]] * n
+    return complex(_exact(f"tr({' '.join(letters)})", N))
 
 
 def first_order_limits(seed: int) -> tuple:
     failures = []
     for N in range(2, 9):
-        got = expected_trace_product(TraceProductExpr(
-            (TraceWord((U, U_BAR), normalized=True),), N))
+        got = _exact("tr(U Uc)", N)
         if got != QC(Fraction(1, N)):
             failures.append(("tr(U Ubar)", N, str(got)))
-    if expected_trace_product(TraceProductExpr(
-            (TraceWord((U, U_T), normalized=True),), 5)) != QC_ZERO:
+    if _exact("tr(U Ut)", 5) != QC_ZERO:
         failures.append(("tr(U Ut)", 5))
-    if expected_trace_product(TraceProductExpr(
-            (TraceWord((U, U_STAR), normalized=True),), 5)) != QC_ONE:
+    if _exact("tr(U U*)", 5) != QC_ONE:
         failures.append(("tr(U U*)", 5))
 
     worst = 0.0
@@ -286,10 +283,9 @@ def first_order_limits(seed: int) -> tuple:
 
 def power_trace_fluctuations(seed: int) -> tuple:
     failures = []
-    for k in (1, 2):
+    for k, word in ((1, "Tr(U)Tr(Uc)"), (2, "Tr(U U)Tr(Uc Uc)")):
         for N in (1, 2, 3, 4, 5):
-            words = (TraceWord(tuple([U] * k)), TraceWord(tuple([U_BAR] * k)))
-            got = expected_trace_product(TraceProductExpr(words, N))
+            got = _exact(word, N)
             if got != QC(min(k, N)):
                 failures.append((k, N, str(got)))
     ones = [[1, 1], [1, 1]]
@@ -312,8 +308,7 @@ def power_trace_fluctuations(seed: int) -> tuple:
 def transpose_second_order(seed: int) -> tuple:
     failures = []
     for N in range(1, 7):
-        cov = expected_trace_product(TraceProductExpr(
-            (TraceWord((U,)), TraceWord((U_BAR,))), N))
+        cov = _exact("Tr(U)Tr(Uc)", N)
         if cov != QC_ONE:
             failures.append(("exact cov", N, str(cov)))
 
@@ -353,11 +348,9 @@ def conjugate_transpose_decay(seed: int) -> tuple:
     failures = []
     values = {}
     for N in (16, 32, 64):
-        a = ConstantLetter("A", _balanced_diag_qc(N))
-        b_t = ConstantLetter("B", _balanced_diag_qc(N), transpose=True)
-        word = TraceWord((U, a, U_STAR, U_BAR, b_t, U_T), normalized=True)
-        values[N] = complex(expected_trace_product(
-            TraceProductExpr((word,), N)))
+        d = _balanced_diag_qc(N)
+        values[N] = complex(_exact("tr(U A U* Uc Bt Ut)", N,
+                                   {"A": d, "B": d}))
     r1 = abs(values[32]) / abs(values[16])
     r2 = abs(values[64]) / abs(values[32])
     if not (0.4 <= r1 <= 0.6 and 0.4 <= r2 <= 0.6):

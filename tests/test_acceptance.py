@@ -11,7 +11,8 @@ exercises the identical code paths.
 
 import pytest
 
-from haarlab import verify
+from haarlab import haar_expect, verify
+from haarlab.exact import mat_mul, mat_trace, mat_transpose
 
 CRITERIA = [
     ("01_weingarten_exact_small_orders", "weingarten_exactness"),
@@ -48,3 +49,12 @@ def test_suite_registry_covers_all_criteria():
     assert sorted(name for _, name in CRITERIA) \
         == sorted(verify.SUITES["all"])
     assert len(CRITERIA) == 12
+
+
+def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
+    """Check 03's trace-product side is the pairing kernel's own trace,
+    so a kernel that traces a b as a b^t fails it."""
+    monkeypatch.setattr(haar_expect, "mat_trace_product",
+                        lambda a, b: mat_trace(mat_mul(a, mat_transpose(b))))
+    result = verify.CHECKS["index_sum_oracle"](SEED)
+    assert not result.passed, result.observed

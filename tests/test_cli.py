@@ -270,6 +270,15 @@ def test_verify_exact_suite(tmp_path, capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_verify_refuses_an_unwritable_report_before_running(tmp_path,
+                                                            capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert main(["verify", "exact", "--out", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.count("error: ") == 1
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
@@ -417,6 +426,19 @@ def test_figure1_refuses_few_bins_before_sampling(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and "bins must be at least 10" in err
     assert "Traceback" not in err
+    assert draws == []
+
+
+def test_simulate_refuses_a_missing_outdir_before_sampling(tmp_path, capsys,
+                                                          monkeypatch):
+    draws = []
+    sample = rmt.sample_haar_unitary
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed) or sample(N, seed))
+    assert main(["simulate", "--N", "4", "--replicas", "20", "--word",
+                 "Tr(U)", "--outdir", str(tmp_path / "missing")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "does not exist" in err
     assert draws == []
 
 
