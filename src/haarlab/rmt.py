@@ -13,7 +13,11 @@ numpy's default_rng([seed, s, j]), replicas run on worker_count()
 threads, and every BLAS and LAPACK call inside runs on one thread (the
 replica workers are the only parallelism).  Each replica's result lands
 in its own row, so the numbers depend neither on HAARLAB_THREADS nor on
-OPENBLAS_NUM_THREADS.
+OPENBLAS_NUM_THREADS.  Under glibc the runner keeps freed memory in the
+process while it runs, so a replica reuses the pages the one before it
+freed instead of faulting in new ones; when it returns, it sets
+mallopt(3)'s default thresholds again (glibc's dynamic thresholds stay
+off from then on) and hands free memory back with malloc_trim(0).
 """
 
 from __future__ import annotations
@@ -193,11 +197,76 @@ def _set_blas_threads(setters: list, counts: list) -> list:
 
 def threading_summary() -> str:
     """One line on how _run_replicas runs here: replica workers,
-    BLAS threads per worker and the OpenBLAS libraries found."""
+    BLAS threads per worker, the OpenBLAS libraries found and the heap
+    policy."""
     names = list(blas_thread_setters())
     blas = "1 (pinned)" if names else "not controlled"
+    heap = "kept during replica runs (glibc)" if heap_controls() \
+        else "not controlled"
     return (f"replica workers: {worker_count()}; BLAS threads per worker: "
-            f"{blas}; OpenBLAS: {', '.join(names) or 'none found'}")
+            f"{blas}; OpenBLAS: {', '.join(names) or 'none found'}; "
+            f"heap {heap}")
+
+
+# ----------------------------------------------------------------------
+# the heap
+
+# glibc's mallopt parameters (malloc.h), the values _run_replicas sets
+# for a run, and the defaults that mallopt(3) documents for both.  Each
+# replica frees and reallocates the same few N x N arrays, and under
+# the defaults glibc hands them back to the OS and faults them in
+# again: about 390 minor faults per replica of a simulate run at
+# N = 128, against 3 with these thresholds.  32 MiB is the largest mmap
+# threshold glibc accepts on 64-bit hosts, and 1 GiB is far above the
+# free heap a run leaves between replicas.  Setting either threshold
+# turns off glibc's dynamic adjustment of both, so both are set, and
+# the adjustment stays off after the run returns to the defaults and
+# malloc_trim(0) hands the free memory back.  Workspaces passed as out=
+# would not help: they cannot reach the LAPACK work arrays inside
+# eigvalsh or numpy's temporaries.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_RUN_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 * 2 ** 20,
+                   _M_TRIM_THRESHOLD: 2 ** 30}
+_DEFAULT_THRESHOLDS = {_M_MMAP_THRESHOLD: 128 * 1024,
+                       _M_TRIM_THRESHOLD: 128 * 1024}
+
+
+def _c_library():
+    """The C library's symbols as loaded into this process; None where
+    ctypes has no handle on them (Windows)."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def heap_controls() -> tuple | None:
+    """(mallopt, malloc_trim) of the C library when it exports both, as
+    glibc does; None otherwise."""
+    libc = _c_library()
+    mallopt = getattr(libc, "mallopt", None)
+    malloc_trim = getattr(libc, "malloc_trim", None)
+    if mallopt is None or malloc_trim is None:
+        return None
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    return mallopt, malloc_trim
+
+
+def _keep_heap(controls: tuple | None, keep: bool) -> None:
+    """With keep, set the run's thresholds; without, set mallopt(3)'s
+    defaults and malloc_trim(0).  Nothing when controls is None."""
+    if controls is None:
+        return
+    mallopt, malloc_trim = controls
+    for param, value in (_RUN_THRESHOLDS if keep
+                         else _DEFAULT_THRESHOLDS).items():
+        mallopt(param, value)
+    if not keep:
+        malloc_trim(0)
 
 
 # ----------------------------------------------------------------------
@@ -272,16 +341,20 @@ class Sum(Node):
 @dataclass(frozen=True)
 class Product(Node):
     """The product of factors, left to right.  mirror is (eps, eta)
-    when the factors split into two equal halves L and R with R the
-    (eps, eta) variant of L as a matrix, for every U (None otherwise),
-    found once here; the trace is then Tr(L v(L)) from L alone."""
+    when the factors, or a rotation of them, split into two equal halves
+    L and R with R the (eps, eta) variant of L as a matrix, for every U
+    (None otherwise), and half is that L; both are found once here.  The
+    trace is then Tr(L v(L)) from L alone."""
     factors: tuple
     mirror: tuple | None = field(init=False, repr=False, compare=False)
+    half: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "mirror", _mirror(factors))
+        mirror, half = _mirror(factors)
+        object.__setattr__(self, "mirror", mirror)
+        object.__setattr__(self, "half", half)
 
 
 def _canonical(node, eps: int, eta: int):
@@ -319,17 +392,23 @@ def _canonical_factors(factors: tuple, eps: int, eta: int):
 _MIRRORS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
-def _mirror(factors: tuple) -> tuple | None:
-    """(eps, eta) when factors = L + R, two halves of equal length,
-    with R equal to the (eps, eta) variant of L; else None."""
+def _mirror(factors: tuple) -> tuple:
+    """((eps, eta), L) for the first rotation of factors, the given
+    order first, that is L + R, two halves of equal length, with R equal
+    to the (eps, eta) variant of L; (None, None) when there is none.
+    Rotating by k + n/2 swaps the halves of rotation k, and a variant
+    is its own inverse, so the first n/2 rotations are all to try."""
     half, odd = divmod(len(factors), 2)
-    if odd or not half:
-        return None
-    right = _canonical_factors(factors[half:], 1, 1)
-    if None in right:
-        return None
-    return next((m for m in _MIRRORS
-                 if _canonical_factors(factors[:half], *m) == right), None)
+    forms = [_canonical(f, 1, 1) for f in factors]
+    if odd or not half or None in forms:
+        return None, None
+    for k in range(half):
+        turned = factors[k:] + factors[:k]
+        right = tuple((forms[k:] + forms[:k])[half:])
+        for m in _MIRRORS:
+            if _canonical_factors(turned[:half], *m) == right:
+                return m, turned[:half]
+    return None, None
 
 
 # The trees of figure1's two panels, built once: U + U* and
@@ -367,10 +446,12 @@ def evaluate(node: Node, u: np.ndarray, N: int,
 
     The trace of a Product of several factors never forms the last
     product.  A mirrored Product, whose second half R is the first half
-    L or its transpose, conjugate or adjoint v(L) (Product.mirror, found
-    when the Product is built), folds L alone: Tr(L v(L)) = sum(L *
-    v(L)^t), so tr(U A U* Uc At Ut) = Tr(L L^t) with L = U A U* costs
-    one matmul, not two.  Any other Product's trace is Tr(P L) =
+    L or its transpose, conjugate or adjoint v(L) in the given order or
+    in a rotation of it (Product.mirror and Product.half, found when the
+    Product is built), folds L alone: Tr(L v(L)) = sum(L * v(L)^t), so
+    tr(U A U* Uc At Ut) = Tr(L L^t) with L = U A U* costs one matmul,
+    not two, and so does its rotation tr(A U* Uc At Ut U), with
+    L = A U* Uc.  Any other Product's trace is Tr(P L) =
     sum(P * L^t) for the product P of all but its last factor L, O(N^2),
     and sum(diag(P) * d) when L is a diagonal constant d.  The trace of
     a bare Haar variant reads u's diagonal, conjugated for Uc and U*.
@@ -384,9 +465,11 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
     matrix reused.  Other nodes are not kept, so each intermediate is
     freed once used: keeping every node's matrix until the call returns
-    tripled the minor page faults of a 500-replica N = 128 simulate
-    pass (to about 340,000) and slowed it by 10-20%.  Results may be
-    shared views and are never modified."""
+    tripled the minor page faults of a 500-replica N = 128 simulate pass
+    (to about 340,000) and slowed it by 10-20%, when glibc still handed
+    each replica's freed arrays back to the OS; now that _run_replicas
+    keeps them, such a pass takes about 1,600.  Results may be shared
+    views and are never modified."""
     if trace and isinstance(node, HaarU):
         t = np.trace(u)
         return np.conj(t) if node.eta == -1 else t
@@ -411,7 +494,7 @@ def evaluate(node: Node, u: np.ndarray, N: int,
         return np.trace(_evaluate(node, u, N, shared))
     if node.mirror is not None:
         eps, eta = node.mirror
-        half = _fold(node.factors[:len(node.factors) // 2], u, N, shared)
+        half = _fold(node.half, u, N, shared)
         return np.sum(half * variant_matrix(half, -eps, eta))
     prefix = _fold(node.factors[:-1], u, N, shared)
     last = node.factors[-1]
@@ -487,11 +570,12 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
 
 def spectrum(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix.  A matrix that is
-    not hermitian within HERMITIAN_TOL in max-norm is rejected rather
-    than silently projected.  One whose imaginary part is exactly zero
-    goes to the real solver, which is faster and agrees to rounding."""
+    not hermitian within HERMITIAN_TOL in max-norm, or holds a NaN, is
+    rejected rather than silently projected.  One whose imaginary part
+    is exactly zero goes to the real solver, which is faster and agrees
+    to rounding."""
     dev = hermitian_deviation(matrix)
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:    # NaN fails this comparison too
         raise NotSelfAdjointError(
             f"matrix deviates from self-adjoint by {dev:.3e}")
     if not np.any(matrix.imag):
@@ -588,8 +672,10 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
 
     Replicas are computed by worker_count() threads, and each worker
     runs its BLAS and LAPACK calls on one thread; the caller's BLAS
-    thread counts are restored on return.  Rows land in preassigned
-    slots, so the output depends neither on HAARLAB_THREADS nor on
+    thread counts are restored on return.  Under glibc, freed memory
+    stays in the process for the run and goes back to the OS on return
+    (see _RUN_THRESHOLDS).  Rows land in preassigned slots, so the
+    output depends neither on HAARLAB_THREADS nor on
     OPENBLAS_NUM_THREADS.  N beyond DIMENSION_CAP, or more than
     VALUE_CAP results, raise CapacityError before any allocation.
     """
@@ -615,6 +701,8 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     # OpenBLAS's pthreads builds keep one process-wide count, so the
     # caller pins too and restores what it found
     previous = _set_blas_threads(setters, one)
+    heap = heap_controls()
+    _keep_heap(heap, True)
     try:
         if threads == 1:
             for j in range(replicas):
@@ -626,6 +714,7 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
                 list(pool.map(run_one, range(replicas)))
     finally:
         _set_blas_threads(setters, previous)
+        _keep_heap(heap, False)
     return out
 
 

@@ -1,10 +1,12 @@
 """Haar sampling, observable trees, spectra, trace statistics."""
 
 import os
+import platform
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +228,19 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_spectrum_rejects_nan():
+    """A NaN makes the deviation NaN, which no comparison with the
+    tolerance lets through."""
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = np.nan
+    with pytest.raises(NotSelfAdjointError, match="nan"):
+        spectrum(m)
+    m = np.eye(4, dtype=complex)
+    m[3, 3] = np.nan
+    with pytest.raises(NotSelfAdjointError):
+        spectrum(m)
+
+
 def test_spectral_replicas_and_pooling():
     node = Sum((HaarU(), HaarU(-1, -1)))
     spectra = spectral_replicas(node, 8, 5, seed=3)
@@ -407,6 +422,94 @@ def test_trace_observables_without_openblas(monkeypatch):
     assert np.array_equal(got.samples, want.samples)
 
 
+def test_trace_observables_without_heap_controls(monkeypatch):
+    obs = [("t", Product((HaarU(), HaarU(1, -1))))]
+    want = trace_observables(obs, 8, 12, seed=3)
+    monkeypatch.setattr(rmt, "_c_library", lambda: SimpleNamespace())
+    assert rmt.heap_controls() is None
+    assert rmt.threading_summary().endswith("; heap not controlled")
+    got = trace_observables(obs, 8, 12, seed=3)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_summary_names_the_heap_policy():
+    want = ("kept during replica runs (glibc)" if rmt.heap_controls()
+            else "not controlled")
+    assert rmt.threading_summary().endswith(f"; heap {want}")
+
+
+class _Recorder:
+    """A stand-in C function that logs each call to calls."""
+
+    def __init__(self, name, calls):
+        self.name, self.calls = name, calls
+
+    def __call__(self, *args):
+        self.calls.append((self.name, *args))
+        return 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("n", [4, 3])
+def test_heap_thresholds_are_put_back_and_trimmed(workers, n, monkeypatch):
+    """Both thresholds are raised for the run; on return, after a
+    raise too, mallopt(3)'s defaults are set again and malloc_trim(0)
+    runs last.  n = 3 meets a 4 x 4 constant and raises."""
+    calls = []
+    libc = SimpleNamespace(mallopt=_Recorder("mallopt", calls),
+                           malloc_trim=_Recorder("malloc_trim", calls))
+    monkeypatch.setattr(rmt, "_c_library", lambda: libc)
+    monkeypatch.setenv("HAARLAB_THREADS", workers)
+    node = Product((HaarU(), Const("A", np.eye(4))))
+    if n == 4:
+        trace_observables([("t", node)], n, 10, seed=1)
+    else:
+        with pytest.raises(DimensionError):
+            trace_observables([("t", node)], n, 10, seed=1)
+    mmap, trim = -3, -1
+    assert calls == [("mallopt", mmap, 32 * 2 ** 20),
+                     ("mallopt", trim, 2 ** 30),
+                     ("mallopt", mmap, 128 * 1024),
+                     ("mallopt", trim, 128 * 1024),
+                     ("malloc_trim", 0)]
+
+
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from haarlab.rmt import Const, HaarU, Product, Variant, trace_observables
+U, UT, UC, UH = HaarU(), HaarU(-1, 1), HaarU(1, -1), HaarU(-1, -1)
+r = Const("R", np.random.default_rng(11).standard_normal((128, 128)))
+obs = [("uru", Product((U, r, UH, UC, Variant(r, -1, 1), UT))),
+       ("u", U), ("uc", UC), ("uut", Product((U, UT))),
+       ("uucuc", Product((U, U, UC, UC)))]
+# the first run maps the workers' arenas and BLAS buffers
+trace_observables(obs, 128, 10, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+trace_observables(obs, 128, 100, seed=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_replicas_reuse_freed_memory(workers):
+    """Minor page faults of a 100-replica N = 128 run of five words
+    like mc_traces's, in a fresh process: about 28,800 at one worker and
+    20,000 at two when glibc hands each replica's freed arrays back to
+    the OS and faults them in again, a few hundred when the run keeps
+    them.  A fresh process, because glibc's dynamic thresholds depend on
+    what the process freed before."""
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap is kept under glibc only")
+    src = str(Path(haarlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, HAARLAB_THREADS=workers, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    faults = int(out.stdout)
+    assert faults < 4000, faults
+
+
 def test_trace_observables_sample_floor():
     with pytest.raises(InsufficientSamplesError):
         trace_observables([("t", HaarU())], 4, 9, seed=0)
@@ -570,6 +673,57 @@ def test_a_mirrored_word_folds_only_its_left_half(monkeypatch):
     # one constant differs: the prefix path folds all but the last
     evaluate(Product((U, a, UH, UC, g, UT)), u, 8, trace=True)
     assert folded == [5]
+
+
+def _rotations(factors):
+    return [factors[k:] + factors[:k] for k in range(len(factors))]
+
+
+@pytest.mark.parametrize("n", [4, 16, 33])
+def test_every_rotation_of_a_mirrored_word_is_mirrored(n):
+    """The six rotations of tr(U R U* Uc Rt Ut) with a dense real R,
+    four of which the given split alone missed, and every rotation of
+    the other mirrored trees: each is mirrored, and its trace is the
+    trace of its matrix."""
+    r = _constants(n)[4]
+    u = sample_haar_unitary(n, seed=[3, n])
+    word = (U, r, UH, UC, Variant(r, -1, 1), UT)
+    trees = [(word, (-1, 1))] + [(tree.factors, mirror)
+                                 for tree, mirror in _mirrored_trees(n)]
+    for factors, mirror in trees:
+        for turned in _rotations(factors):
+            tree = Product(turned)
+            assert tree.mirror is not None, turned
+            assert len(tree.half) == len(turned) // 2
+            got = evaluate(tree, u, n, trace=True)
+            want = np.trace(evaluate(tree, u, n))
+            assert abs(got - want) <= 1e-12 * max(abs(want), n), turned
+        # the given split comes first, so its bytes do not move
+        tree = Product(factors)
+        assert (tree.mirror, tree.half) == (mirror,
+                                            factors[:len(factors) // 2])
+
+
+def test_a_rotated_mirrored_word_folds_only_its_rotated_half(monkeypatch):
+    folded = []
+    inner = rmt._fold
+
+    def counting(factors, *args):
+        folded.append(factors)
+        return inner(factors, *args)
+
+    monkeypatch.setattr(rmt, "_fold", counting)
+    u = sample_haar_unitary(8, seed=4)
+    r = _constants(8)[4]
+    rt = Variant(r, -1, 1)
+    # tr(A U* Uc At Ut U) is mirrored two rotations on, about the
+    # split Uc At Ut | U A U*
+    evaluate(Product((r, UH, UC, rt, UT, U)), u, 8, trace=True)
+    assert folded == [(UC, rt, UT)]
+    folded.clear()
+    # tr(Ut U A U* Uc At), one rotation on: U A U* | Uc At Ut
+    evaluate(Product((UT, U, r, UH, UC, rt)), u, 8, trace=True)
+    assert folded == [(U, r, UH)]
 
 
 @pytest.mark.parametrize("n", [1, 3, 128])
