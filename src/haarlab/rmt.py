@@ -18,13 +18,17 @@ process while it runs, so a replica reuses the pages the one before it
 freed instead of faulting in new ones; when it returns, it sets
 mallopt(3)'s default thresholds again (glibc's dynamic thresholds stay
 off from then on) and hands free memory back with malloc_trim(0).
+These settings are process-wide; the runner leaves them alone when the
+environment sets glibc's malloc tunables (malloc_tuned).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -216,20 +220,29 @@ def threading_summary() -> str:
 # replica frees and reallocates the same few N x N arrays, and under
 # the defaults glibc hands them back to the OS and faults them in
 # again: about 390 minor faults per replica of a simulate run at
-# N = 128, against 3 with these thresholds.  32 MiB is the largest mmap
-# threshold glibc accepts on 64-bit hosts, and 1 GiB is far above the
-# free heap a run leaves between replicas.  Setting either threshold
-# turns off glibc's dynamic adjustment of both, so both are set, and
-# the adjustment stays off after the run returns to the defaults and
-# malloc_trim(0) hands the free memory back.  Workspaces passed as out=
-# would not help: they cannot reach the LAPACK work arrays inside
-# eigvalsh or numpy's temporaries.
+# N = 128, against 3 with these thresholds.  The mmap threshold is
+# glibc's largest, 4 MiB * sizeof(long) (DEFAULT_MMAP_THRESHOLD_MAX:
+# 32 MiB on 64-bit hosts, 16 MiB on 32-bit ones), and 1 GiB is far
+# above the free heap a run leaves between replicas.  Setting either
+# threshold turns off glibc's dynamic adjustment of both, so both are
+# set, and the adjustment stays off after the run returns to the
+# defaults and malloc_trim(0) hands the free memory back.  Workspaces
+# passed as out= would not help: they cannot reach the LAPACK work
+# arrays inside eigvalsh or numpy's temporaries.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_RUN_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 * 2 ** 20,
-                   _M_TRIM_THRESHOLD: 2 ** 30}
+_RUN_THRESHOLDS = {
+    _M_MMAP_THRESHOLD: 4 * 2 ** 20 * ctypes.sizeof(ctypes.c_long),
+    _M_TRIM_THRESHOLD: 2 ** 30}
 _DEFAULT_THRESHOLDS = {_M_MMAP_THRESHOLD: 128 * 1024,
                        _M_TRIM_THRESHOLD: 128 * 1024}
+# The thresholds are process-wide, so replica runs that overlap (from
+# several threads) share them: the first to start sets the run's values
+# and the last to return puts the defaults back.  _heap_refused turns
+# the policy off for the process once mallopt has refused a value.
+_heap_lock = threading.Lock()
+_heap_runs = 0
+_heap_refused = False
 
 
 def _c_library():
@@ -241,9 +254,20 @@ def _c_library():
         return None
 
 
+def malloc_tuned(env: Mapping = os.environ) -> bool:
+    """True when env sets glibc's malloc tunables: a MALLOC_* variable
+    (MALLOC_MMAP_THRESHOLD_, MALLOC_ARENA_MAX, ...) or a glibc.malloc
+    entry in GLIBC_TUNABLES.  The runner then leaves the heap alone."""
+    return (any(name.startswith("MALLOC_") for name in env)
+            or "glibc.malloc." in env.get("GLIBC_TUNABLES", ""))
+
+
 def heap_controls() -> tuple | None:
     """(mallopt, malloc_trim) of the C library when it exports both, as
-    glibc does; None otherwise."""
+    glibc does; None otherwise, when the environment sets malloc
+    tunables (malloc_tuned), or once mallopt has refused a value."""
+    if _heap_refused or malloc_tuned():
+        return None
     libc = _c_library()
     mallopt = getattr(libc, "mallopt", None)
     malloc_trim = getattr(libc, "malloc_trim", None)
@@ -256,17 +280,38 @@ def heap_controls() -> tuple | None:
     return mallopt, malloc_trim
 
 
-def _keep_heap(controls: tuple | None, keep: bool) -> None:
-    """With keep, set the run's thresholds; without, set mallopt(3)'s
-    defaults and malloc_trim(0).  Nothing when controls is None."""
-    if controls is None:
-        return
-    mallopt, malloc_trim = controls
-    for param, value in (_RUN_THRESHOLDS if keep
-                         else _DEFAULT_THRESHOLDS).items():
-        mallopt(param, value)
-    if not keep:
-        malloc_trim(0)
+def _set_thresholds(mallopt, values: dict) -> bool:
+    """mallopt each (param, value), all of them even after a refusal;
+    True when every call returned 1."""
+    return all([mallopt(param, value) == 1
+                for param, value in values.items()])
+
+
+@contextlib.contextmanager
+def _kept_heap():
+    """Keep freed memory in the process while the block runs: on entry
+    to the first of any overlapping runs, set _RUN_THRESHOLDS; on exit
+    from the last, set mallopt(3)'s defaults and malloc_trim(0).  When
+    mallopt refuses a run value, the defaults go back at once and the
+    policy stays off.  Nothing without heap_controls()."""
+    global _heap_runs, _heap_refused
+    with _heap_lock:
+        controls = heap_controls()
+        if controls is not None and _heap_runs == 0 \
+                and not _set_thresholds(controls[0], _RUN_THRESHOLDS):
+            _set_thresholds(controls[0], _DEFAULT_THRESHOLDS)
+            _heap_refused, controls = True, None
+        if controls is not None:
+            _heap_runs += 1
+    try:
+        yield
+    finally:
+        if controls is not None:
+            with _heap_lock:
+                _heap_runs -= 1
+                if _heap_runs == 0:
+                    _set_thresholds(controls[0], _DEFAULT_THRESHOLDS)
+                    controls[1](0)
 
 
 # ----------------------------------------------------------------------
@@ -464,12 +509,10 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     A node object that the tree reaches more than once (figure1's
     U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
     matrix reused.  Other nodes are not kept, so each intermediate is
-    freed once used: keeping every node's matrix until the call returns
-    tripled the minor page faults of a 500-replica N = 128 simulate pass
-    (to about 340,000) and slowed it by 10-20%, when glibc still handed
-    each replica's freed arrays back to the OS; now that _run_replicas
-    keeps them, such a pass takes about 1,600.  Results may be shared
-    views and are never modified."""
+    freed once used and a replica holds only the few N x N arrays that
+    are live at once; in _run_replicas the next replica reuses their
+    memory (_kept_heap).  Results may be shared views and are never
+    modified."""
     if trace and isinstance(node, HaarU):
         t = np.trace(u)
         return np.conj(t) if node.eta == -1 else t
@@ -674,7 +717,7 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     runs its BLAS and LAPACK calls on one thread; the caller's BLAS
     thread counts are restored on return.  Under glibc, freed memory
     stays in the process for the run and goes back to the OS on return
-    (see _RUN_THRESHOLDS).  Rows land in preassigned slots, so the
+    (see _kept_heap).  Rows land in preassigned slots, so the
     output depends neither on HAARLAB_THREADS nor on
     OPENBLAS_NUM_THREADS.  N beyond DIMENSION_CAP, or more than
     VALUE_CAP results, raise CapacityError before any allocation.
@@ -701,20 +744,18 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     # OpenBLAS's pthreads builds keep one process-wide count, so the
     # caller pins too and restores what it found
     previous = _set_blas_threads(setters, one)
-    heap = heap_controls()
-    _keep_heap(heap, True)
     try:
-        if threads == 1:
-            for j in range(replicas):
-                run_one(j)
-        else:
-            with ThreadPoolExecutor(max_workers=threads,
-                                    initializer=_set_blas_threads,
-                                    initargs=(setters, one)) as pool:
-                list(pool.map(run_one, range(replicas)))
+        with _kept_heap():
+            if threads == 1:
+                for j in range(replicas):
+                    run_one(j)
+            else:
+                with ThreadPoolExecutor(max_workers=threads,
+                                        initializer=_set_blas_threads,
+                                        initargs=(setters, one)) as pool:
+                    list(pool.map(run_one, range(replicas)))
     finally:
         _set_blas_threads(setters, previous)
-        _keep_heap(heap, False)
     return out
 
 

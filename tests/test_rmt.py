@@ -1,5 +1,6 @@
 """Haar sampling, observable trees, spectra, trace statistics."""
 
+import ctypes
 import os
 import platform
 import subprocess
@@ -439,14 +440,38 @@ def test_summary_names_the_heap_policy():
 
 
 class _Recorder:
-    """A stand-in C function that logs each call to calls."""
+    """A stand-in C function that logs each call to calls and returns
+    result(*args)."""
 
-    def __init__(self, name, calls):
-        self.name, self.calls = name, calls
+    def __init__(self, name, calls, result=lambda *args: 1):
+        self.name, self.calls, self.result = name, calls, result
 
     def __call__(self, *args):
         self.calls.append((self.name, *args))
-        return 1
+        return self.result(*args)
+
+
+_MMAP, _TRIM = -3, -1
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX and mallopt(3)'s defaults
+_RUN_CALLS = [("mallopt", _MMAP, 4 * 2 ** 20 * ctypes.sizeof(ctypes.c_long)),
+              ("mallopt", _TRIM, 2 ** 30)]
+_DEFAULT_CALLS = [("mallopt", _MMAP, 128 * 1024),
+                  ("mallopt", _TRIM, 128 * 1024)]
+
+
+def _recorded_libc(monkeypatch, mallopt_result=lambda *args: 1):
+    """Stand-in mallopt and malloc_trim, logging to the returned list,
+    with no malloc tunables in the environment."""
+    calls = []
+    libc = SimpleNamespace(
+        mallopt=_Recorder("mallopt", calls, mallopt_result),
+        malloc_trim=_Recorder("malloc_trim", calls))
+    monkeypatch.setattr(rmt, "_c_library", lambda: libc)
+    monkeypatch.setattr(rmt, "_heap_refused", False)
+    for name in list(os.environ):
+        if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+            monkeypatch.delenv(name)
+    return calls
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -455,10 +480,7 @@ def test_heap_thresholds_are_put_back_and_trimmed(workers, n, monkeypatch):
     """Both thresholds are raised for the run; on return, after a
     raise too, mallopt(3)'s defaults are set again and malloc_trim(0)
     runs last.  n = 3 meets a 4 x 4 constant and raises."""
-    calls = []
-    libc = SimpleNamespace(mallopt=_Recorder("mallopt", calls),
-                           malloc_trim=_Recorder("malloc_trim", calls))
-    monkeypatch.setattr(rmt, "_c_library", lambda: libc)
+    calls = _recorded_libc(monkeypatch)
     monkeypatch.setenv("HAARLAB_THREADS", workers)
     node = Product((HaarU(), Const("A", np.eye(4))))
     if n == 4:
@@ -466,12 +488,61 @@ def test_heap_thresholds_are_put_back_and_trimmed(workers, n, monkeypatch):
     else:
         with pytest.raises(DimensionError):
             trace_observables([("t", node)], n, 10, seed=1)
-    mmap, trim = -3, -1
-    assert calls == [("mallopt", mmap, 32 * 2 ** 20),
-                     ("mallopt", trim, 2 ** 30),
-                     ("mallopt", mmap, 128 * 1024),
-                     ("mallopt", trim, 128 * 1024),
-                     ("malloc_trim", 0)]
+    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_MMAP_THRESHOLD_", "65536"), ("MALLOC_ARENA_MAX", "2"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")])
+def test_heap_left_alone_under_malloc_tunables(name, value, monkeypatch):
+    """Malloc settings from the environment are the user's: the run
+    makes no mallopt or malloc_trim call, the summary says so and the
+    samples keep their bytes."""
+    obs = [("t", Product((HaarU(), HaarU(1, -1))))]
+    want = trace_observables(obs, 8, 12, seed=3)
+    calls = _recorded_libc(monkeypatch)
+    monkeypatch.setenv(name, value)
+    assert rmt.heap_controls() is None
+    assert rmt.threading_summary().endswith("; heap not controlled")
+    got = trace_observables(obs, 8, 12, seed=3)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert calls == []
+
+
+def test_heap_kept_under_other_glibc_tunables(monkeypatch):
+    calls = _recorded_libc(monkeypatch)
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2")
+    trace_observables([("t", HaarU())], 4, 10, seed=1)
+    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
+
+
+def test_refused_threshold_puts_the_defaults_back(monkeypatch):
+    """A mmap threshold that mallopt refuses (as a glibc with a lower
+    maximum would) sends both thresholds back to the defaults at once;
+    the heap is then not controlled for the rest of the process."""
+    calls = _recorded_libc(
+        monkeypatch, lambda param, value: int(value <= 128 * 1024))
+    obs = [("t", HaarU())]
+    want = trace_observables(obs, 4, 10, seed=1).samples.tobytes()
+    assert calls == _RUN_CALLS + _DEFAULT_CALLS
+    assert rmt.threading_summary().endswith("; heap not controlled")
+    calls.clear()
+    assert trace_observables(obs, 4, 10, seed=1).samples.tobytes() == want
+    assert calls == []
+
+
+def test_overlapping_runs_share_the_thresholds(monkeypatch):
+    """Runs from two threads overlap: the first to start sets the
+    thresholds and the last to return puts the defaults back."""
+    calls = _recorded_libc(monkeypatch)
+    first, second = rmt._kept_heap(), rmt._kept_heap()
+    first.__enter__()
+    second.__enter__()
+    assert calls == _RUN_CALLS
+    first.__exit__(None, None, None)
+    assert calls == _RUN_CALLS
+    second.__exit__(None, None, None)
+    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
 
 
 _FAULTS_SCRIPT = """
@@ -502,7 +573,9 @@ def test_replicas_reuse_freed_memory(workers):
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the heap is kept under glibc only")
     src = str(Path(haarlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, HAARLAB_THREADS=workers, PYTHONPATH=src)
+    env = {name: value for name, value in os.environ.items()
+           if not rmt.malloc_tuned({name: value})}
+    env.update(HAARLAB_THREADS=workers, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
