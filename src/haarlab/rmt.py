@@ -9,17 +9,19 @@ law of the phase-fixed QR of a Ginibre matrix without factoring one.
 Both replica jobs, trace_observables and spectral_replicas, are tasks on
 one runner, _run_replicas.  It is the only replica loop: replica j of a
 call from the site whose tag in STREAMS is s draws its unitary from
-numpy's default_rng([seed, s, j]), replicas run on worker_count()
-threads, and every BLAS and LAPACK call inside runs on one thread (the
-replica workers are the only parallelism).  Each replica's result lands
-in its own row, so the numbers depend neither on HAARLAB_THREADS nor on
-OPENBLAS_NUM_THREADS.  Under glibc the runner keeps freed memory in the
-process while it runs, so a replica reuses the pages the one before it
-freed instead of faulting in new ones; when it returns, it sets
-mallopt(3)'s default thresholds again (glibc's dynamic thresholds stay
-off from then on) and hands free memory back with malloc_trim(0).
-These settings are process-wide; the runner leaves them alone when the
-environment sets glibc's malloc tunables (malloc_tuned).
+numpy's default_rng([seed, s, j]).  Of W = min(worker_count(),
+replicas) workers, worker w runs replicas w, w + W, w + 2W, ...; the
+calling thread is worker 0 and W - 1 pool threads are the rest.  Every
+BLAS and LAPACK call inside runs on one thread (the workers are the
+only parallelism).  Each replica's result lands in its own row, so the
+numbers depend neither on HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.
+Under glibc the runner keeps freed memory in the process while it runs,
+so a replica reuses the pages the one before it freed instead of
+faulting in new ones; when it returns, it sets mallopt(3)'s default
+thresholds again (glibc's dynamic thresholds stay off from then on) and
+hands free memory back with malloc_trim(0).  These settings are
+process-wide; the runner leaves them alone when the environment sets
+glibc's malloc tunables (malloc_tuned).
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ THREADS_ENV = "HAARLAB_THREADS"
 # the largest N _run_replicas samples (one N x N complex matrix is then
 # 1 GiB, and each worker holds a few), the most values its result array
 # holds (1 GiB of doubles), the most bins of a histogram, and the most
-# replica workers HAARLAB_THREADS may ask for (the pool starts a thread
-# per submitted replica while none is idle, up to its worker count).
+# replica workers HAARLAB_THREADS may ask for (a run starts one thread
+# per worker after the first, which is the caller).
 DIMENSION_CAP = 8192
 VALUE_CAP = 2 ** 27
 BIN_CAP = 10 ** 4
@@ -713,12 +715,14 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     (replicas, width) array is
     task(sample_haar_unitary(N, [seed, STREAMS[stream], j])).
 
-    Replicas are computed by worker_count() threads, and each worker
-    runs its BLAS and LAPACK calls on one thread; the caller's BLAS
-    thread counts are restored on return.  Under glibc, freed memory
-    stays in the process for the run and goes back to the OS on return
-    (see _kept_heap).  Rows land in preassigned slots, so the
-    output depends neither on HAARLAB_THREADS nor on
+    W = min(worker_count(), replicas) workers share the replicas, worker
+    w taking every W-th one from j = w.  The calling thread is worker 0,
+    and a pool of W - 1 threads runs the others, so a one-worker run
+    starts no thread.  Every worker runs its BLAS and LAPACK calls on
+    one thread; the caller's BLAS thread counts are restored on return.
+    Under glibc, freed memory stays in the process for the run and goes
+    back to the OS on return (see _kept_heap).  Rows land in preassigned
+    slots, so the output depends neither on HAARLAB_THREADS nor on
     OPENBLAS_NUM_THREADS.  N beyond DIMENSION_CAP, or more than
     VALUE_CAP results, raise CapacityError before any allocation.
     """
@@ -734,26 +738,23 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
             f"{VALUE_CAP} stored values")
     tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
+    workers = min(worker_count(), replicas)
 
-    def run_one(j: int):
-        out[j] = task(sample_haar_unitary(N, [seed, tag, j]))
+    def run_share(w: int):
+        for j in range(w, replicas, workers):
+            out[j] = task(sample_haar_unitary(N, [seed, tag, j]))
 
-    threads = worker_count()
     setters = list(blas_thread_setters().values())
     one = [1] * len(setters)
-    # OpenBLAS's pthreads builds keep one process-wide count, so the
-    # caller pins too and restores what it found
+    # the caller is worker 0, so it pins too, and restores what it found
     previous = _set_blas_threads(setters, one)
     try:
-        with _kept_heap():
-            if threads == 1:
-                for j in range(replicas):
-                    run_one(j)
-            else:
-                with ThreadPoolExecutor(max_workers=threads,
-                                        initializer=_set_blas_threads,
-                                        initargs=(setters, one)) as pool:
-                    list(pool.map(run_one, range(replicas)))
+        with _kept_heap(), ThreadPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads,
+                initargs=(setters, one)) as pool:
+            shares = pool.map(run_share, range(1, workers))
+            run_share(0)
+            list(shares)
     finally:
         _set_blas_threads(setters, previous)
     return out

@@ -358,10 +358,9 @@ def conjugate_transpose_decay(seed: int) -> tuple:
 
     n_mc = 128
     a_np = np.diag([1.0] * (n_mc // 2) + [-1.0] * (n_mc // 2))
-    # U A U* and U B U*
-    a, b = (Product((HaarU(), Const(name, a_np), HaarU(-1, -1)))
-            for name in "AB")
-    node = Product((a, Variant(b, -1, 1)))
+    # U A U* (U B U*)^t with B = A, one node, so the trace is mirrored
+    a = Product((HaarU(), Const("A", a_np), HaarU(-1, -1)))
+    node = Product((a, Variant(a, -1, 1)))
     stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed,
                               stream="check08")
     mean_tr = stats.mean("w") / n_mc

@@ -58,3 +58,36 @@ def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
                         lambda a, b: mat_trace(mat_mul(a, mat_transpose(b))))
     result = verify.CHECKS["index_sum_oracle"](SEED)
     assert not result.passed, result.observed
+
+
+def test_check08_traces_one_mirrored_node(monkeypatch):
+    """Check 08's Monte Carlo word is one node times its own transpose,
+    so its trace folds half the product.  Its observed string at seeds
+    0-2 is the one from U A U* and U B U* built on two Consts that hold
+    the same matrix (a tree that is not mirrored): both trees run in one
+    batch, on the same unitaries, and the check then reads each."""
+    from haarlab.rmt import Const, HaarU, Product, TraceStatistics, Variant
+    real = verify.trace_observables
+    nodes, two_const = [], {}
+
+    def both_trees(observables, **kwargs):
+        if two_const:
+            return two_const.pop("stats")
+        (name, node), = observables.items()
+        nodes.append(node)
+        a_np = node.factors[0].factors[1].matrix
+        a, b = (Product((HaarU(), Const(nm, a_np), HaarU(-1, -1)))
+                for nm in "AB")
+        old = Product((a, Variant(b, -1, 1)))
+        assert old.mirror is None
+        stats = real({name: node, "two": old}, **kwargs)
+        two_const["stats"] = TraceStatistics((name,), stats.samples[1:])
+        return TraceStatistics((name,), stats.samples[:1])
+
+    monkeypatch.setattr(verify, "trace_observables", both_trees)
+    for seed in range(3):
+        observed = verify.CHECKS["conjugate_transpose_decay"](seed).observed
+        assert verify.CHECKS["conjugate_transpose_decay"](seed).observed \
+            == observed, seed
+    assert len(nodes) == 3
+    assert all(node.mirror == (-1, 1) for node in nodes)

@@ -337,6 +337,67 @@ def test_worker_count_above_the_cap_is_refused_before_any_thread(
     assert threading.active_count() == threads
 
 
+
+def _counted_thread_starts(monkeypatch) -> list:
+    """threading.Thread.start wrapped to record each thread it starts."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    monkeypatch.setenv("HAARLAB_THREADS", "1")
+    started = _counted_thread_starts(monkeypatch)
+    trace_observables([("t", HaarU())], 8, 12, seed=2)
+    spectral_replicas(rmt.FIGURE1_ARCSINE, 8, 3, seed=2)
+    assert started == []
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3])
+def test_surplus_workers_start_no_thread(replicas, monkeypatch):
+    """Four workers for fewer replicas: the bytes of one worker, and at
+    most one thread per replica after the caller's."""
+    monkeypatch.setenv("HAARLAB_THREADS", "1")
+    want = spectral_replicas(rmt.FIGURE1_SUM_LAW, 8, replicas, seed=4)
+    monkeypatch.setenv("HAARLAB_THREADS", "4")
+    started = _counted_thread_starts(monkeypatch)
+    got = spectral_replicas(rmt.FIGURE1_SUM_LAW, 8, replicas, seed=4)
+    assert got.tobytes() == want.tobytes()
+    assert len(started) <= replicas - 1
+
+
+def test_each_replica_is_drawn_once_by_its_worker(monkeypatch):
+    """Three workers, ten replicas, thread switches forced often: every
+    [seed, tag, j] is drawn once, row j holds replica j's result, worker
+    w draws replicas w, w + 3, ..., and the caller is worker 0."""
+    monkeypatch.setenv("HAARLAB_THREADS", "3")
+    drawn = []
+
+    def sampler(N, seed):
+        drawn.append((tuple(seed), threading.get_ident()))
+        return np.eye(N, dtype=complex) * (seed[2] + 1)
+
+    monkeypatch.setattr(rmt, "sample_haar_unitary", sampler)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats = trace_observables([("t", HaarU())], 4, 10, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.row("t").tolist() == [4 * (j + 1) for j in range(10)]
+    tag = rmt.STREAMS["library"]
+    assert sorted(s for s, _ in drawn) == [(9, tag, j) for j in range(10)]
+    thread = {j: t for (_, _, j), t in drawn}
+    assert all(thread[j] == thread[j % 3] for j in range(10))
+    assert thread[0] == threading.get_ident()
+    assert threading.get_ident() not in (thread[1], thread[2])
+
 _BYTES_SCRIPT = """
 import hashlib
 import numpy as np
