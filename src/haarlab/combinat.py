@@ -11,7 +11,9 @@ Conventions used throughout:
 * a pairing is a fixed-point-free involution, and it is passed around
   as its partner map {k: p(k)}, a plain dict: enumerate_pairings and
   enumerate_alpha_pairings yield such maps, and the kernel, pi_epsilon
-  and weingarten.phi read them by indexing;
+  and weingarten.phi read them by indexing (the kernel reads a pair's
+  class from sigma_p^-1 sigma_q, the permutation pq makes of the plus
+  letters, and calls phi once per such permutation, not per pair);
 * the "leader" of a set of points is the one with smallest absolute
   value, positive sign winning ties.  Canonical cycles start at their
   leader and cycle lists are sorted by leader.

@@ -23,12 +23,19 @@ reduces pi's cycles and the signs eps to a trace key: the number of
 constant-free cycles plus the constant-carrying cycles, found among the
 letters that carry a constant (for a word without constants the key is
 the cycle count alone).  Each distinct trace key has its trace
-evaluated, and tested for zero, once; a pair whose trace is nonzero
-walks pq once in weingarten.phi for its class, and is counted as an
-integer per (trace key, class).  The pair counts do not depend on N:
-N enters once per class, through wg_table(M / 2, N), and the
-rational-complex arithmetic runs once per key.  No Fraction is built or
-hashed per pair.  Everything stays exact; nothing is floated.
+evaluated, and tested for zero, once, and each pair's key index goes
+into an (n!, n!) integer array.  The classes need no per-pair walk:
+every pairing matches the plus letters to the minus letters through a
+permutation sigma, and on the plus letters pq is sigma_p^-1 sigma_q, so
+a pair's class is that permutation's cycle type.  _pair_classes builds
+the (n!, n!) table of sigma_p^-1 sigma_q and labels each of its n!
+permutations once by weingarten.phi, and one bincount gives the integer
+count per (trace key, class).  When every trace vanishes no class is
+labelled.  The pair counts do not depend on N: N enters once per class,
+through wg_table(M / 2, N), and the rational-complex arithmetic runs
+once per key.  No Fraction is built or hashed per pair.  Everything
+stays exact; the numpy arrays hold integers only, and nothing is
+floated.
 
 That kernel is the only pairing sum: entry products go through it too,
 each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
@@ -53,7 +60,7 @@ from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_is_identity, mat_mul,
                     mat_trace, mat_trace_product, mat_transpose, mat_unit,
                     qc_matrix)
-from .weingarten import phi, wg_table
+from .weingarten import CycleType, phi, wg_table
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
 # tokens are also the letters' reprs.
@@ -260,6 +267,38 @@ def _key_trace(key: tuple, mats: Sequence[QCMatrix | None], N: int) -> QC:
     return total
 
 
+def _pair_classes(alpha: Sequence[int], pairings: Sequence[Mapping[int, int]]
+                  ) -> tuple[list[CycleType], np.ndarray]:
+    """The class phi(p, q) of every pair of alpha-pairings, as
+    (classes, class_of): class_of[i, j] indexes classes at
+    phi(pairings[i], pairings[j]).
+
+    Each pairing matches the plus letters to the minus letters through
+    a permutation sigma of their positions, and on the plus letters pq
+    is sigma_p^-1 sigma_q, so the pair's class is that permutation's
+    cycle type.  The (n!, n!) array of sigma_i^-1 sigma_j, coded as
+    base-n digits, takes one fancy-index step per letter.  As q runs
+    over the pairings, sigma_0^-1 sigma_q runs over every permutation,
+    so phi(pairings[0], q) labels every code, one phi call per pairing.
+    """
+    points = range(1, len(alpha) + 1)
+    plus = [k for k in points if alpha[k - 1] == 1]
+    minus = [k for k in points if alpha[k - 1] == -1]
+    rank = {m: r for r, m in enumerate(minus)}
+    sigma = np.array([[rank[p[k]] for k in plus] for p in pairings], dtype=int)
+    inverse = np.argsort(sigma, axis=1)
+    n = len(plus)
+    codes = np.zeros((len(pairings), len(pairings)), dtype=int)
+    for k in range(n):
+        codes *= n
+        codes += inverse[:, sigma[:, k]]
+    index: dict[CycleType, int] = {}
+    label = np.zeros(n ** n, dtype=int)
+    for code, q in zip(codes[0].tolist(), pairings):
+        label[code] = index.setdefault(phi(pairings[0], q), len(index))
+    return list(index), label[codes]
+
+
 def expected_trace_product(expr: TraceProductExpr) -> QC:
     """Exact Haar expectation of a product of traces.
 
@@ -322,30 +361,35 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     p_halves = [{x: phi_inv[p[phi_map[x]]] for x in on_p} for p in pairings]
     q_halves = [{x: phi_inv[-q[-phi_map[x]]] for x in on_q} for q in pairings]
 
-    # per distinct trace key: its trace, evaluated once, and an integer
-    # count of its pairs per class; a key whose trace vanishes gets no
-    # tally, and its pairs skip phi
+    # per distinct trace key: its index and its trace, evaluated once;
+    # each pair's key index goes into key_of
     carrying = frozenset(j for j in range(1, M + 1) if mats[j - 1] is not None)
-    traces: dict[tuple, QC] = {}
-    tallies: dict[tuple, dict | None] = {}
-    for p, p_half in zip(pairings, p_halves):
-        for q, q_half in zip(pairings, q_halves):
+    keys: dict[tuple, int] = {}
+    traces: list[QC] = []
+    key_of = np.empty((len(pairings), len(pairings)), dtype=int)
+    for i, p_half in enumerate(p_halves):
+        row = []
+        for q_half in q_halves:
             cycles, lam = pi_epsilon({**p_half, **q_half})
             key = _trace_key(cycles, lam, carrying)
-            try:
-                tally = tallies[key]
-            except KeyError:
-                trace = traces[key] = _key_trace(key, mats, N)
-                tally = tallies[key] = {} if trace else None
-            if tally is not None:
-                cls = phi(p, q)
-                tally[cls] = tally.get(cls, 0) + 1
+            if key not in keys:
+                keys[key] = len(traces)
+                traces.append(_key_trace(key, mats, N))
+            row.append(keys[key])
+        key_of[i] = row
     total = QC_ZERO
-    for key, tally in tallies.items():
-        if tally is not None:
-            wg = wg_table(M // 2, N)
-            weight = sum(count * wg[cls] for cls, count in tally.items())
-            total = total + traces[key] * QC(weight)
+    if any(traces):
+        # an integer count of pairs per (trace key, class)
+        classes, class_of = _pair_classes(eta, pairings)
+        counts = np.bincount((key_of * len(classes) + class_of).ravel(),
+                             minlength=len(traces) * len(classes))
+        wg = wg_table(M // 2, N)
+        for trace, per_class in zip(traces,
+                                    counts.reshape(len(traces), -1).tolist()):
+            if trace:
+                weight = sum(count * wg[cls]
+                             for cls, count in zip(classes, per_class))
+                total = total + trace * QC(weight)
     return const_factor * total * QC(norm_divisor)
 
 

@@ -38,8 +38,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .cumulants import CumulantFunctional, empirical_cumulants
-from .errors import (CapacityError, DimensionError, InsufficientSamplesError,
-                     NotSelfAdjointError, WordParseError)
+from .errors import (CapacityError, DimensionError, HaarlabError,
+                     InsufficientSamplesError, NotSelfAdjointError,
+                     WordParseError)
 
 HERMITIAN_TOL = 1e-8
 _ROW_BLOCK = 64     # rows per block of hermitian_deviation
@@ -654,11 +655,17 @@ def ks_distance(points, cdf: Callable[[float], float],
     For a continuous reference leave cdf_left unset.  A reference with
     jumps needs its left limits supplied separately, otherwise the
     statistic against a matching point mass reports 1 instead of 0.
+    A NaN or infinite point raises HaarlabError: max() would drop it
+    from the sup while n still counts it.
     """
     pooled = np.sort(np.asarray(points, dtype=float), axis=None)
     n = pooled.size
     if n == 0:
         raise InsufficientSamplesError("no points for the KS statistic")
+    bad = n - np.count_nonzero(np.isfinite(pooled))
+    if bad:
+        raise HaarlabError(f"{bad} of {n} points for the KS statistic "
+                           "are not finite")
     if cdf_left is None:
         cdf_left = cdf
     d = 0.0

@@ -23,8 +23,12 @@ it takes two permutations as plain maps {k: sigma(k)} and counts the
 cycles of sigma tau^-1 with combinat.cycles.
 
 A pair of pairings (p, q) of [2n] enters a pairing sum through its
-class alone: the cycle type of pq's mate pairs, which phi returns, so
-the sum counts pairs per class and reads wg_table(n, N) once per class.
+class alone: the cycle type of pq's mate pairs, which phi returns.  For
+alpha-pairings, which match plus letters to minus letters through
+permutations sigma, that is the cycle type of sigma_p^-1 sigma_q, so the
+pairing sum reads every pair's class from a table of those permutations
+that phi labels once per permutation, counts pairs per class and reads
+wg_table(n, N) once per class.
 
 Tables are built up to order DEFAULT_ORDER_CAP, a module constant rather
 than a per-call argument; a higher order raises CapacityError.  It is

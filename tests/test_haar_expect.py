@@ -1,6 +1,7 @@
 """The exact trace-expectation engine: entry products, closed-form
 moments, the grammar, the invariance gap."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -390,14 +391,19 @@ def _per_pair_oracle(expr):
     return const_factor * total * QC(norm)
 
 
-def _random_expr(rng):
-    order = rng.choice([1, 1, 2, 2, 2, 3, 3, 3, 3, 4])
+def _random_expr(rng, order=None):
+    """A random word with transposed letters and constants; when its
+    order is drawn here it is unbalanced one time in ten, and a given
+    order is always eta-balanced."""
+    drawn = order is None
+    if drawn:
+        order = rng.choice([1, 1, 2, 2, 2, 3, 3, 3, 3, 4])
     # dense 4 x 4 constants make the order-4 oracle slow; N < 4 keeps
     # order 4 in the pseudo-inverse regime all the same
-    N = rng.randint(1, 3 if order == 4 else 4)
+    N = rng.randint(1, 3 if order >= 4 else 4)
     haar = [rng.choice([U, UT]) for _ in range(order)] + \
         [rng.choice([UC, US]) for _ in range(order)]
-    if rng.random() < 0.1:  # unbalanced: the expectation vanishes
+    if rng.random() < 0.1 and drawn:  # unbalanced: the expectation vanishes
         haar[0] = rng.choice([UC, US])
     rng.shuffle(haar)
     pool = [ConstantLetter("I", identity_qc(N))]
@@ -481,12 +487,11 @@ def test_kernel_counts_pairs_without_hashing_weights(monkeypatch):
     assert hashes[0] < 100
 
 
-def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
-    # counted at the module attributes the kernel calls, not derived
-    # from each other: every pair walks pi_epsilon, and only pairs
-    # whose trace key is nonzero reach phi
+def _count_calls(monkeypatch, *names):
+    """Count calls of haar_expect's module attributes, as the kernel
+    makes them."""
     from haarlab import haar_expect
-    calls = {"pi_epsilon": 0, "phi": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(haar_expect, name)
@@ -496,8 +501,16 @@ def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(haar_expect, name, wrapper)
 
-    counted("pi_epsilon")
-    counted("phi")
+    for name in names:
+        counted(name)
+    return calls
+
+
+def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
+    # counted at the module attributes the kernel calls, not derived
+    # from each other: every pair walks pi_epsilon, and phi runs only
+    # when some pair's trace key is nonzero
+    calls = _count_calls(monkeypatch, "pi_epsilon", "phi")
     consts = {"A": qc_matrix([[1, 0], [0, -1]]),
               "B": qc_matrix([[1, 2], [0, 3]])}
     e = parse_trace_product("Tr(U A U*)Tr(U B U*)", consts, N=2)
@@ -507,3 +520,65 @@ def test_kernel_skips_phi_for_pairs_whose_trace_vanishes(monkeypatch):
     e = parse_trace_product("Tr(U A U* B)", consts, N=2)
     expected_trace_product(e)
     assert calls == {"pi_epsilon": 1, "phi": 0}
+
+
+def _class_word_orders():
+    # orders 1-5, eta-balanced, with transposed letters and constants
+    rng = random.Random(26)
+    return [(order, _random_expr(rng, order))
+            for order in [1, 2, 3, 4, 5] * 4]
+
+
+def test_class_table_matches_phi_on_every_pair(monkeypatch):
+    from haarlab import haar_expect
+    tables = []
+    pair_classes = haar_expect._pair_classes
+
+    def recording(alpha, pairings):
+        classes, class_of = pair_classes(alpha, pairings)
+        tables.append((list(pairings), classes, class_of))
+        return classes, class_of
+
+    monkeypatch.setattr(haar_expect, "_pair_classes", recording)
+    sizes = set()
+    for order, e in _class_word_orders():
+        tables.clear()
+        expected_trace_product(e)
+        for pairings, classes, class_of in tables:
+            sizes.add((order, len(classes)))
+            assert len(pairings) == math.factorial(order)
+            assert class_of.shape == (len(pairings), len(pairings))
+            assert sorted(classes) == sorted(set(classes))
+            for p, row in zip(pairings, class_of.tolist()):
+                assert [classes[c] for c in row] == \
+                    [phi(p, q) for q in pairings], e
+    # a table holds every class of S_n: the 7 cycle types at order 5
+    assert sizes == {(1, 1), (2, 2), (3, 3), (4, 5), (5, 7)}
+
+
+def test_kernel_calls_phi_once_per_pairing(monkeypatch):
+    from haarlab import haar_expect
+    calls = _count_calls(monkeypatch, "pi_epsilon", "phi")
+    traces = []
+    key_trace = haar_expect._key_trace
+
+    def recording(key, mats, N):
+        traces.append(key_trace(key, mats, N))
+        return traces[-1]
+
+    monkeypatch.setattr(haar_expect, "_key_trace", recording)
+    consts = {"A": qc_matrix([[1, 0], [0, -1]]),
+              "B": qc_matrix([[1, 2], [0, 3]])}
+    # the first word's only trace vanishes, so phi is never called
+    words = [(2, parse_trace_product("Tr(U A U* A)Tr(U Uc A)", consts, N=2))]
+    words += _class_word_orders()
+    skipped = 0
+    for order, e in words:
+        calls.update(pi_epsilon=0, phi=0)
+        traces.clear()
+        expected_trace_product(e)
+        pairs = math.factorial(order)
+        assert calls["pi_epsilon"] == pairs ** 2
+        assert calls["phi"] == (pairs if any(traces) else 0), e
+        skipped += not any(traces)
+    assert skipped

@@ -15,7 +15,8 @@ import pytest
 import haarlab
 from haarlab import rmt
 from haarlab.haar_expect import expected_trace_product, parse_trace_product
-from haarlab.errors import (CapacityError, DimensionError,
+from haarlab.densities import arcsine_law
+from haarlab.errors import (CapacityError, DimensionError, HaarlabError,
                             InsufficientSamplesError, NotSelfAdjointError,
                             WordParseError)
 from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate,
@@ -298,6 +299,24 @@ def test_ks_distance_point_mass_needs_left_limits():
     cdf_left = lambda x: 1.0 if x > 0.0 else 0.0
     assert ks_distance([0.0], cdf) == 1.0
     assert ks_distance([0.0], cdf, cdf_left) == 0.0
+
+
+@pytest.mark.parametrize("points", [[np.nan, np.nan], [0.1, np.inf, 0.5],
+                                    [[-np.inf, 0.2], [np.nan, 0.3]]])
+def test_ks_distance_rejects_points_that_are_not_finite(points):
+    # a NaN or inf point would drop out of the sup while counting in n;
+    # two NaNs alone would read as a perfect fit, 0.0
+    calls = []
+
+    def cdf(x):
+        calls.append(x)
+        return arcsine_law().cdf(x)
+
+    bad = np.count_nonzero(~np.isfinite(points))
+    message = f"^{bad} of {np.size(points)} points .* not finite"
+    with pytest.raises(HaarlabError, match=message):
+        ks_distance(np.array(points), cdf)
+    assert calls == []
 
 
 def test_trace_observables_deterministic_and_threaded():
