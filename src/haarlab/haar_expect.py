@@ -129,9 +129,8 @@ class TraceWord:
     def haar_count(self) -> int:
         return sum(1 for l in self.letters if isinstance(l, HaarLetter))
 
-    def constant_dim(self) -> int | None:
-        return next((l.dim for l in self.letters
-                     if isinstance(l, ConstantLetter)), None)
+    def constants(self) -> list:
+        return [l for l in self.letters if isinstance(l, ConstantLetter)]
 
     def __repr__(self) -> str:
         body = " ".join(repr(l) for l in self.letters)
@@ -140,7 +139,8 @@ class TraceWord:
 
 @dataclass(frozen=True)
 class TraceProductExpr:
-    """A product of trace factors evaluated at one dimension N."""
+    """A product of trace factors evaluated at one dimension N; every
+    constant letter must be N x N."""
 
     words: tuple
     N: int
@@ -151,10 +151,11 @@ class TraceProductExpr:
         if self.N < 1:
             raise DimensionError("dimension N must be at least 1")
         for w in words:
-            d = w.constant_dim()
-            if d is not None and d != self.N:
-                raise DimensionError(
-                    f"constant dimension {d} does not match N={self.N}")
+            for c in w.constants():
+                if c.dim != self.N:
+                    raise DimensionError(f"constant {c.name!r} is {c.dim} x "
+                                         f"{c.dim}, which does not match "
+                                         f"N={self.N}")
 
     def __repr__(self) -> str:
         return "".join(repr(w) for w in self.words) + f" @N={self.N}"
@@ -455,6 +456,7 @@ def invariance_counterexample(cos_sq: Fraction, N: int) -> tuple[Fraction, Fract
 
 _FACTOR_RE = re.compile(r"\s*(Tr|tr)\s*\(\s*([^()]*?)\s*\)")
 _HAAR_TOKENS = {name: variant for variant, name in VARIANT_NAMES.items()}
+_CONSTANT_NAME_RE = re.compile(r"[^\s()]+")
 
 
 def parse_trace_product(text: str,
@@ -464,9 +466,16 @@ def parse_trace_product(text: str,
 
     Haar letters are U, Ut, Uc, U*; any other token names a constant
     from the supplied mapping, with a trailing t selecting its
-    transpose.  N may be omitted when a constant fixes the dimension.
+    transpose.  A constant name that no token can reach (a Haar letter,
+    or one that is empty or holds whitespace or a parenthesis) raises
+    WordParseError.  N may be omitted when a constant fixes the
+    dimension.
     """
     constants = dict(constants or {})
+    for name in constants:
+        if name in _HAAR_TOKENS or not _CONSTANT_NAME_RE.fullmatch(name):
+            raise WordParseError(f"{name!r} cannot name a constant: the "
+                                 "word grammar never reads it as one")
     pos = 0
     words: list[TraceWord] = []
     while pos < len(text):
@@ -493,8 +502,7 @@ def parse_trace_product(text: str,
     if not words:
         raise WordParseError("no trace factors found")
     if N is None:
-        N = next((w.constant_dim() for w in words
-                  if w.constant_dim() is not None), None)
+        N = next((c.dim for w in words for c in w.constants()), None)
         if N is None:
             raise WordParseError("dimension N required for pure Haar words")
     return TraceProductExpr(tuple(words), N)

@@ -15,22 +15,19 @@ calling thread is worker 0 and W - 1 pool threads are the rest.  Every
 BLAS and LAPACK call inside runs on one thread (the workers are the
 only parallelism).  Each replica's result lands in its own row, so the
 numbers depend neither on HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.
-Under glibc the runner keeps freed memory in the process while it runs,
-so a replica reuses the pages the one before it freed instead of
-faulting in new ones; when it returns, it sets mallopt(3)'s default
-thresholds again (glibc's dynamic thresholds stay off from then on) and
-hands free memory back with malloc_trim(0).  These settings are
-process-wide; the runner leaves them alone when the environment sets
-glibc's malloc tunables (malloc_tuned).
+Under glibc each run raises the heap's mmap and trim thresholds, and
+they stay raised, so a replica reuses the pages the one before it freed
+instead of faulting in new ones; each run ends by handing free memory
+back with malloc_trim(0).  These settings are process-wide; the runner
+leaves them alone when the environment sets glibc's malloc tunables
+(malloc_tuned).
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -227,11 +224,10 @@ def threading_summary() -> str:
 # glibc's largest, 4 MiB * sizeof(long) (DEFAULT_MMAP_THRESHOLD_MAX:
 # 32 MiB on 64-bit hosts, 16 MiB on 32-bit ones), and 1 GiB is far
 # above the free heap a run leaves between replicas.  Setting either
-# threshold turns off glibc's dynamic adjustment of both, so both are
-# set, and the adjustment stays off after the run returns to the
-# defaults and malloc_trim(0) hands the free memory back.  Workspaces
-# passed as out= would not help: they cannot reach the LAPACK work
-# arrays inside eigvalsh or numpy's temporaries.
+# threshold turns off glibc's dynamic adjustment of both, for good, so
+# both are set; every run sets the same values, and they stay set after
+# it returns.  Workspaces passed as out= would not help: they cannot
+# reach the LAPACK work arrays inside eigvalsh or numpy's temporaries.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _RUN_THRESHOLDS = {
@@ -239,13 +235,7 @@ _RUN_THRESHOLDS = {
     _M_TRIM_THRESHOLD: 2 ** 30}
 _DEFAULT_THRESHOLDS = {_M_MMAP_THRESHOLD: 128 * 1024,
                        _M_TRIM_THRESHOLD: 128 * 1024}
-# The thresholds are process-wide, so replica runs that overlap (from
-# several threads) share them: the first to start sets the run's values
-# and the last to return puts the defaults back.  _heap_refused turns
-# the policy off for the process once mallopt has refused a value.
-_heap_lock = threading.Lock()
-_heap_runs = 0
-_heap_refused = False
+_heap_refused = False     # set once mallopt refuses a value (heap_controls)
 
 
 def _c_library():
@@ -290,31 +280,21 @@ def _set_thresholds(mallopt, values: dict) -> bool:
                 for param, value in values.items()])
 
 
-@contextlib.contextmanager
-def _kept_heap():
-    """Keep freed memory in the process while the block runs: on entry
-    to the first of any overlapping runs, set _RUN_THRESHOLDS; on exit
-    from the last, set mallopt(3)'s defaults and malloc_trim(0).  When
-    mallopt refuses a run value, the defaults go back at once and the
-    policy stays off.  Nothing without heap_controls()."""
-    global _heap_runs, _heap_refused
-    with _heap_lock:
-        controls = heap_controls()
-        if controls is not None and _heap_runs == 0 \
-                and not _set_thresholds(controls[0], _RUN_THRESHOLDS):
-            _set_thresholds(controls[0], _DEFAULT_THRESHOLDS)
-            _heap_refused, controls = True, None
-        if controls is not None:
-            _heap_runs += 1
-    try:
-        yield
-    finally:
-        if controls is not None:
-            with _heap_lock:
-                _heap_runs -= 1
-                if _heap_runs == 0:
-                    _set_thresholds(controls[0], _DEFAULT_THRESHOLDS)
-                    controls[1](0)
+def _keep_heap():
+    """Set _RUN_THRESHOLDS, which every run may do again, and return
+    malloc_trim for the run to call when it ends.  When mallopt refuses
+    a value, both thresholds go back to mallopt(3)'s defaults and the
+    policy stays off.  None without heap_controls()."""
+    global _heap_refused
+    controls = heap_controls()
+    if controls is None:
+        return None
+    mallopt, malloc_trim = controls
+    if not _set_thresholds(mallopt, _RUN_THRESHOLDS):
+        _set_thresholds(mallopt, _DEFAULT_THRESHOLDS)
+        _heap_refused = True
+        return None
+    return malloc_trim
 
 
 # ----------------------------------------------------------------------
@@ -474,23 +454,24 @@ def variant_matrix(m: np.ndarray, eps: int, eta: int) -> np.ndarray:
     return m
 
 
-def _diagonal_const(node: Node, N: int) -> np.ndarray | None:
-    """The diagonal of node when it is a diagonal N x N constant or a
-    Variant of one: a transpose keeps the diagonal, and conjugation
+def _diagonal_const(node: Node, u: np.ndarray) -> np.ndarray | None:
+    """The diagonal of node when it is a diagonal constant of u's size or
+    a Variant of one: a transpose keeps the diagonal, and conjugation
     conjugates it."""
     if isinstance(node, Variant):
-        d = _diagonal_const(node.node, N)
+        d = _diagonal_const(node.node, u)
         return np.conj(d) if d is not None and node.eta == -1 else d
     if isinstance(node, Const) and node.diagonal is not None:
-        node.check_size(N)
+        node.check_size(u.shape[0])
         return node.diagonal
     return None
 
 
-def evaluate(node: Node, u: np.ndarray, N: int,
+def evaluate(node: Node, u: np.ndarray, *,
              trace: bool = False) -> np.ndarray | complex:
-    """The matrix of an ensemble tree at the replica's unitary u, or with
-    trace=True its trace.
+    """The matrix of an ensemble tree at the replica's N x N unitary u,
+    or with trace=True its trace.  N is u's size: a constant of another
+    size raises DimensionError.
 
     The trace of a Product of several factors never forms the last
     product.  A mirrored Product, whose second half R is the first half
@@ -514,7 +495,7 @@ def evaluate(node: Node, u: np.ndarray, N: int,
     matrix reused.  Other nodes are not kept, so each intermediate is
     freed once used and a replica holds only the few N x N arrays that
     are live at once; in _run_replicas the next replica reuses their
-    memory (_kept_heap).  Results may be shared views and are never
+    memory (_keep_heap).  Results may be shared views and are never
     modified."""
     if trace and isinstance(node, HaarU):
         t = np.trace(u)
@@ -535,40 +516,38 @@ def evaluate(node: Node, u: np.ndarray, N: int,
         elif isinstance(n, Product):
             todo.extend(n.factors)
     if not trace:
-        return _evaluate(node, u, N, shared)
+        return _evaluate(node, u, shared)
     if not (isinstance(node, Product) and len(node.factors) > 1):
-        return np.trace(_evaluate(node, u, N, shared))
+        return np.trace(_evaluate(node, u, shared))
     if node.mirror is not None:
         eps, eta = node.mirror
-        half = _fold(node.half, u, N, shared)
+        half = _fold(node.half, u, shared)
         return np.sum(half * variant_matrix(half, -eps, eta))
-    prefix = _fold(node.factors[:-1], u, N, shared)
+    prefix = _fold(node.factors[:-1], u, shared)
     last = node.factors[-1]
-    d = _diagonal_const(last, N)
+    d = _diagonal_const(last, u)
     if d is not None:
         return np.sum(np.diagonal(prefix) * d)
-    return np.sum(prefix * _evaluate(last, u, N, shared).T)
+    return np.sum(prefix * _evaluate(last, u, shared).T)
 
 
-def _fold(factors: tuple, u: np.ndarray, N: int,
-          shared: dict) -> np.ndarray:
+def _fold(factors: tuple, u: np.ndarray, shared: dict) -> np.ndarray:
     """The product of a non-empty run of factors, left to right, a
     diagonal constant after the first factor scaling columns."""
-    out = _evaluate(factors[0], u, N, shared)
+    out = _evaluate(factors[0], u, shared)
     for f in factors[1:]:
-        d = _diagonal_const(f, N)
-        out = out * d if d is not None else \
-            out @ _evaluate(f, u, N, shared)
+        d = _diagonal_const(f, u)
+        out = out * d if d is not None else out @ _evaluate(f, u, shared)
     return out
 
 
-def _evaluate(node: Node, u: np.ndarray, N: int,
-              shared: dict) -> np.ndarray:
+def _evaluate(node: Node, u: np.ndarray, shared: dict) -> np.ndarray:
     """evaluate, with shared mapping the id of each node reached more
     than once to its matrix, None until first computed."""
     out = shared.get(id(node))
     if out is not None:
         return out
+    N = u.shape[0]
     if isinstance(node, HaarU):
         out = variant_matrix(u, node.eps, node.eta)
     elif isinstance(node, Const):
@@ -579,17 +558,17 @@ def _evaluate(node: Node, u: np.ndarray, N: int,
         node.node.check_size(N)
         out = variant_matrix(node.node.transposed, 1, node.eta)
     elif isinstance(node, Variant):
-        out = variant_matrix(_evaluate(node.node, u, N, shared),
+        out = variant_matrix(_evaluate(node.node, u, shared),
                              node.eps, node.eta)
     elif isinstance(node, Sum):
         if not node.terms:
             out = np.zeros((N, N), dtype=complex)
         else:
-            out = _evaluate(node.terms[0], u, N, shared)
+            out = _evaluate(node.terms[0], u, shared)
             for t in node.terms[1:]:
-                out = out + _evaluate(t, u, N, shared)
+                out = out + _evaluate(t, u, shared)
     elif isinstance(node, Product):
-        out = _fold(node.factors, u, N, shared) if node.factors else \
+        out = _fold(node.factors, u, shared) if node.factors else \
             np.eye(N, dtype=complex)
     else:
         raise TypeError(f"not an ensemble node: {node!r}")
@@ -727,11 +706,13 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     and a pool of W - 1 threads runs the others, so a one-worker run
     starts no thread.  Every worker runs its BLAS and LAPACK calls on
     one thread; the caller's BLAS thread counts are restored on return.
-    Under glibc, freed memory stays in the process for the run and goes
-    back to the OS on return (see _kept_heap).  Rows land in preassigned
-    slots, so the output depends neither on HAARLAB_THREADS nor on
-    OPENBLAS_NUM_THREADS.  N beyond DIMENSION_CAP, or more than
-    VALUE_CAP results, raise CapacityError before any allocation.
+    Under glibc, the run raises the heap thresholds so that freed memory
+    stays in the process, leaves them raised, and hands free memory back
+    to the OS with malloc_trim(0) on return (see _keep_heap).  Rows land
+    in preassigned slots, so the output depends neither on
+    HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  N beyond
+    DIMENSION_CAP, or more than VALUE_CAP results, raise CapacityError
+    before any allocation.
     """
     if replicas < 1:
         raise InsufficientSamplesError(
@@ -755,15 +736,18 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     one = [1] * len(setters)
     # the caller is worker 0, so it pins too, and restores what it found
     previous = _set_blas_threads(setters, one)
+    malloc_trim = _keep_heap()
     try:
-        with _kept_heap(), ThreadPoolExecutor(
-                max_workers=workers, initializer=_set_blas_threads,
-                initargs=(setters, one)) as pool:
+        with ThreadPoolExecutor(max_workers=workers,
+                                initializer=_set_blas_threads,
+                                initargs=(setters, one)) as pool:
             shares = pool.map(run_share, range(1, workers))
             run_share(0)
             list(shares)
     finally:
         _set_blas_threads(setters, previous)
+        if malloc_trim is not None:
+            malloc_trim(0)
     return out
 
 
@@ -780,7 +764,7 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
     nodes = [node for _, node in items]
     rows = _run_replicas(
         N, replicas, seed, stream,
-        lambda u: [evaluate(node, u, N, trace=True) for node in nodes],
+        lambda u: [evaluate(node, u, trace=True) for node in nodes],
         len(nodes), complex)
     return TraceStatistics(names, rows.T.copy())
 
@@ -791,5 +775,5 @@ def spectral_replicas(node: Node, N: int, replicas: int, seed: int,
     of node evaluated at replica r's unitary, run on _run_replicas with
     the call site's stream (a key of STREAMS)."""
     return _run_replicas(N, replicas, seed, stream,
-                         lambda u: spectrum(evaluate(node, u, N)), N, float)
+                         lambda u: spectrum(evaluate(node, u)), N, float)
 

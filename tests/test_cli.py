@@ -77,6 +77,33 @@ def test_moment_with_constant(tmp_path, capsys):
     assert "exact: 25/2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mc", [[], ["--mc", "100"]])
+def test_constant_of_another_size_is_refused_before_any_value(mc, tmp_path,
+                                                               capsys):
+    """B, the second constant of the factor, is 3 x 3 at N = 2: the exact
+    value is never printed, with or without --mc."""
+    a2, b3 = tmp_path / "a2.csv", tmp_path / "b3.csv"
+    a2.write_text(A_CSV)
+    b3.write_text("1,1,1,1,0,1\n2,2,1,1,0,1\n3,3,1,1,0,1\n")
+    assert main(["moment", "Tr(U A Uc B)", "--N", "2", "--constant",
+                 f"A={a2}", "--constant", f"B={b3}", *mc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: constant 'B' is 3 x 3")
+    assert "Traceback" not in captured.err
+
+
+def test_constant_named_like_a_haar_letter_is_a_usage_error(tmp_path,
+                                                           capsys):
+    mat = tmp_path / "c.csv"
+    mat.write_text(A_CSV)
+    assert main(["moment", "Tr(U)", "--N", "2", "--constant",
+                 f"U={mat}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'U' cannot name a constant")
+
+
 def test_constant_with_zero_denominator_is_parse_error(tmp_path, capsys):
     mat = tmp_path / "z.csv"
     mat.write_text("1,1,1,0,0,1\n")

@@ -295,6 +295,29 @@ def test_parse_dimension_conflict():
         parse_trace_product("Tr(U A)", {"A": A_MAT}, N=3)
 
 
+@pytest.mark.parametrize("word", ["Tr(U A Uc B)", "Tr(A U Bt)",
+                                  "Tr(U A)Tr(Uc A B)"])
+@pytest.mark.parametrize("N", [2, None])
+def test_every_constant_is_checked_against_N(word, N):
+    """Not only the first constant of each factor: a 3 x 3 B after a
+    2 x 2 A is refused, naming B, whether N is given or read from A."""
+    b3 = identity_qc(3)
+    with pytest.raises(DimensionError, match="'B' is 3 x 3"):
+        parse_trace_product(word, {"A": A_MAT, "B": b3}, N)
+
+
+@pytest.mark.parametrize("name", ["U", "Ut", "Uc", "U*", "", "A B",
+                                  "A\tB", "A(", "(A)", "B)"])
+def test_constant_the_grammar_cannot_read_is_refused(name):
+    """A constant named like a Haar letter would lose to the Haar token
+    and be dropped without a word; one holding whitespace or a
+    parenthesis can never be a token."""
+    with pytest.raises(WordParseError, match="cannot name a constant"):
+        parse_trace_product("Tr(U)", {name: A_MAT}, N=2)
+    with pytest.raises(WordParseError, match="cannot name a constant"):
+        parse_trace_product("Tr(U A)", {"A": A_MAT, name: A_MAT})
+
+
 def test_load_matrix_csv(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("row,col,re_num,re_den,im_num,im_den\n"

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -178,13 +179,13 @@ def test_evaluate_tree():
     u = sample_haar_unitary(3, seed=9)
     a = np.diag([1.0, 2.0, 3.0]).astype(complex)
     node = Sum((Const("A", a), HaarU(), HaarU(-1, 1)))
-    assert np.array_equal(evaluate(node, u, 3), a + u + u.T)
+    assert np.array_equal(evaluate(node, u), a + u + u.T)
     # a one-term sum is its term, and the empty sum the zero matrix
-    assert evaluate(Sum((Const("A", a),)), u, 3) is a
-    assert np.array_equal(evaluate(Sum(()), u, 3), np.zeros((3, 3)))
+    assert evaluate(Sum((Const("A", a),)), u) is a
+    assert np.array_equal(evaluate(Sum(()), u), np.zeros((3, 3)))
     prod = Product((Const("A", a), HaarU(-1, -1)))
-    assert np.allclose(evaluate(prod, u, 3), a @ np.conj(u).T)
-    assert np.array_equal(evaluate(Product(()), u, 3), np.eye(3))
+    assert np.allclose(evaluate(prod, u), a @ np.conj(u).T)
+    assert np.array_equal(evaluate(Product(()), u), np.eye(3))
 
 
 def _conjugated(node):
@@ -195,16 +196,16 @@ def _conjugated(node):
 def test_conjugated_node():
     u = sample_haar_unitary(4, seed=2)
     b = np.eye(4, dtype=complex) * 0.5
-    got = evaluate(_conjugated(Const("B", b)), u, 4)
+    got = evaluate(_conjugated(Const("B", b)), u)
     assert np.allclose(got, u @ b @ np.conj(u).T)
     # a Variant of U B U* transposes the whole sandwich
-    got_t = evaluate(Variant(_conjugated(Const("B", b)), -1, 1), u, 4)
+    got_t = evaluate(Variant(_conjugated(Const("B", b)), -1, 1), u)
     assert np.allclose(got_t, (u @ b @ np.conj(u).T).T)
 
 
 def test_spectrum_of_one_replica():
     u = sample_haar_unitary(16, seed=4)
-    eig = spectrum(evaluate(Sum((HaarU(), HaarU(-1, -1))), u, 16))
+    eig = spectrum(evaluate(Sum((HaarU(), HaarU(-1, -1))), u))
     assert eig.shape == (16,)
     assert np.all(np.diff(eig) >= 0)
     # eigenvalues of U + U* are 2*cos(angles) of U's eigenvalues
@@ -218,7 +219,7 @@ def test_spectrum_of_exactly_real_matrix_uses_real_part():
     complex one to rounding."""
     u = sample_haar_unitary(24, seed=2)
     sym = Sum((HaarU(), HaarU(-1, -1)))
-    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u, 24)
+    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u)
     assert m.dtype == complex and not np.any(m.imag)
     eig = spectrum(m)
     assert np.array_equal(eig, np.linalg.eigvalsh(m.real))
@@ -251,7 +252,7 @@ def test_spectral_replicas_and_pooling():
     # stream [seed, tag of the default call site, r]
     for r in range(5):
         u = sample_haar_unitary(8, [3, rmt.STREAMS["library"], r])
-        assert np.array_equal(spectra[r], spectrum(evaluate(node, u, 8)))
+        assert np.array_equal(spectra[r], spectrum(evaluate(node, u)))
     pooled = np.sort(spectra, axis=None)
     assert pooled.shape == (40,)
     assert np.all(np.diff(pooled) >= 0)
@@ -537,6 +538,7 @@ _RUN_CALLS = [("mallopt", _MMAP, 4 * 2 ** 20 * ctypes.sizeof(ctypes.c_long)),
               ("mallopt", _TRIM, 2 ** 30)]
 _DEFAULT_CALLS = [("mallopt", _MMAP, 128 * 1024),
                   ("mallopt", _TRIM, 128 * 1024)]
+_RUN_AND_TRIM = _RUN_CALLS + [("malloc_trim", 0)]
 
 
 def _recorded_libc(monkeypatch, mallopt_result=lambda *args: 1):
@@ -556,10 +558,11 @@ def _recorded_libc(monkeypatch, mallopt_result=lambda *args: 1):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("n", [4, 3])
-def test_heap_thresholds_are_put_back_and_trimmed(workers, n, monkeypatch):
-    """Both thresholds are raised for the run; on return, after a
-    raise too, mallopt(3)'s defaults are set again and malloc_trim(0)
-    runs last.  n = 3 meets a 4 x 4 constant and raises."""
+def test_heap_thresholds_stay_raised_and_the_run_trims(workers, n,
+                                                       monkeypatch):
+    """Both thresholds are raised for the run and stay raised; on
+    return, after a raise too, malloc_trim(0) runs last.  n = 3 meets a
+    4 x 4 constant and raises."""
     calls = _recorded_libc(monkeypatch)
     monkeypatch.setenv("HAARLAB_THREADS", workers)
     node = Product((HaarU(), Const("A", np.eye(4))))
@@ -568,7 +571,7 @@ def test_heap_thresholds_are_put_back_and_trimmed(workers, n, monkeypatch):
     else:
         with pytest.raises(DimensionError):
             trace_observables([("t", node)], n, 10, seed=1)
-    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
+    assert calls == _RUN_AND_TRIM
 
 
 @pytest.mark.parametrize("name, value", [
@@ -593,7 +596,7 @@ def test_heap_kept_under_other_glibc_tunables(monkeypatch):
     calls = _recorded_libc(monkeypatch)
     monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2")
     trace_observables([("t", HaarU())], 4, 10, seed=1)
-    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
+    assert calls == _RUN_AND_TRIM
 
 
 def test_refused_threshold_puts_the_defaults_back(monkeypatch):
@@ -611,18 +614,23 @@ def test_refused_threshold_puts_the_defaults_back(monkeypatch):
     assert calls == []
 
 
-def test_overlapping_runs_share_the_thresholds(monkeypatch):
-    """Runs from two threads overlap: the first to start sets the
-    thresholds and the last to return puts the defaults back."""
+def test_every_run_sets_the_thresholds_and_trims_once(monkeypatch):
+    """Two runs back to back, then two from two threads: each sets the
+    run values and trims once, no default value is ever set, and the
+    samples keep their bytes."""
+    obs = [("t", Product((HaarU(), HaarU(1, -1))))]
+    want = trace_observables(obs, 8, 12, seed=3).samples.tobytes()
     calls = _recorded_libc(monkeypatch)
-    first, second = rmt._kept_heap(), rmt._kept_heap()
-    first.__enter__()
-    second.__enter__()
-    assert calls == _RUN_CALLS
-    first.__exit__(None, None, None)
-    assert calls == _RUN_CALLS
-    second.__exit__(None, None, None)
-    assert calls == _RUN_CALLS + _DEFAULT_CALLS + [("malloc_trim", 0)]
+    for _ in range(2):
+        assert trace_observables(obs, 8, 12, seed=3).samples.tobytes() \
+            == want
+    assert calls == _RUN_AND_TRIM + _RUN_AND_TRIM
+    calls.clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda seed: trace_observables(obs, 8, 12, seed),
+                            [3, 3]))
+    assert [g.samples.tobytes() for g in got] == [want, want]
+    assert sorted(calls) == sorted(_RUN_AND_TRIM + _RUN_AND_TRIM)
 
 
 _FAULTS_SCRIPT = """
@@ -699,7 +707,7 @@ def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
     monkeypatch.setattr(rmt, "variant_matrix", counting)
     u = sample_haar_unitary(6, seed=3)
     sym = Sum((HaarU(), HaarU(-1, -1)))
-    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u, 6)
+    m = evaluate(Sum((sym, Variant(sym, -1, 1))), u)
     assert len(calls) == 3
     s = u + np.conj(u.T)
     assert np.array_equal(m, s + s.T)
@@ -796,8 +804,8 @@ def _trace_trees(n):
 def test_trace_path_matches_trace_of_evaluate(n):
     u = sample_haar_unitary(n, seed=[1, 2, n])
     for node in _trace_trees(n):
-        got = evaluate(node, u, n, trace=True)
-        want = np.trace(evaluate(node, u, n))
+        got = evaluate(node, u, trace=True)
+        want = np.trace(evaluate(node, u))
         # relative, with a floor for traces near 0
         assert abs(got - want) <= 1e-12 * max(abs(want), n), node
 
@@ -820,11 +828,11 @@ def test_a_mirrored_word_folds_only_its_left_half(monkeypatch):
     monkeypatch.setattr(rmt, "_fold", counting)
     u = sample_haar_unitary(8, seed=4)
     _b, a, g, _c, _r = _constants(8)
-    evaluate(Product((U, a, UH, UC, a, UT)), u, 8, trace=True)
+    evaluate(Product((U, a, UH, UC, a, UT)), u, trace=True)
     assert folded == [3]
     folded.clear()
     # one constant differs: the prefix path folds all but the last
-    evaluate(Product((U, a, UH, UC, g, UT)), u, 8, trace=True)
+    evaluate(Product((U, a, UH, UC, g, UT)), u, trace=True)
     assert folded == [5]
 
 
@@ -848,8 +856,8 @@ def test_every_rotation_of_a_mirrored_word_is_mirrored(n):
             tree = Product(turned)
             assert tree.mirror is not None, turned
             assert len(tree.half) == len(turned) // 2
-            got = evaluate(tree, u, n, trace=True)
-            want = np.trace(evaluate(tree, u, n))
+            got = evaluate(tree, u, trace=True)
+            want = np.trace(evaluate(tree, u))
             assert abs(got - want) <= 1e-12 * max(abs(want), n), turned
         # the given split comes first, so its bytes do not move
         tree = Product(factors)
@@ -871,11 +879,11 @@ def test_a_rotated_mirrored_word_folds_only_its_rotated_half(monkeypatch):
     rt = Variant(r, -1, 1)
     # tr(A U* Uc At Ut U) is mirrored two rotations on, about the
     # split Uc At Ut | U A U*
-    evaluate(Product((r, UH, UC, rt, UT, U)), u, 8, trace=True)
+    evaluate(Product((r, UH, UC, rt, UT, U)), u, trace=True)
     assert folded == [(UC, rt, UT)]
     folded.clear()
     # tr(Ut U A U* Uc At), one rotation on: U A U* | Uc At Ut
-    evaluate(Product((UT, U, r, UH, UC, rt)), u, 8, trace=True)
+    evaluate(Product((UT, U, r, UH, UC, rt)), u, trace=True)
     assert folded == [(U, r, UH)]
 
 
@@ -887,7 +895,7 @@ def test_trace_of_a_bare_haar_variant_reads_the_diagonal(n, monkeypatch):
     formed = []
     monkeypatch.setattr(rmt, "variant_matrix",
                         lambda *args: formed.append(args))
-    got = [evaluate(HaarU(eps, eta), u, n, trace=True)
+    got = [evaluate(HaarU(eps, eta), u, trace=True)
            for eps, eta in variants]
     assert np.array_equal(got, want)
     assert formed == []
@@ -901,8 +909,8 @@ def test_a_transposed_constant_traces_like_its_transposed_matrix(n):
     u = sample_haar_unitary(n, seed=n)
     for make in (lambda x: Product((x, U)), lambda x: Product((U, x)),
                  lambda x: Product((x, UC, b)), lambda x: Product((x, x))):
-        got = evaluate(make(Variant(b, -1, 1)), u, n, trace=True)
-        assert np.array_equal(got, evaluate(make(bt), u, n, trace=True))
+        got = evaluate(make(Variant(b, -1, 1)), u, trace=True)
+        assert np.array_equal(got, evaluate(make(bt), u, trace=True))
 
 
 def test_trace_of_a_shared_subtree_is_evaluated_once(monkeypatch):
@@ -916,7 +924,7 @@ def test_trace_of_a_shared_subtree_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(rmt, "variant_matrix", counting)
     u = sample_haar_unitary(6, seed=3)
     sym = Sum((HaarU(), HaarU(-1, -1)))
-    evaluate(Product((sym, Variant(sym, -1, 1), sym)), u, 6, trace=True)
+    evaluate(Product((sym, Variant(sym, -1, 1), sym)), u, trace=True)
     # U, U* once for the shared sum, and its transpose
     assert len(calls) == 3
 
@@ -930,19 +938,33 @@ def test_diagonal_constants_equal_dense_products(n):
         a = _diag_const("A", d)
         assert a.diagonal is not None
         dense = np.diag(np.asarray(d, dtype=complex))
-        assert np.array_equal(evaluate(_conjugated(a), u, n), u @ dense @ uh)
-        assert np.array_equal(evaluate(Product((HaarU(), a, HaarU(1, -1))),
-                                       u, n), u @ dense @ np.conj(u))
+        assert np.array_equal(evaluate(_conjugated(a), u), u @ dense @ uh)
+        assert np.array_equal(evaluate(Product((HaarU(), a, HaarU(1, -1))), u),
+                              u @ dense @ np.conj(u))
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c = _diag_const("C", d)
     dense = np.diag(d)
-    got = evaluate(_conjugated(c), u, n)
+    got = evaluate(_conjugated(c), u)
     assert np.max(np.abs(got - u @ dense @ uh)) <= 1e-15
-    got = evaluate(Product((HaarU(), c, HaarU(1, -1))), u, n)
+    got = evaluate(Product((HaarU(), c, HaarU(1, -1))), u)
     assert np.max(np.abs(got - u @ dense @ np.conj(u))) <= 1e-15
     off = np.diag(d)
     off[0, 1] = 1e-300
     assert Const("D", off).diagonal is None
+
+
+def test_evaluate_takes_the_size_from_u():
+    """N is u's size, not an argument: a dense constant of another size
+    raises DimensionError, not numpy's broadcast error."""
+    u = sample_haar_unitary(4, seed=1)
+    wrong = Const("A", np.arange(9.0).reshape(3, 3))
+    for node in (Product((HaarU(), wrong)), Product((wrong, HaarU())),
+                 Sum((HaarU(), wrong)), Variant(wrong, -1, 1)):
+        for trace in (False, True):
+            with pytest.raises(DimensionError, match="'A'"):
+                evaluate(node, u, trace=trace)
+    with pytest.raises(TypeError):
+        evaluate(HaarU(), u, 4)
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -954,7 +976,7 @@ def test_wrong_size_diagonal_constant_raises(trace):
                  Product((HaarU(), wrong, HaarU())), _conjugated(wrong),
                  Product((_conjugated(wrong), HaarU()))):
         with pytest.raises(DimensionError):
-            evaluate(node, u, 4, trace=trace)
+            evaluate(node, u, trace=trace)
 
 
 def test_seeds_draw_disjoint_unitaries():
