@@ -32,9 +32,10 @@ from .errors import (CapacityError, DimensionError, HaarlabError,
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (BIN_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const,
-                  HaarU, Product, Variant, histogram, ks_distance,
-                  spectral_replicas, threading_summary, trace_observables)
+from .rmt import (BIN_CAP, DIMENSION_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW,
+                  REPLICA_FLOOR, STREAMS, VALUE_CAP, Const, HaarU, Product,
+                  Variant, histogram, ks_distance, spectral_replicas,
+                  threading_summary, trace_observables)
 from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
@@ -48,7 +49,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WordParseError(f"cannot read config {path}: {exc}") from None
@@ -118,9 +119,9 @@ def _load_constants(pairs, cfg: dict) -> dict:
 
 def _word_nodes(words) -> list:
     """rmt observable tree for each of the trace words.  Each constant
-    becomes one Const, converted once and shared by every occurrence in
-    every word, and a transposed letter its Variant(const, -1, 1), so
-    that rmt sees At as the transpose of A."""
+    name becomes one Const, converted once and shared by every
+    occurrence in every word, and a transposed letter its
+    Variant(const, -1, 1), so that rmt sees At as the transpose of A."""
     consts: dict = {}
     nodes = []
     for word in words:
@@ -129,11 +130,11 @@ def _word_nodes(words) -> list:
             if isinstance(letter, HaarLetter):
                 factors.append(HaarU(letter.eps, letter.eta))
                 continue
-            key = letter.name, letter.matrix
-            if key not in consts:
-                consts[key] = Const(letter.name, _complex_matrix(letter))
-            factors.append(Variant(consts[key], -1, 1) if letter.transpose
-                           else consts[key])
+            name = letter.name
+            if name not in consts:
+                consts[name] = Const(name, _complex_matrix(letter))
+            factors.append(Variant(consts[name], -1, 1) if letter.transpose
+                           else consts[name])
         nodes.append(factors[0] if len(factors) == 1
                      else Product(tuple(factors)))
     return nodes
@@ -195,11 +196,25 @@ def cmd_moment(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     consts = _load_constants(args.constant, cfg)
     expr = parse_trace_product(args.word, consts, _int_option(args, cfg, "N"))
-    value = expected_trace_product(expr)
-    print(f"exact: {value}")
     replicas = _int_option(args, cfg, "mc", 0)
     if replicas:
+        # a run the replica layer would refuse is refused before the
+        # exact value is computed or printed
         seed = _int_option(args, cfg, "seed", 0, minimum=0)
+        if replicas < REPLICA_FLOOR:
+            raise InsufficientSamplesError(f"--mc needs at least "
+                                           f"{REPLICA_FLOOR} replicas, got "
+                                           f"{replicas}")
+        if expr.N > DIMENSION_CAP:
+            raise CapacityError(
+                f"N = {expr.N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
+        if replicas * len(expr.words) > VALUE_CAP:
+            raise CapacityError(
+                f"{replicas} replicas of {len(expr.words)} traces exceed the "
+                f"cap of {VALUE_CAP} stored values")
+    value = expected_trace_product(expr)
+    print(f"exact: {value}")
+    if replicas:
         mean, se = _mc_trace_product(expr, replicas, seed)
         dev = abs(mean - complex(value))
         print(f"monte carlo (R={replicas}, seed={seed}): "

@@ -122,16 +122,11 @@ def cumulants_to_moments(cumulants: CumulantFunctional,
     return moment(_key(indices))
 
 
-def moments_to_cumulants(moments: MomentFunctional,
-                         indices: Sequence[int]):
-    """The inverse transform, k(S) = E(S) - sum over blocks B != S
-    containing the first position of k(B) E(S minus B).  Round-trips
-    with cumulants_to_moments exactly; at order 2 it is
-    E(X_i X_j) - E(X_i) E(X_j) as written."""
-    indices = tuple(indices)
-    _check_cap(indices)
-    if not indices:
-        return 0
+def _cumulants(moments):
+    """k as a function of a sorted key, by the recursion
+    k(S) = E(S) - sum over blocks B != S containing the first position
+    of k(B) E(S minus B), with one memo for every key it is asked for;
+    moments maps a sorted key to its moment."""
     memo = {}
 
     def cumulant(key: tuple):
@@ -142,25 +137,36 @@ def moments_to_cumulants(moments: MomentFunctional,
             memo[key] = total
         return memo[key]
 
-    return cumulant(_key(indices))
+    return cumulant
 
 
-def _sample_moments(samples, max_order: int) -> MomentFunctional:
-    rows = [list(row) for row in samples]
-    nvars = len(rows)
-    count = len(rows[0]) if rows else 0
-    values = {}
-    for order in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(1, nvars + 1),
-                                                             order):
-            acc = 0
-            for s in range(count):
-                prod = 1
-                for v in combo:
-                    prod = prod * rows[v - 1][s]
-                acc = acc + prod
-            values[combo] = acc / count
-    return MomentFunctional(values)
+def moments_to_cumulants(moments: MomentFunctional,
+                         indices: Sequence[int]):
+    """The inverse transform, k(S) = E(S) - sum over blocks B != S
+    containing the first position of k(B) E(S minus B).  Round-trips
+    with cumulants_to_moments exactly; at order 2 it is
+    E(X_i X_j) - E(X_i) E(X_j) as written."""
+    indices = tuple(indices)
+    _check_cap(indices)
+    if not indices:
+        return 0
+    return _cumulants(moments)(_key(indices))
+
+
+def multisets(nvars: int, max_order: int) -> list[tuple]:
+    """Every multiset of the variables 1..nvars with 1..max_order
+    members, as a sorted tuple, by order and then lexicographically."""
+    return [combo for order in range(1, max_order + 1)
+            for combo in itertools.combinations_with_replacement(
+                range(1, nvars + 1), order)]
+
+
+def _mean(values: list):
+    """Sum of values in list order (a fixed rounding), over their count."""
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc / len(values)
 
 
 def empirical_cumulants(samples, max_order: int = 2) -> CumulantFunctional:
@@ -182,30 +188,30 @@ def empirical_cumulants(samples, max_order: int = 2) -> CumulantFunctional:
     if max_order > 4:
         raise CapacityError("empirical cumulants supported up to order 4")
 
-    nvars = len(rows)
-    moments = _sample_moments(rows, max_order)
-    values = {}
-    for order in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(1, nvars + 1),
-                                                             order):
-            values[combo] = moments_to_cumulants(moments, combo)
-
-    errors = {}
     nbatch = min(BATCH_COUNT, count)
     width = count // nbatch
-    if width >= 2:
-        per_batch = []
-        for b in range(nbatch):
-            chunk = [r[b * width:(b + 1) * width] for r in rows]
-            bm = _sample_moments(chunk, min(max_order, 2))
-            per_batch.append(bm)
-        for order in (1, 2):
-            if order > max_order:
-                break
-            for combo in itertools.combinations_with_replacement(
-                    range(1, nvars + 1), order):
-                vals = [moments_to_cumulants(bm, combo) for bm in per_batch]
-                mean = sum(vals) / nbatch
-                var = sum(abs(v - mean) ** 2 for v in vals) / (nbatch - 1)
-                errors[combo] = math.sqrt(var / nbatch)
+    moments: dict = {}
+    batches = [{} for _ in range(nbatch)] if width >= 2 else []
+    for combo in multisets(len(rows), max_order):
+        prods = []
+        for s in range(count):
+            prod = 1
+            for v in combo:
+                prod = prod * rows[v - 1][s]
+            prods.append(prod)
+        moments[combo] = _mean(prods)
+        if len(combo) <= 2:
+            for b, batch in enumerate(batches):
+                batch[combo] = _mean(prods[b * width:(b + 1) * width])
+    cumulant = _cumulants(moments.__getitem__)
+    values = {combo: cumulant(combo) for combo in moments}
+
+    errors = {}
+    if batches:
+        per_batch = [_cumulants(batch.__getitem__) for batch in batches]
+        for combo in batches[0]:
+            vals = [k(combo) for k in per_batch]
+            mean = sum(vals) / nbatch
+            var = sum(abs(v - mean) ** 2 for v in vals) / (nbatch - 1)
+            errors[combo] = math.sqrt(var / nbatch)
     return CumulantFunctional(values, errors)

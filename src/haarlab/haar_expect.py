@@ -455,8 +455,8 @@ def invariance_counterexample(cos_sq: Fraction, N: int) -> tuple[Fraction, Fract
 # word grammar
 
 _FACTOR_RE = re.compile(r"\s*(Tr|tr)\s*\(\s*([^()]*?)\s*\)")
-_HAAR_TOKENS = {name: variant for variant, name in VARIANT_NAMES.items()}
-_CONSTANT_NAME_RE = re.compile(r"[^\s()]+")
+# a comma or a double quote would split or quote a word's CSV cell
+_CONSTANT_NAME_RE = re.compile(r'[^\s(),"]+')
 
 
 def parse_trace_product(text: str,
@@ -464,18 +464,27 @@ def parse_trace_product(text: str,
                         N: int | None = None) -> TraceProductExpr:
     """Parse a trace-product string like "Tr(U A U*)tr(U Uc)".
 
-    Haar letters are U, Ut, Uc, U*; any other token names a constant
-    from the supplied mapping, with a trailing t selecting its
-    transpose.  A constant name that no token can reach (a Haar letter,
-    or one that is empty or holds whitespace or a parenthesis) raises
-    WordParseError.  N may be omitted when a constant fixes the
-    dimension.
+    Haar letters are U, Ut, Uc, U*; a constant from the supplied mapping
+    is its name, its transpose the name with a trailing t.  A constant
+    name that is empty, holds whitespace, a parenthesis, a comma or a
+    double quote, or has a token already taken (a Haar letter's, or
+    A's beside a constant At) raises WordParseError.  N may be omitted
+    when a constant fixes the dimension.
     """
-    constants = dict(constants or {})
-    for name in constants:
-        if name in _HAAR_TOKENS or not _CONSTANT_NAME_RE.fullmatch(name):
-            raise WordParseError(f"{name!r} cannot name a constant: the "
-                                 "word grammar never reads it as one")
+    letters = {name: HaarLetter(*variant)
+               for variant, name in VARIANT_NAMES.items()}
+    for name, matrix in (constants or {}).items():
+        if not _CONSTANT_NAME_RE.fullmatch(name):
+            raise WordParseError(f"{name!r} cannot name a constant: a name "
+                                 "is one token, no comma or double quote")
+        for token, transpose in ((name, False), (name + "t", True)):
+            seen = letters.get(token)
+            if seen is not None:
+                owner = ("a Haar letter" if isinstance(seen, HaarLetter)
+                         else f"a token of constant {seen.name!r}")
+                raise WordParseError(f"{name!r} cannot name a constant: "
+                                     f"{token!r} is already {owner}")
+            letters[token] = ConstantLetter(name, matrix, transpose)
     pos = 0
     words: list[TraceWord] = []
     while pos < len(text):
@@ -485,20 +494,13 @@ def parse_trace_product(text: str,
                 raise WordParseError(f"cannot parse {text[pos:].strip()!r}")
             break
         pos = m.end()
-        letters: list = []
-        for token in m.group(2).split():
-            if token in _HAAR_TOKENS:
-                letters.append(HaarLetter(*_HAAR_TOKENS[token]))
-            elif token in constants:
-                letters.append(ConstantLetter(token, constants[token]))
-            elif token.endswith("t") and token[:-1] in constants:
-                letters.append(ConstantLetter(token[:-1], constants[token[:-1]],
-                                              transpose=True))
-            else:
-                raise WordParseError(f"unknown letter {token!r}")
-        if not letters:
+        if not m.group(2):
             raise WordParseError("empty trace factor")
-        words.append(TraceWord(tuple(letters), normalized=m.group(1) == "tr"))
+        try:
+            factor = tuple(letters[token] for token in m.group(2).split())
+        except KeyError as exc:
+            raise WordParseError(f"unknown letter {exc.args[0]!r}") from None
+        words.append(TraceWord(factor, normalized=m.group(1) == "tr"))
     if not words:
         raise WordParseError("no trace factors found")
     if N is None:
@@ -516,7 +518,7 @@ def load_matrix_csv(path: str) -> QCMatrix:
     WordParseError, and an index beyond CONSTANT_DIMENSION_CAP raises
     CapacityError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise WordParseError(

@@ -56,6 +56,8 @@ DIMENSION_CAP = 8192
 VALUE_CAP = 2 ** 27
 BIN_CAP = 10 ** 4
 WORKER_CAP = 256
+# the fewest replicas trace_observables accepts
+REPLICA_FLOOR = 10
 
 # The integer tag of each call site that draws replicas.  Replica j of a
 # call tagged s with seed `seed` samples from default_rng([seed, s, j]),
@@ -758,8 +760,9 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
     from the call site's stream (a key of STREAMS)."""
     items = list(observables.items() if isinstance(observables, Mapping)
                  else observables)
-    if replicas < 10:
-        raise InsufficientSamplesError("need at least 10 replicas")
+    if replicas < REPLICA_FLOOR:
+        raise InsufficientSamplesError(
+            f"need at least {REPLICA_FLOOR} replicas")
     names = tuple(nm for nm, _ in items)
     nodes = [node for _, node in items]
     rows = _run_replicas(

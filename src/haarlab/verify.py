@@ -28,7 +28,7 @@ import numpy as np
 
 from .combinat import cycle_type, enumerate_pairings, pi_epsilon
 from .cumulants import (CumulantFunctional, MomentFunctional,
-                        cumulants_to_moments, moments_to_cumulants)
+                        cumulants_to_moments, moments_to_cumulants, multisets)
 from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
                         moment_by_quadrature)
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
@@ -439,18 +439,11 @@ def cumulant_algebra(seed: int) -> tuple:
     for _trial in range(12):
         r_max = rng.randint(1, 5)
         nv = rng.randint(1, 3)
-        kvals = {}
-        for order in range(1, r_max + 1):
-            for combo in itertools.combinations_with_replacement(
-                    range(1, nv + 1), order):
-                kvals[combo] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        kfun = CumulantFunctional(kvals)
-        mvals = {}
-        for order in range(1, r_max + 1):
-            for combo in itertools.combinations_with_replacement(
-                    range(1, nv + 1), order):
-                mvals[combo] = cumulants_to_moments(kfun, combo)
-        mfun = MomentFunctional(mvals)
+        kfun = CumulantFunctional(
+            {combo: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for combo in multisets(nv, r_max)})
+        mfun = MomentFunctional({combo: cumulants_to_moments(kfun, combo)
+                                 for combo in multisets(nv, r_max)})
         idx = tuple(rng.randint(1, nv) for _ in range(r_max))
         if moments_to_cumulants(mfun, idx) != kfun(idx):
             failures.append(("round trip", idx))
@@ -467,9 +460,8 @@ def cumulant_algebra(seed: int) -> tuple:
          "ustar": HaarU(-1, -1)},
         N=64, replicas=4000, seed=seed, stream="check11")
     cum = stats.cumulants(3)
-    worst = 0.0
-    for combo in itertools.combinations_with_replacement((1, 2, 3, 4), 3):
-        worst = max(worst, abs(cum(combo)))
+    worst = max(abs(cum(combo)) for combo in multisets(4, 3)
+                if len(combo) == 3)
     if worst >= 0.1:
         failures.append(("k3", worst))
     return (

@@ -9,7 +9,12 @@ a quantity that the package computes another way:
 * pq_cycle_pairs groups the cycles of pq into mate pairs, the grouping
   that the single walks of combinat.pi_epsilon and weingarten.phi make;
 * rotate_rows rotates a spoke table's letters, under which the spoke
-  predictions are invariant.
+  predictions are invariant;
+* empirical_cumulants_by_key estimates cumulants the slow way, forming
+  every replica product once for the point moments and again for each
+  batch, and running the moment-cumulant recursion afresh for every
+  key, with the arithmetic of cumulants.empirical_cumulants in the same
+  order, so the two agree bit for bit.
 
 Set partitions are plain tuples of sorted blocks ordered by their
 smallest point.  The leader of a set of signed points is the one with
@@ -19,10 +24,12 @@ smallest absolute value, positive sign winning ties (combinat's rule).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Mapping
 
 from haarlab.combinat import _leader_key, cycles
-from haarlab.cumulants import PARTITION_POINT_CAP
+from haarlab.cumulants import (BATCH_COUNT, PARTITION_POINT_CAP,
+                               _first_block_splits)
 from haarlab.errors import CapacityError
 from haarlab.second_order import FirstOrderTable
 
@@ -138,3 +145,69 @@ def rotate_rows(tbl: FirstOrderTable, shift: int) -> FirstOrderTable:
     return FirstOrderTable(tbl.m, tbl.n,
                            tbl.phi[s:] + tbl.phi[:s],
                            tbl.phi_t[s:] + tbl.phi_t[:s])
+
+
+# -- plug-in cumulant estimates ------------------------------------------
+
+def _sample_moments(rows: list, max_order: int) -> dict:
+    """Mean over the replicas of every product of order <= max_order,
+    keyed by sorted variable multiset."""
+    nvars = len(rows)
+    count = len(rows[0]) if rows else 0
+    values = {}
+    for order in range(1, max_order + 1):
+        for combo in itertools.combinations_with_replacement(
+                range(1, nvars + 1), order):
+            acc = 0
+            for s in range(count):
+                prod = 1
+                for v in combo:
+                    prod = prod * rows[v - 1][s]
+                acc = acc + prod
+            values[combo] = acc / count
+    return values
+
+
+def _cumulant_from_moments(moments: dict, key: tuple):
+    """k(key) by the first-block recursion, memoized for this key only."""
+    memo = {}
+
+    def cumulant(k: tuple):
+        if k not in memo:
+            total = moments[k]
+            for block, others in _first_block_splits(k):
+                total = total - cumulant(block) * moments[others]
+            memo[k] = total
+        return memo[k]
+
+    return cumulant(key)
+
+
+def empirical_cumulants_by_key(samples, max_order: int = 2
+                               ) -> tuple[dict, dict]:
+    """(values, standard errors) of the plug-in cumulants of an
+    R-variables x S-replicas array, as dicts keyed by sorted variable
+    multiset; standard errors for orders 1 and 2 from BATCH_COUNT equal
+    batches when each batch holds at least 2 replicas."""
+    rows = [list(row) for row in samples]
+    nvars = len(rows)
+    count = len(rows[0])
+    moments = _sample_moments(rows, max_order)
+    values = {}
+    for order in range(1, max_order + 1):
+        for combo in itertools.combinations_with_replacement(
+                range(1, nvars + 1), order):
+            values[combo] = _cumulant_from_moments(moments, combo)
+    errors = {}
+    nbatch = min(BATCH_COUNT, count)
+    width = count // nbatch
+    if width >= 2:
+        per_batch = [_sample_moments([r[b * width:(b + 1) * width]
+                                      for r in rows], min(max_order, 2))
+                     for b in range(nbatch)]
+        for combo in per_batch[0]:
+            vals = [_cumulant_from_moments(bm, combo) for bm in per_batch]
+            mean = sum(vals) / nbatch
+            var = sum(abs(v - mean) ** 2 for v in vals) / (nbatch - 1)
+            errors[combo] = math.sqrt(var / nbatch)
+    return values, errors

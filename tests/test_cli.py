@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarlab import rmt
+from haarlab import cli, rmt
 from haarlab.cli import _word_nodes, main
 from haarlab.combinat import PAIRING_POINT_CAP
 from haarlab.exact import qc_matrix
@@ -104,6 +104,24 @@ def test_constant_named_like_a_haar_letter_is_a_usage_error(tmp_path,
     assert captured.err.startswith("error: 'U' cannot name a constant")
 
 
+@pytest.mark.parametrize("names", [("A", "At"), ("A,B",), ('A"',)])
+def test_constant_name_the_grammar_refuses_is_a_usage_error(names, tmp_path,
+                                                            capsys):
+    """A beside At (At = diag(5, 7) would shadow A's transpose), and
+    names whose comma or double quote would split a traces.csv cell."""
+    a, d = tmp_path / "a.csv", tmp_path / "d.csv"
+    a.write_text(A_CSV)
+    d.write_text("1,1,5,1,0,1\n2,2,7,1,0,1\n")
+    paths = {"A": a, "At": d}
+    flags = [arg for name in names
+             for arg in ("--constant", f"{name}={paths.get(name, a)}")]
+    assert main(["moment", "Tr(U)", "--N", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {names[-1]!r} cannot name a "
+                                   "constant")
+
+
 def test_constant_with_zero_denominator_is_parse_error(tmp_path, capsys):
     mat = tmp_path / "z.csv"
     mat.write_text("1,1,1,0,0,1\n")
@@ -130,6 +148,36 @@ def test_moment_monte_carlo_agrees(capsys):
     assert "exact: 1" in out
     dev = float(out.split("|dev| = ")[1].rstrip(")\n"))
     assert dev < 0.2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--N", "3", "--mc", "5"], 2),
+    (["--N", "3", "--mc", "-4"], 2),
+    (["--N", "9000", "--mc", "10"], 2),
+    (["--N", "3", "--mc", str(2 ** 26 + 1)], 2),
+    (["--N", "3", "--mc", "100", "--seed", "-1"], 1),
+])
+def test_moment_refuses_a_bad_monte_carlo_request_first(argv, code,
+                                                        monkeypatch, capsys):
+    """Too few replicas, N beyond the Monte Carlo cap, more stored values
+    than its cap (two traces per replica) and a negative seed are
+    refused before the exact value is computed, so nothing is printed."""
+    def exact_not_wanted(expr):
+        raise AssertionError("the exact value was computed")
+
+    monkeypatch.setattr(cli, "expected_trace_product", exact_not_wanted)
+    assert main(["moment", "Tr(U)Tr(Uc)", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path, capsys):
+    cfg = tmp_path / "bom.json"
+    cfg.write_text(json.dumps({"N": 3}), encoding="utf-8-sig")
+    assert main(["moment", "Tr(U)Tr(Uc)", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "exact: 1\n"
 
 
 def test_word_nodes_share_one_const_per_name():

@@ -7,8 +7,9 @@ import pytest
 
 from haarlab.cumulants import (CumulantFunctional, MomentFunctional,
                                cumulants_to_moments, empirical_cumulants,
-                               moments_to_cumulants)
+                               moments_to_cumulants, multisets)
 from haarlab.errors import InsufficientSamplesError, MissingMomentError
+from oracles import empirical_cumulants_by_key
 
 
 def test_keys_are_symmetric():
@@ -118,3 +119,28 @@ def test_empirical_cumulants_guards():
         empirical_cumulants([[1.0]])
     with pytest.raises(ValueError):
         empirical_cumulants([[1.0, 2.0]], max_order=5)
+
+
+def test_multisets_by_order_then_lexicographic():
+    assert multisets(2, 3) == [(1,), (2,), (1, 1), (1, 2), (2, 2),
+                               (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+    assert multisets(3, 0) == []
+
+
+@pytest.mark.parametrize("nvars, max_order, count", [
+    (1, 4, 5), (2, 2, 15), (3, 3, 19), (5, 4, 20), (4, 2, 137),
+    (2, 4, 233), (5, 1, 1001), (3, 3, 4000), (5, 2, 4000)])
+def test_empirical_cumulants_match_the_per_key_oracle(nvars, max_order,
+                                                      count):
+    """Values and batch standard errors equal the per-key estimator's bit
+    for bit: below 20 replicas (no standard errors), at counts that are
+    not a multiple of BATCH_COUNT (dropped remainders) and at 4,000."""
+    rng = np.random.default_rng([nvars, max_order, count])
+    samples = rng.normal(size=(nvars, count)) \
+        + 1j * rng.normal(size=(nvars, count))
+    k = empirical_cumulants(samples, max_order)
+    values, errors = empirical_cumulants_by_key(samples, max_order)
+    assert k.values == values
+    assert k.standard_errors == errors
+    assert bool(errors) == (count >= 20)
+    assert list(values) == multisets(nvars, max_order)

@@ -318,12 +318,47 @@ def test_constant_the_grammar_cannot_read_is_refused(name):
         parse_trace_product("Tr(U A)", {"A": A_MAT, name: A_MAT})
 
 
+@pytest.mark.parametrize("name", ["A,B", "A,", 'A"', '"A"'])
+def test_constant_name_that_would_break_a_csv_cell_is_refused(name):
+    """simulate writes each word into a CSV cell unquoted, so a comma or
+    a double quote in a constant name is refused like whitespace."""
+    with pytest.raises(WordParseError, match="cannot name a constant"):
+        parse_trace_product("Tr(U)", {name: A_MAT}, N=2)
+
+
+@pytest.mark.parametrize("order", [("A", "At"), ("At", "A")])
+def test_constant_named_like_another_constants_transpose_is_refused(order):
+    """With A = [[1, 2], [3, 4]] and a second constant At = diag(5, 7),
+    the token At could read as A's transpose (trace 5) or as the
+    constant At (trace 12); the pair is refused in either order."""
+    mats = {"A": A_MAT, "At": qc_matrix([[5, 0], [0, 7]])}
+    with pytest.raises(WordParseError, match="'At' is already a token"):
+        parse_trace_product("Tr(At)", {name: mats[name] for name in order})
+    assert expected_trace_product(
+        parse_trace_product("Tr(At)", {"A": A_MAT})) == QC(5)
+
+
+def test_each_token_reads_as_one_letter_object():
+    e = parse_trace_product("Tr(U A At)Tr(A Uc At U)", {"A": A_MAT})
+    (u, a, at), (a2, uc, at2, u2) = (w.letters for w in e.words)
+    assert a is a2 and at is at2 and u is u2
+    assert (repr(a), repr(at), repr(uc)) == ("A", "At", "Uc")
+
+
 def test_load_matrix_csv(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("row,col,re_num,re_den,im_num,im_den\n"
                  "1,1,1,2,0,1\n1,2,0,1,-1,3\n2,1,0,1,0,1\n2,2,5,1,0,1\n")
     m = load_matrix_csv(str(p))
     assert m == qc_matrix([[Fraction(1, 2), QC(0, Fraction(-1, 3))], [0, 5]])
+
+
+def test_load_matrix_csv_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_text("1,1,1,1,0,1\n2,2,-3,2,0,1\n", encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_matrix_csv(str(p)) == qc_matrix([[1, 0],
+                                                 [0, Fraction(-3, 2)]])
 
 
 def test_load_matrix_csv_rejects_zero_based(tmp_path):
