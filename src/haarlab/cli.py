@@ -27,15 +27,14 @@ from . import verify as verify_mod
 from .cumulants import BATCH_COUNT
 from .densities import arcsine_law, kesten_mckay_law, pdf_table
 from .emit import csv_bytes, json_bytes, svg_histogram
-from .errors import (CapacityError, DimensionError, HaarlabError,
-                     InsufficientSamplesError, WordParseError)
+from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
 from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
-from .rmt import (BIN_CAP, DIMENSION_CAP, FIGURE1_ARCSINE, FIGURE1_SUM_LAW,
-                  REPLICA_FLOOR, STREAMS, VALUE_CAP, Const, HaarU, Product,
-                  Variant, histogram, ks_distance, spectral_replicas,
-                  threading_summary, trace_observables)
+from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const, HaarU,
+                  Product, Variant, check_bins, check_run, histogram,
+                  ks_distance, spectral_replicas, threading_summary,
+                  trace_observables)
 from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
@@ -198,20 +197,9 @@ def cmd_moment(args: argparse.Namespace) -> int:
     expr = parse_trace_product(args.word, consts, _int_option(args, cfg, "N"))
     replicas = _int_option(args, cfg, "mc", 0)
     if replicas:
-        # a run the replica layer would refuse is refused before the
-        # exact value is computed or printed
+        # checked before the exact value is computed or printed
         seed = _int_option(args, cfg, "seed", 0, minimum=0)
-        if replicas < REPLICA_FLOOR:
-            raise InsufficientSamplesError(f"--mc needs at least "
-                                           f"{REPLICA_FLOOR} replicas, got "
-                                           f"{replicas}")
-        if expr.N > DIMENSION_CAP:
-            raise CapacityError(
-                f"N = {expr.N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
-        if replicas * len(expr.words) > VALUE_CAP:
-            raise CapacityError(
-                f"{replicas} replicas of {len(expr.words)} traces exceed the "
-                f"cap of {VALUE_CAP} stored values")
+        check_run(expr.N, replicas, len(expr.words))
     value = expected_trace_product(expr)
     print(f"exact: {value}")
     if replicas:
@@ -233,17 +221,18 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     N = _int_option(args, cfg, "N", 256)
     replicas = _int_option(args, cfg, "replicas", 10)
     seed = _int_option(args, cfg, "seed", 0, minimum=0)
-    bins = _int_option(args, cfg, "bins", 60, minimum=10)
+    bins = _int_option(args, cfg, "bins", 60)
     outdir = _str_option(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")
-    if bins > BIN_CAP:
-        raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
+    check_run(N, replicas, N, floor=1)
+    check_bins(bins)
     if not outdir:
         raise WordParseError("figure1 needs --outdir")
     if not os.path.isdir(outdir):
         raise FileNotFoundError(f"output directory {outdir!r} does not exist")
 
+    print(threading_summary(), file=sys.stderr)
     panels = [
         ("arcsine", arcsine_law(), FIGURE1_ARCSINE, "spectrum of U + U*"),
         ("sum_law", kesten_mckay_law(), FIGURE1_SUM_LAW,
@@ -251,7 +240,6 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     ]
     summary = {"N": N, "replicas": replicas, "seed": seed, "bins": bins,
                "ks_tolerance_hint": 0.05, "files": []}
-    print(threading_summary(), file=sys.stderr)
     for tag, law, node, title in panels:
         stream = f"figure1.{tag}"
         lam = np.sort(spectral_replicas(node, N, replicas, seed, stream),
@@ -299,10 +287,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i, text in enumerate(words):
         if text in words[:i]:
             raise WordParseError(f"observable {text!r} is given twice")
-    if replicas < 2 * BATCH_COUNT:
-        raise InsufficientSamplesError(
-            f"simulate reports batch standard errors, which need at least "
-            f"{2 * BATCH_COUNT} replicas, got {replicas}")
+    # batch standard errors need two replicas per batch
+    check_run(N, replicas, len(words), floor=2 * BATCH_COUNT)
     if outdir and not os.path.isdir(outdir):
         raise FileNotFoundError(f"output directory {outdir!r} does not exist")
 
@@ -313,13 +299,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise WordParseError(
                 f"simulate observables are single trace factors, got {text!r}")
     nodes = _word_nodes(expr.words[0] for expr in exprs)
+    print(threading_summary(), file=sys.stderr)
     exact_values = {}
     for text, expr in zip(words, exprs):
         try:
             exact_values[text] = str(expected_trace_product(expr))
         except CapacityError:
             exact_values[text] = "beyond exact-engine capacity"
-    print(threading_summary(), file=sys.stderr)
     stats = trace_observables(list(zip(words, nodes)), N, replicas, seed,
                               stream="simulate")
 

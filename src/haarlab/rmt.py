@@ -46,17 +46,17 @@ _ROW_BLOCK = 64     # rows per block of hermitian_deviation
 # host's noise of the fastest at N = 512 and 1024
 _HOUSEHOLDER_BLOCK = 32
 THREADS_ENV = "HAARLAB_THREADS"
-# Caps checked before anything is allocated (CapacityError beyond them):
-# the largest N _run_replicas samples (one N x N complex matrix is then
-# 1 GiB, and each worker holds a few), the most values its result array
-# holds (1 GiB of doubles), the most bins of a histogram, and the most
+# Caps, CapacityError beyond them: the largest N _run_replicas samples
+# (one N x N complex matrix is then 1 GiB, and each worker holds a few)
+# and the most values its result array holds (1 GiB of doubles), both
+# in check_run; the most bins of a histogram (check_bins); and the most
 # replica workers HAARLAB_THREADS may ask for (a run starts one thread
 # per worker after the first, which is the caller).
 DIMENSION_CAP = 8192
 VALUE_CAP = 2 ** 27
 BIN_CAP = 10 ** 4
 WORKER_CAP = 256
-# the fewest replicas trace_observables accepts
+# the fewest replicas trace_observables accepts, check_run's default
 REPLICA_FLOOR = 10
 
 # The integer tag of each call site that draws replicas.  Replica j of a
@@ -610,14 +610,20 @@ def spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
 
 
+def check_bins(bins: int) -> None:
+    """WordParseError for fewer than 10 histogram bins, CapacityError for
+    more than BIN_CAP; figure1 calls it before any law or sample."""
+    if bins < 10:
+        raise WordParseError(f"bins must be at least 10, got {bins}")
+    if bins > BIN_CAP:
+        raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
+
+
 def histogram(points, bins: int, hist_range: tuple) -> tuple:
     """Binned density of an array of points (of any shape), normalized
     to integrate to 1.  Returns (bin_edges, densities).  Raises
     InsufficientSamplesError when no point lies in hist_range."""
-    if bins < 10:
-        raise WordParseError("need at least 10 bins")
-    if bins > BIN_CAP:
-        raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
+    check_bins(bins)
     counts, edges = np.histogram(np.asarray(points, dtype=float),
                                  bins=bins, range=hist_range)
     total = counts.sum()
@@ -697,8 +703,28 @@ class TraceStatistics:
 # ----------------------------------------------------------------------
 # the replica runner
 
+def check_run(N: int, replicas: int, width: int,
+              floor: int = REPLICA_FLOOR) -> None:
+    """Refuse a run of fewer than floor replicas (InsufficientSamplesError)
+    or of N beyond DIMENSION_CAP or more than VALUE_CAP stored values,
+    width per replica (CapacityError).  _run_replicas calls it before it
+    allocates, and each command before any exact value, law or sample."""
+    if replicas < floor:
+        raise InsufficientSamplesError(
+            f"need at least {floor} {'replica' if floor == 1 else 'replicas'}"
+            f", got {replicas}")
+    if N > DIMENSION_CAP:
+        raise CapacityError(
+            f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
+    if replicas * width > VALUE_CAP:
+        raise CapacityError(
+            f"{replicas} replicas of {width} values exceed the cap of "
+            f"{VALUE_CAP} stored values")
+
+
 def _run_replicas(N: int, replicas: int, seed: int, stream: str,
-                  task: Callable, width: int, dtype) -> np.ndarray:
+                  task: Callable, width: int, dtype,
+                  floor: int = 1) -> np.ndarray:
     """The Monte Carlo layer's replica loop: row j of the returned
     (replicas, width) array is
     task(sample_haar_unitary(N, [seed, STREAMS[stream], j])).
@@ -712,20 +738,10 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     stays in the process, leaves them raised, and hands free memory back
     to the OS with malloc_trim(0) on return (see _keep_heap).  Rows land
     in preassigned slots, so the output depends neither on
-    HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  N beyond
-    DIMENSION_CAP, or more than VALUE_CAP results, raise CapacityError
-    before any allocation.
+    HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  check_run(N,
+    replicas, width, floor) refuses a run before any allocation.
     """
-    if replicas < 1:
-        raise InsufficientSamplesError(
-            f"need at least 1 replica, got {replicas}")
-    if N > DIMENSION_CAP:
-        raise CapacityError(
-            f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
-    if replicas * width > VALUE_CAP:
-        raise CapacityError(
-            f"{replicas} replicas of {width} values exceed the cap of "
-            f"{VALUE_CAP} stored values")
+    check_run(N, replicas, width, floor)
     tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
     workers = min(worker_count(), replicas)
@@ -760,15 +776,12 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
     from the call site's stream (a key of STREAMS)."""
     items = list(observables.items() if isinstance(observables, Mapping)
                  else observables)
-    if replicas < REPLICA_FLOOR:
-        raise InsufficientSamplesError(
-            f"need at least {REPLICA_FLOOR} replicas")
     names = tuple(nm for nm, _ in items)
     nodes = [node for _, node in items]
     rows = _run_replicas(
         N, replicas, seed, stream,
         lambda u: [evaluate(node, u, trace=True) for node in nodes],
-        len(nodes), complex)
+        len(nodes), complex, floor=REPLICA_FLOOR)
     return TraceStatistics(names, rows.T.copy())
 
 

@@ -14,7 +14,11 @@ a quantity that the package computes another way:
   every replica product once for the point moments and again for each
   batch, and running the moment-cumulant recursion afresh for every
   key, with the arithmetic of cumulants.empirical_cumulants in the same
-  order, so the two agree bit for bit.
+  order, so the two agree bit for bit;
+* power_trace_moment computes E prod Tr(U^mu_i) prod Tr(Ubar^nu_j) from
+  characters of the symmetric group, found by removing border strips
+  cell by cell from the Young diagram, not by the pairing sum or the
+  beta-set rule of weingarten._character.
 
 Set partitions are plain tuples of sorted blocks ordered by their
 smallest point.  The leader of a set of signed points is the one with
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from haarlab.combinat import _leader_key, cycles
@@ -211,3 +216,86 @@ def empirical_cumulants_by_key(samples, max_order: int = 2
             var = sum(abs(v - mean) ** 2 for v in vals) / (nbatch - 1)
             errors[combo] = math.sqrt(var / nbatch)
     return values, errors
+
+
+# -- power traces from characters ------------------------------------------
+
+def integer_partitions(n: int, largest: int | None = None
+                       ) -> Iterator[tuple[int, ...]]:
+    """The partitions of n as non-increasing tuples, parts at most
+    largest (default n)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _subdiagrams(lam: tuple[int, ...], size: int
+                 ) -> Iterator[tuple[int, ...]]:
+    """The partitions of size whose diagrams lie inside lam's, as tuples
+    of row lengths, one per row of lam (zero rows included)."""
+    def rows(i: int, left: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if i == len(lam):
+            if left == 0:
+                yield ()
+            return
+        for r in range(min(lam[i], cap, left), -1, -1):
+            for rest in rows(i + 1, left - r, r):
+                yield (r,) + rest
+    yield from rows(0, size, size)
+
+
+def _border_strip_height(lam: tuple[int, ...], nu: tuple[int, ...]
+                         ) -> int | None:
+    """Rows of the skew diagram lam / nu less one when it is a border
+    strip (edge-connected, no 2 x 2 square of cells); None otherwise."""
+    cells = {(i, j) for i, row in enumerate(lam) for j in range(nu[i], row)}
+    if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells
+           for i, j in cells):
+        return None
+    todo = [next(iter(cells))]
+    seen = set(todo)
+    while todo:
+        i, j = todo.pop()
+        for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if cell in cells and cell not in seen:
+                seen.add(cell)
+                todo.append(cell)
+    if seen != cells:
+        return None
+    return len({i for i, _ in cells}) - 1
+
+
+@lru_cache(maxsize=None)
+def symmetric_group_character(lam: tuple[int, ...],
+                              mu: tuple[int, ...]) -> int:
+    """chi^lam at a permutation of cycle type mu by the Murnaghan-Nakayama
+    rule: remove every border strip of size mu[0] from lam's diagram,
+    each with sign (-1)^(its rows - 1), and recurse on mu[1:]."""
+    if not mu:
+        return 1
+    size = sum(lam) - mu[0]
+    total = 0
+    for nu in _subdiagrams(lam, size):
+        height = _border_strip_height(lam, nu)
+        if height is not None:
+            total += (-1) ** height * symmetric_group_character(
+                tuple(r for r in nu if r), mu[1:])
+    return total
+
+
+def power_trace_moment(mu: tuple[int, ...], nu: tuple[int, ...],
+                       N: int) -> int:
+    """E prod_i Tr(U^mu_i) prod_j Tr(Ubar^nu_j) for Haar U in U(N):
+    sum over lam of n = |mu| = |nu| with at most N rows of
+    chi^lam(mu) chi^lam(nu), and 0 when |mu| != |nu| (Diaconis and
+    Shahshahani 1994; it follows from p_mu = sum_lam chi^lam(mu) s_lam and
+    the orthonormality of the Schur functions of at most N rows)."""
+    mu, nu = (tuple(sorted(parts, reverse=True)) for parts in (mu, nu))
+    if sum(mu) != sum(nu):
+        return 0
+    return sum(symmetric_group_character(lam, mu)
+               * symmetric_group_character(lam, nu)
+               for lam in integer_partitions(sum(mu)) if len(lam) <= N)

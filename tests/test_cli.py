@@ -578,6 +578,54 @@ def test_oversized_run_is_refused_before_sampling(argv, message, tmp_path,
     assert draws == []
 
 
+FIVE_WORDS = ("Tr(U)", "Tr(Uc)", "Tr(U U)", "Tr(U Uc)", "Tr(U*)")
+
+
+@pytest.mark.parametrize("argv, threads, code", [
+    (["--N", "9000", "--replicas", "20",
+      "--word", "Tr(U U U U U U Uc Uc Uc Uc Uc Uc)"], None, 2),
+    (["--N", "4", "--replicas", "19", "--word", "Tr(U Uc)"], None, 2),
+    # 5 * 2^25 stored values, past the cap of 2^27
+    (["--N", "4", "--replicas", str(2 ** 25),
+      *(arg for word in FIVE_WORDS for arg in ("--word", word))], None, 2),
+    (["--N", "4", "--replicas", "20", "--word", "Tr(U Uc)"], "abc", 1),
+])
+def test_simulate_refuses_a_bad_run_before_any_exact_value(
+        argv, threads, code, monkeypatch, capsys):
+    def exact_not_wanted(expr):
+        raise AssertionError("an exact value was computed")
+
+    monkeypatch.setattr(cli, "expected_trace_product", exact_not_wanted)
+    if threads:
+        monkeypatch.setenv("HAARLAB_THREADS", threads)
+    assert main(["simulate", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, threads, code", [
+    (["--N", "9000"], None, 2),
+    (["--replicas", "0"], None, 2),
+    (["--N", "32", "--replicas", "1"], "abc", 1),
+])
+def test_figure1_refuses_a_bad_run_before_either_law(
+        argv, threads, code, tmp_path, monkeypatch, capsys):
+    def law_not_wanted():
+        raise AssertionError("a reference law was built")
+
+    monkeypatch.setattr(cli, "arcsine_law", law_not_wanted)
+    monkeypatch.setattr(cli, "kesten_mckay_law", law_not_wanted)
+    if threads:
+        monkeypatch.setenv("HAARLAB_THREADS", threads)
+    assert main(["figure1", *argv, "--outdir", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_constant_index_beyond_cap_is_refused(tmp_path, capsys):
     mat = tmp_path / "far.csv"
     mat.write_text("10000000000,1,1,1,0,1\n")

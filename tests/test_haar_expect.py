@@ -21,6 +21,7 @@ from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  parse_trace_product)
 from haarlab.rmt import sample_haar_unitary
 from haarlab.weingarten import phi, wg_table
+from oracles import integer_partitions, power_trace_moment
 
 U = HaarLetter(1, 1)
 UT = HaarLetter(-1, 1)
@@ -184,6 +185,43 @@ def test_fourth_moment_of_trace():
     assert expected_trace_product(e2) == QC(Fraction(2))
     e1 = _expr([_word([U]), _word([U]), _word([UC]), _word([UC])], 1)
     assert expected_trace_product(e1) == QC_ONE
+
+
+def _power_trace_word(mu, nu, u_odd: int, ubar_odd: int) -> str:
+    """Tr(U^mu_1) ... Tr(Ubar^nu_1) ..., factor k of the U side spelled
+    with Ut when k + u_odd is odd, and of the Ubar side with U* when
+    k + ubar_odd is odd (Tr(Ut^m) = Tr(U^m), Tr(U*^m) = Tr(Uc^m))."""
+    def trace(letter, m):
+        return f"Tr({' '.join([letter] * m)})"
+    return "".join(
+        [trace(("U", "Ut")[(k + u_odd) % 2], m) for k, m in enumerate(mu)]
+        + [trace(("Uc", "U*")[(k + ubar_odd) % 2], m)
+           for k, m in enumerate(nu)])
+
+
+def test_power_trace_words_match_the_character_oracle():
+    """Every product of single-variant power traces with at most 4 U and
+    4 Ubar letters, at N = 1..8, against the character sum; over N each
+    factor is spelled both ways, so U and Ut each meet Uc and U*."""
+    sides = [mu for n in range(5) for mu in integer_partitions(n)]
+    pairs = [(mu, nu) for mu in sides for nu in sides if mu or nu]
+    mismatches = []
+    for N in range(1, 9):
+        for i, (mu, nu) in enumerate(pairs):
+            text = _power_trace_word(mu, nu, i + N, i + N // 2)
+            got = expected_trace_product(parse_trace_product(text, N=N))
+            if got != power_trace_moment(mu, nu, N):
+                mismatches.append((text, N, got))
+    assert len(pairs) == 143 and not mismatches, mismatches
+
+
+@pytest.mark.parametrize("mu, nu", [((5,), (5,)), ((3, 2), (2, 2, 1)),
+                                    ((2, 1, 1, 1), (1, 1, 1, 1, 1))])
+def test_order5_power_trace_words_match_the_character_oracle(mu, nu):
+    for N, u_odd, ubar_odd in ((2, 0, 0), (3, 1, 0), (8, 0, 1)):
+        text = _power_trace_word(mu, nu, u_odd, ubar_odd)
+        got = expected_trace_product(parse_trace_product(text, N=N))
+        assert got == power_trace_moment(mu, nu, N), (text, N)
 
 
 def test_conjugation_by_constant():

@@ -278,7 +278,7 @@ def test_histogram_normalization():
 def test_histogram_refuses_few_bins_with_a_package_error():
     # the HaarlabError class figure1 --bins 5 raises, so the CLI maps
     # both to the same exit code
-    with pytest.raises(WordParseError, match="need at least 10 bins"):
+    with pytest.raises(WordParseError, match="bins must be at least 10"):
         histogram([0.5], 5, (0, 1))
 
 
@@ -674,6 +674,39 @@ def test_replicas_reuse_freed_memory(workers):
 def test_trace_observables_sample_floor():
     with pytest.raises(InsufficientSamplesError):
         trace_observables([("t", HaarU())], 4, 9, seed=0)
+
+
+class _AllocationReached(Exception):
+    pass
+
+
+def test_run_caps_admit_the_cap_and_refuse_one_past_before_allocating(
+        monkeypatch):
+    """N = DIMENSION_CAP and replicas x width = VALUE_CAP reach the
+    allocation of the result array; one past either is refused before
+    numpy is called at all (rmt's numpy is replaced by a recorder)."""
+    shapes = []
+
+    class Recorder:
+        def empty(self, shape, dtype):
+            shapes.append(shape)
+            raise _AllocationReached
+
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} called before the refusal")
+
+    monkeypatch.setattr(rmt, "np", Recorder())
+    four = [(str(k), HaarU()) for k in range(4)]
+    with pytest.raises(_AllocationReached):
+        spectral_replicas(HaarU(), rmt.DIMENSION_CAP, 1, seed=0)
+    with pytest.raises(_AllocationReached):
+        trace_observables(four, 2, rmt.VALUE_CAP // 4, seed=0)
+    assert shapes == [(1, rmt.DIMENSION_CAP), (rmt.VALUE_CAP // 4, 4)]
+    with pytest.raises(CapacityError, match="exceeds the Monte Carlo cap"):
+        spectral_replicas(HaarU(), rmt.DIMENSION_CAP + 1, 1, seed=0)
+    with pytest.raises(CapacityError, match="stored values"):
+        trace_observables(four, 2, rmt.VALUE_CAP // 4 + 1, seed=0)
+    assert len(shapes) == 2
 
 
 def test_trace_statistics_covariance():
