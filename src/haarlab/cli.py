@@ -198,8 +198,8 @@ def cmd_moment(args: argparse.Namespace) -> int:
     replicas = _int_option(args, cfg, "mc", 0)
     if replicas:
         # checked before the exact value is computed or printed
-        seed = _int_option(args, cfg, "seed", 0, minimum=0)
-        check_run(expr.N, replicas, len(expr.words))
+        seed = _int_option(args, cfg, "seed", 0)
+        check_run(expr.N, replicas, len(expr.words), seed)
     value = expected_trace_product(expr)
     print(f"exact: {value}")
     if replicas:
@@ -220,12 +220,12 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     N = _int_option(args, cfg, "N", 256)
     replicas = _int_option(args, cfg, "replicas", 10)
-    seed = _int_option(args, cfg, "seed", 0, minimum=0)
+    seed = _int_option(args, cfg, "seed", 0)
     bins = _int_option(args, cfg, "bins", 60)
     outdir = _str_option(args, cfg, "outdir")
     if N < 32:
         raise DimensionError("figure1 wants N >= 32")
-    check_run(N, replicas, N, floor=1)
+    check_run(N, replicas, N, seed, floor=1)
     check_bins(bins)
     if not outdir:
         raise WordParseError("figure1 needs --outdir")
@@ -272,7 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     N = _int_option(args, cfg, "N", required=True)
     replicas = _int_option(args, cfg, "replicas", 100)
-    seed = _int_option(args, cfg, "seed", 0, minimum=0)
+    seed = _int_option(args, cfg, "seed", 0)
     outdir = _str_option(args, cfg, "outdir")
     consts = _load_constants(args.constant, cfg)
     words = _merged(args, cfg, "observables")
@@ -288,7 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if text in words[:i]:
             raise WordParseError(f"observable {text!r} is given twice")
     # batch standard errors need two replicas per batch
-    check_run(N, replicas, len(words), floor=2 * BATCH_COUNT)
+    check_run(N, replicas, len(words), seed, floor=2 * BATCH_COUNT)
     if outdir and not os.path.isdir(outdir):
         raise FileNotFoundError(f"output directory {outdir!r} does not exist")
 

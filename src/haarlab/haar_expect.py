@@ -309,7 +309,7 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     """
     N = expr.N
     const_factor = QC_ONE
-    segments: list[list[tuple[HaarLetter, QCMatrix | None]]] = []
+    haar_words = []
     norm_divisor = Fraction(1)
     for word in expr.words:
         if word.normalized:
@@ -318,17 +318,19 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
             const_factor = const_factor * mat_trace(
                 _constant_product(word.letters))
         else:
-            segments.append(_rotate_to_haar_form(word.letters))
+            haar_words.append(word)
     if not const_factor:
         return QC_ZERO
-    if not segments:
+    if not haar_words:
         return const_factor * QC(norm_divisor)
 
-    flat = [pair for seg in segments for pair in seg]
-    M = len(flat)
+    # the cap comes before any constant run of a Haar word is multiplied
+    M = sum(word.haar_count() for word in haar_words)
     if M > PAIRING_POINT_CAP:
         raise CapacityError(f"trace product with {M} Haar letters exceeds "
                             f"engine cap {PAIRING_POINT_CAP}")
+    segments = [_rotate_to_haar_form(word.letters) for word in haar_words]
+    flat = [pair for seg in segments for pair in seg]
     eta = [u.eta for u, _ in flat]
     if sum(eta) != 0:
         return QC_ZERO

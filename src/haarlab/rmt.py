@@ -703,12 +703,13 @@ class TraceStatistics:
 # ----------------------------------------------------------------------
 # the replica runner
 
-def check_run(N: int, replicas: int, width: int,
-              floor: int = REPLICA_FLOOR) -> None:
-    """Refuse a run of fewer than floor replicas (InsufficientSamplesError)
-    or of N beyond DIMENSION_CAP or more than VALUE_CAP stored values,
-    width per replica (CapacityError).  _run_replicas calls it before it
-    allocates, and each command before any exact value, law or sample."""
+def check_run(N: int, replicas: int, width: int, seed: int,
+              floor: int = REPLICA_FLOOR) -> int:
+    """Admit a run and return its workers, min(worker_count(), replicas);
+    worker_count refuses a bad HAARLAB_THREADS.  Fewer than floor replicas
+    raise InsufficientSamplesError, N above DIMENSION_CAP or replicas *
+    width above VALUE_CAP CapacityError, and a negative seed WordParseError.
+    _run_replicas and each command call it before any allocation or work."""
     if replicas < floor:
         raise InsufficientSamplesError(
             f"need at least {floor} {'replica' if floor == 1 else 'replicas'}"
@@ -720,6 +721,9 @@ def check_run(N: int, replicas: int, width: int,
         raise CapacityError(
             f"{replicas} replicas of {width} values exceed the cap of "
             f"{VALUE_CAP} stored values")
+    if seed < 0:
+        raise WordParseError(f"seed must be at least 0, got {seed}")
+    return min(worker_count(), replicas)
 
 
 def _run_replicas(N: int, replicas: int, seed: int, stream: str,
@@ -738,13 +742,14 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     stays in the process, leaves them raised, and hands free memory back
     to the OS with malloc_trim(0) on return (see _keep_heap).  Rows land
     in preassigned slots, so the output depends neither on
-    HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  check_run(N,
-    replicas, width, floor) refuses a run before any allocation.
+    HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  check_run admits the
+    run, and an unknown stream raises HaarlabError, before any allocation.
     """
-    check_run(N, replicas, width, floor)
+    workers = check_run(N, replicas, width, seed, floor)
+    if stream not in STREAMS:
+        raise HaarlabError(f"stream {stream!r} is not one of {list(STREAMS)}")
     tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
-    workers = min(worker_count(), replicas)
 
     def run_share(w: int):
         for j in range(w, replicas, workers):

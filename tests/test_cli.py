@@ -626,6 +626,33 @@ def test_figure1_refuses_a_bad_run_before_either_law(
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "4", "--replicas", "20", "--word", "Tr(U Uc)"],
+    ["figure1", "--N", "32", "--replicas", "1"],
+    ["moment", "Tr(U U U U U U)Tr(Uc Uc Uc Uc Uc Uc)", "--N", "8",
+     "--mc", "100"],
+])
+def test_bad_thread_count_is_refused_without_the_diagnostic_line(
+        argv, tmp_path, monkeypatch, capsys):
+    """check_run refuses HAARLAB_THREADS itself: with the stderr
+    diagnostic, which reads it too, stubbed out, each command still exits
+    1 before any exact value or reference law."""
+    def not_wanted(*args):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(cli, "threading_summary", lambda: "diagnostic")
+    for name in ("expected_trace_product", "arcsine_law", "kesten_mckay_law"):
+        monkeypatch.setattr(cli, name, not_wanted)
+    monkeypatch.setenv("HAARLAB_THREADS", "abc")
+    if argv[0] == "figure1":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: HAARLAB_THREADS must be a positive "
+                            "integer, got 'abc'\n")
+
+
 def test_constant_index_beyond_cap_is_refused(tmp_path, capsys):
     mat = tmp_path / "far.csv"
     mat.write_text("10000000000,1,1,1,0,1\n")

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from haarlab import haar_expect
 from haarlab.combinat import enumerate_alpha_pairings, pi_epsilon
-from haarlab.errors import DimensionError, WordParseError
+from haarlab.errors import CapacityError, DimensionError, WordParseError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
                            mat_trace, mat_transpose, qc_matrix)
 from haarlab.haar_expect import (ConstantLetter, HaarLetter,
@@ -257,6 +258,25 @@ def test_pure_constant_word():
 
 def test_empty_expression_is_one():
     assert expected_trace_product(_expr([], 3)) == QC_ONE
+
+
+def test_engine_cap_is_checked_before_any_constant_product(monkeypatch):
+    """Two words of 7 Haar letters, each followed by the constants A B:
+    14 Haar letters in all, two over the cap, are refused before any
+    constant run is multiplied or any word rotated."""
+    def not_wanted(*args):
+        raise AssertionError("constants multiplied before the cap")
+
+    monkeypatch.setattr(haar_expect, "_rotate_to_haar_form", not_wanted)
+    monkeypatch.setattr(haar_expect, "mat_mul", not_wanted)
+    a = ConstantLetter("A", A_MAT)
+    b = ConstantLetter("B", B_MAT)
+    words = [_word([x for h in (U, UC, U, UC, U, UC, U)
+                    for x in (h, a, b)]),
+             _word([x for h in (UC, U, UC, U, UC, U, UC)
+                    for x in (h, a, b)])]
+    with pytest.raises(CapacityError, match="with 14 Haar letters exceeds"):
+        expected_trace_product(_expr(words, 2))
 
 
 # -- limits and the invariance gap --------------------------------------

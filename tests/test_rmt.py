@@ -709,6 +709,47 @@ def test_run_caps_admit_the_cap_and_refuse_one_past_before_allocating(
     assert len(shapes) == 2
 
 
+def test_library_runs_refuse_a_negative_seed_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    with pytest.raises(WordParseError, match="^seed must be at least 0, "
+                                             "got -1$"):
+        trace_observables({"t": HaarU()}, 4, 10, seed=-1)
+    with pytest.raises(WordParseError, match="^seed must be at least 0"):
+        spectral_replicas(rmt.FIGURE1_ARCSINE, 4, 1, seed=-1)
+    assert draws == []
+
+
+def test_an_unknown_stream_is_named_before_numpy_is_called(monkeypatch):
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} called before the refusal")
+
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    monkeypatch.setattr(rmt, "np", Untouchable())
+    with pytest.raises(HaarlabError, match=r"^stream 'nope' is not one of "
+                                           r"\['library', 'simulate', "):
+        trace_observables({"t": HaarU()}, 4, 10, seed=0, stream="nope")
+    assert draws == []
+
+
+def test_check_run_hands_the_runner_its_worker_count(monkeypatch):
+    monkeypatch.setenv("HAARLAB_THREADS", "3")
+    assert rmt.check_run(8, 10, 1, 0) == 3
+    assert rmt.check_run(8, 2, 1, 0, floor=1) == 2
+    admitted = []
+    monkeypatch.setattr(rmt, "check_run",
+                        lambda *run: admitted.append(run) or 1)
+    monkeypatch.setattr(rmt, "worker_count",
+                        lambda: pytest.fail("the runner read worker_count"))
+    stats = trace_observables({"t": HaarU()}, 4, 10, seed=0)
+    assert stats.replica_count == 10
+    assert admitted == [(4, 10, 1, 0, rmt.REPLICA_FLOOR)]
+
+
 def test_trace_statistics_covariance():
     obs = {"u": HaarU(), "ubar": HaarU(1, -1)}
     stats = trace_observables(obs, 32, 300, seed=1)
