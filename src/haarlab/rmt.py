@@ -492,61 +492,48 @@ def evaluate(node: Node, u: np.ndarray, *,
     scales columns instead of calling matmul; for a real diagonal the
     bytes are those of the dense product.
 
-    A node object that the tree reaches more than once (figure1's
-    U + U* in U + U* + (U + U*)^t) is evaluated once per call and its
-    matrix reused.  Other nodes are not kept, so each intermediate is
-    freed once used and a replica holds only the few N x N arrays that
-    are live at once; in _run_replicas the next replica reuses their
-    memory (_keep_heap).  Results may be shared views and are never
-    modified."""
+    Each call keeps the matrix of every Sum and Product it computes, by
+    object, so one that the tree reaches twice (figure1's U + U* in
+    U + U* + (U + U*)^t) is computed once per call.  Leaves are not
+    kept: a leaf object reached twice is evaluated twice, and a
+    conjugate copy such as U* is freed once used, so a replica holds
+    only the few N x N arrays that are live at once; in _run_replicas
+    the next replica reuses their memory (_keep_heap).  Results may be
+    shared views and are never modified."""
     if trace and isinstance(node, HaarU):
         t = np.trace(u)
         return np.conj(t) if node.eta == -1 else t
-    shared: dict = {}
-    seen: set = set()
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        if id(n) in seen:
-            shared[id(n)] = None
-            continue
-        seen.add(id(n))
-        if isinstance(n, Variant):
-            todo.append(n.node)
-        elif isinstance(n, Sum):
-            todo.extend(n.terms)
-        elif isinstance(n, Product):
-            todo.extend(n.factors)
+    memo: dict = {}
     if not trace:
-        return _evaluate(node, u, shared)
+        return _evaluate(node, u, memo)
     if not (isinstance(node, Product) and len(node.factors) > 1):
-        return np.trace(_evaluate(node, u, shared))
+        return np.trace(_evaluate(node, u, memo))
     if node.mirror is not None:
         eps, eta = node.mirror
-        half = _fold(node.half, u, shared)
+        half = _fold(node.half, u, memo)
         return np.sum(half * variant_matrix(half, -eps, eta))
-    prefix = _fold(node.factors[:-1], u, shared)
+    prefix = _fold(node.factors[:-1], u, memo)
     last = node.factors[-1]
     d = _diagonal_const(last, u)
     if d is not None:
         return np.sum(np.diagonal(prefix) * d)
-    return np.sum(prefix * _evaluate(last, u, shared).T)
+    return np.sum(prefix * _evaluate(last, u, memo).T)
 
 
-def _fold(factors: tuple, u: np.ndarray, shared: dict) -> np.ndarray:
+def _fold(factors: tuple, u: np.ndarray, memo: dict) -> np.ndarray:
     """The product of a non-empty run of factors, left to right, a
     diagonal constant after the first factor scaling columns."""
-    out = _evaluate(factors[0], u, shared)
+    out = _evaluate(factors[0], u, memo)
     for f in factors[1:]:
         d = _diagonal_const(f, u)
-        out = out * d if d is not None else out @ _evaluate(f, u, shared)
+        out = out * d if d is not None else out @ _evaluate(f, u, memo)
     return out
 
 
-def _evaluate(node: Node, u: np.ndarray, shared: dict) -> np.ndarray:
-    """evaluate, with shared mapping the id of each node reached more
-    than once to its matrix, None until first computed."""
-    out = shared.get(id(node))
+def _evaluate(node: Node, u: np.ndarray, memo: dict) -> np.ndarray:
+    """evaluate, with memo mapping the id of each Sum and Product that
+    this call has computed to its matrix."""
+    out = memo.get(id(node))
     if out is not None:
         return out
     N = u.shape[0]
@@ -560,22 +547,22 @@ def _evaluate(node: Node, u: np.ndarray, shared: dict) -> np.ndarray:
         node.node.check_size(N)
         out = variant_matrix(node.node.transposed, 1, node.eta)
     elif isinstance(node, Variant):
-        out = variant_matrix(_evaluate(node.node, u, shared),
+        out = variant_matrix(_evaluate(node.node, u, memo),
                              node.eps, node.eta)
     elif isinstance(node, Sum):
         if not node.terms:
             out = np.zeros((N, N), dtype=complex)
         else:
-            out = _evaluate(node.terms[0], u, shared)
+            out = _evaluate(node.terms[0], u, memo)
             for t in node.terms[1:]:
-                out = out + _evaluate(t, u, shared)
+                out = out + _evaluate(t, u, memo)
     elif isinstance(node, Product):
-        out = _fold(node.factors, u, shared) if node.factors else \
+        out = _fold(node.factors, u, memo) if node.factors else \
             np.eye(N, dtype=complex)
     else:
         raise TypeError(f"not an ensemble node: {node!r}")
-    if id(node) in shared:
-        shared[id(node)] = out
+    if isinstance(node, (Sum, Product)):
+        memo[id(node)] = out
     return out
 
 
@@ -595,16 +582,20 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
                    for i in range(0, n, _ROW_BLOCK)])
 
 
-def spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a self-adjoint matrix.  A matrix that is
-    not hermitian within HERMITIAN_TOL in max-norm, or holds a NaN, is
-    rejected rather than silently projected.  One whose imaginary part
-    is exactly zero goes to the real solver, which is faster and agrees
-    to rounding."""
+def _check_self_adjoint(matrix: np.ndarray) -> None:
+    """NotSelfAdjointError unless matrix is hermitian within HERMITIAN_TOL."""
     dev = hermitian_deviation(matrix)
     if not dev <= HERMITIAN_TOL:    # NaN fails this comparison too
         raise NotSelfAdjointError(
             f"matrix deviates from self-adjoint by {dev:.3e}")
+
+
+def spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a self-adjoint matrix; one that
+    _check_self_adjoint refuses is rejected rather than silently
+    projected.  One whose imaginary part is exactly zero goes to the
+    real solver, which is faster and agrees to rounding."""
+    _check_self_adjoint(matrix)
     if not np.any(matrix.imag):
         matrix = matrix.real
     return np.linalg.eigvalsh(matrix)
@@ -619,12 +610,24 @@ def check_bins(bins: int) -> None:
         raise CapacityError(f"{bins} bins exceed the cap {BIN_CAP}")
 
 
+def _finite(points, use: str) -> np.ndarray:
+    """points as a float array; HaarlabError when one is NaN or infinite."""
+    a = np.asarray(points, dtype=float)
+    bad = a.size - np.count_nonzero(np.isfinite(a))
+    if bad:
+        raise HaarlabError(f"{bad} of {a.size} points {use} are not finite")
+    return a
+
+
 def histogram(points, bins: int, hist_range: tuple) -> tuple:
     """Binned density of an array of points (of any shape), normalized
     to integrate to 1.  Returns (bin_edges, densities).  Raises
-    InsufficientSamplesError when no point lies in hist_range."""
+    InsufficientSamplesError when no point lies in hist_range, and
+    HaarlabError for a NaN or infinite point or range, or lo >= hi."""
     check_bins(bins)
-    counts, edges = np.histogram(np.asarray(points, dtype=float),
+    if not -np.inf < hist_range[0] < hist_range[1] < np.inf:
+        raise HaarlabError(f"histogram range {hist_range}: not finite lo < hi")
+    counts, edges = np.histogram(_finite(points, "for the histogram"),
                                  bins=bins, range=hist_range)
     total = counts.sum()
     if total == 0:
@@ -642,17 +645,11 @@ def ks_distance(points, cdf: Callable[[float], float],
     For a continuous reference leave cdf_left unset.  A reference with
     jumps needs its left limits supplied separately, otherwise the
     statistic against a matching point mass reports 1 instead of 0.
-    A NaN or infinite point raises HaarlabError: max() would drop it
-    from the sup while n still counts it.
-    """
-    pooled = np.sort(np.asarray(points, dtype=float), axis=None)
+    A NaN or infinite point raises HaarlabError: the sup would drop it."""
+    pooled = np.sort(_finite(points, "for the KS statistic"), axis=None)
     n = pooled.size
     if n == 0:
         raise InsufficientSamplesError("no points for the KS statistic")
-    bad = n - np.count_nonzero(np.isfinite(pooled))
-    if bad:
-        raise HaarlabError(f"{bad} of {n} points for the KS statistic "
-                           "are not finite")
     if cdf_left is None:
         cdf_left = cdf
     d = 0.0
@@ -707,13 +704,16 @@ def check_run(N: int, replicas: int, width: int, seed: int,
               floor: int = REPLICA_FLOOR) -> int:
     """Admit a run and return its workers, min(worker_count(), replicas);
     worker_count refuses a bad HAARLAB_THREADS.  Fewer than floor replicas
-    raise InsufficientSamplesError, N above DIMENSION_CAP or replicas *
-    width above VALUE_CAP CapacityError, and a negative seed WordParseError.
-    _run_replicas and each command call it before any allocation or work."""
+    raise InsufficientSamplesError, N below 1 DimensionError, N above
+    DIMENSION_CAP or replicas * width above VALUE_CAP CapacityError, and a
+    negative seed WordParseError.  _run_replicas and each command call it
+    before any allocation or work."""
     if replicas < floor:
         raise InsufficientSamplesError(
             f"need at least {floor} {'replica' if floor == 1 else 'replicas'}"
             f", got {replicas}")
+    if N < 1:
+        raise DimensionError("N must be at least 1")
     if N > DIMENSION_CAP:
         raise CapacityError(
             f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
@@ -727,8 +727,8 @@ def check_run(N: int, replicas: int, width: int, seed: int,
 
 
 def _run_replicas(N: int, replicas: int, seed: int, stream: str,
-                  task: Callable, width: int, dtype,
-                  floor: int = 1) -> np.ndarray:
+                  task: Callable, width: int, dtype, floor: int = 1,
+                  probe: Callable | None = None) -> np.ndarray:
     """The Monte Carlo layer's replica loop: row j of the returned
     (replicas, width) array is
     task(sample_haar_unitary(N, [seed, STREAMS[stream], j])).
@@ -744,7 +744,8 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     in preassigned slots, so the output depends neither on
     HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.  check_run admits the
     run, and an unknown stream raises HaarlabError, before any allocation.
-    """
+    A bad tree costs no draw: probe (task when None) runs first at the
+    unitary with e^{ik} at (k - 1, k mod N), neither real nor symmetric."""
     workers = check_run(N, replicas, width, seed, floor)
     if stream not in STREAMS:
         raise HaarlabError(f"stream {stream!r} is not one of {list(STREAMS)}")
@@ -761,6 +762,8 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     previous = _set_blas_threads(setters, one)
     malloc_trim = _keep_heap()
     try:
+        (probe or task)(np.exp(1j * np.arange(1, N + 1))[:, None]
+                        * np.roll(np.eye(N), 1, axis=1))
         with ThreadPoolExecutor(max_workers=workers,
                                 initializer=_set_blas_threads,
                                 initargs=(setters, one)) as pool:
@@ -795,6 +798,7 @@ def spectral_replicas(node: Node, N: int, replicas: int, seed: int,
     """(replicas, N) array whose row r holds the ascending eigenvalues
     of node evaluated at replica r's unitary, run on _run_replicas with
     the call site's stream (a key of STREAMS)."""
-    return _run_replicas(N, replicas, seed, stream,
-                         lambda u: spectrum(evaluate(node, u)), N, float)
+    return _run_replicas(
+        N, replicas, seed, stream, lambda u: spectrum(evaluate(node, u)), N,
+        float, probe=lambda u: _check_self_adjoint(evaluate(node, u)))
 

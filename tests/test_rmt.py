@@ -282,6 +282,25 @@ def test_histogram_refuses_few_bins_with_a_package_error():
         histogram([0.5], 5, (0, 1))
 
 
+def test_histogram_refuses_points_that_are_not_finite():
+    # numpy drops a NaN from every bin, so the density would be that of
+    # one point of two
+    with pytest.raises(HaarlabError, match="^1 of 2 points for the "
+                                           "histogram are not finite$"):
+        histogram([np.nan, 0.1], 10, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("hist_range", [(1.0, -1.0), (0.5, 0.5),
+                                        (np.nan, 1.0), (-np.inf, 1.0)])
+def test_histogram_refuses_a_range_that_is_not_finite_and_increasing(
+        hist_range):
+    # numpy raises its bare ValueError for three of these, and bins
+    # (0.5, 0.5) as if it were (0.0, 1.0)
+    with pytest.raises(HaarlabError, match="^histogram range .*: not finite "
+                                           "lo < hi$"):
+        histogram([0.1], 10, hist_range)
+
+
 def test_ks_distance_uniform_grid():
     # the midpoint grid i/(n+1) has KS distance 1/(n+1) against U[0,1]
     n = 99
@@ -736,6 +755,68 @@ def test_an_unknown_stream_is_named_before_numpy_is_called(monkeypatch):
     assert draws == []
 
 
+def _counted_draws(monkeypatch) -> list:
+    """The seeds rmt's sampler is called with, the draws still made."""
+    draws = []
+    sample = rmt.sample_haar_unitary
+
+    def counting(N, seed):
+        draws.append(seed)
+        return sample(N, seed)
+
+    monkeypatch.setattr(rmt, "sample_haar_unitary", counting)
+    return draws
+
+
+@pytest.mark.parametrize("node, N", [
+    (HaarU(), 1), (HaarU(), 512), (Sum((HaarU(), HaarU(-1, 1))), 64),
+    (Sum((HaarU(), HaarU(-1, 1))), 2)], ids=["U-1", "U-512", "U+Ut-64",
+                                             "U+Ut-2"])
+def test_a_tree_that_is_not_self_adjoint_is_refused_before_any_draw(
+        node, N, monkeypatch):
+    """Each tree is tried once at a fixed unitary that is neither real nor
+    symmetric; U + Ut is symmetric at every U, self-adjoint only at a
+    real one."""
+    monkeypatch.setenv("HAARLAB_THREADS", "2")
+    draws = _counted_draws(monkeypatch)
+    with pytest.raises(NotSelfAdjointError):
+        spectral_replicas(node, N, 20, seed=0)
+    assert draws == []
+
+
+def test_a_wrong_size_constant_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setenv("HAARLAB_THREADS", "2")
+    draws = _counted_draws(monkeypatch)
+    wrong = Const("A", np.eye(3))
+    for node in (wrong, Product((HaarU(), wrong))):
+        with pytest.raises(DimensionError, match="'A'"):
+            trace_observables({"u": HaarU(), "t": node}, 512, 10, seed=0)
+        with pytest.raises(DimensionError, match="'A'"):
+            spectral_replicas(Sum((node, Variant(node, -1, -1))), 4, 2, seed=0)
+    assert draws == []
+
+
+def test_figure1_trees_pass_the_fixed_unitary(monkeypatch):
+    """Both panels are self-adjoint at every unitary, so the check before
+    the draws lets them through, at N = 1 too."""
+    draws = _counted_draws(monkeypatch)
+    for node in (rmt.FIGURE1_ARCSINE, rmt.FIGURE1_SUM_LAW):
+        assert spectral_replicas(node, 1, 2, seed=0).shape == (2, 1)
+    assert len(draws) == 4
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_library_runs_refuse_n_below_1_before_any_draw(N, monkeypatch):
+    # the fixed unitary cannot be built at N < 0, and a spectral run
+    # allocates N values per replica
+    draws = _counted_draws(monkeypatch)
+    with pytest.raises(DimensionError, match="^N must be at least 1$"):
+        trace_observables({"t": HaarU()}, N, 10, seed=0)
+    with pytest.raises(DimensionError, match="^N must be at least 1$"):
+        spectral_replicas(rmt.FIGURE1_ARCSINE, N, 1, seed=0)
+    assert draws == []
+
+
 def test_check_run_hands_the_runner_its_worker_count(monkeypatch):
     monkeypatch.setenv("HAARLAB_THREADS", "3")
     assert rmt.check_run(8, 10, 1, 0) == 3
@@ -785,6 +866,26 @@ def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
     assert len(calls) == 3
     s = u + np.conj(u.T)
     assert np.array_equal(m, s + s.T)
+
+
+def test_evaluate_recomputes_a_leaf_object_reached_twice(monkeypatch):
+    """Only Sums and Products are kept within a call: the one Uc object
+    of Uc B Uc is conjugated at each appearance, so a replica holds no
+    extra N x N copy of it."""
+    calls = []
+    inner = rmt.variant_matrix
+
+    def counting(m, eps, eta):
+        calls.append((eps, eta))
+        return inner(m, eps, eta)
+
+    monkeypatch.setattr(rmt, "variant_matrix", counting)
+    u = sample_haar_unitary(6, seed=3)
+    b = Const("B", np.arange(36.0).reshape(6, 6))
+    uc = HaarU(1, -1)
+    m = evaluate(Product((uc, b, uc)), u)
+    assert calls == [(1, -1), (1, -1)]
+    assert np.array_equal(m, np.conj(u) @ b.matrix @ np.conj(u))
 
 
 def _diag_const(name, d):
