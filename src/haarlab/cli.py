@@ -157,7 +157,7 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
                       seed: int) -> tuple:
     """Monte Carlo mean and standard error of the trace product."""
     nodes = _word_nodes(expr.words)
-    names = [f"w{i}" for i in range(len(nodes))]
+    names = [f"factor {i + 1}" for i in range(len(nodes))]
     stats = trace_observables(list(zip(names, nodes)), expr.N, replicas,
                               seed, stream="moment")
     prod = np.ones(stats.replica_count, dtype=complex)
@@ -204,7 +204,11 @@ def cmd_moment(args: argparse.Namespace) -> int:
     print(f"exact: {value}")
     if replicas:
         mean, se = _mc_trace_product(expr, replicas, seed)
-        dev = abs(mean - complex(value))
+        try:
+            dev = abs(mean - complex(value))
+        except OverflowError:
+            raise HaarlabError("the exact value is too large for a "
+                               "double") from None
         print(f"monte carlo (R={replicas}, seed={seed}): "
               f"{mean.real:.8f}{mean.imag:+.8f}i +- {se:.8f} "
               f"(|dev| = {dev:.8f})")

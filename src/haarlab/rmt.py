@@ -645,7 +645,8 @@ def ks_distance(points, cdf: Callable[[float], float],
     For a continuous reference leave cdf_left unset.  A reference with
     jumps needs its left limits supplied separately, otherwise the
     statistic against a matching point mass reports 1 instead of 0.
-    A NaN or infinite point raises HaarlabError: the sup would drop it."""
+    A NaN or infinite point raises HaarlabError: the sup would drop it;
+    so does a reference value outside [0, 1], NaN included."""
     pooled = np.sort(_finite(points, "for the KS statistic"), axis=None)
     n = pooled.size
     if n == 0:
@@ -654,9 +655,12 @@ def ks_distance(points, cdf: Callable[[float], float],
         cdf_left = cdf
     d = 0.0
     for i, x in enumerate(pooled, start=1):
-        hi = abs(i / n - cdf(float(x)))
-        lo = abs((i - 1) / n - cdf_left(float(x)))
-        d = max(d, hi, lo)
+        x = float(x)
+        for level, value in ((i / n, cdf(x)), ((i - 1) / n, cdf_left(x))):
+            if not 0.0 <= value <= 1.0:
+                raise HaarlabError(
+                    f"reference CDF at {x} is {value}, outside [0, 1]")
+            d = max(d, abs(level - value))
     return d
 
 
@@ -676,6 +680,9 @@ class TraceStatistics:
         return self.samples.shape[1]
 
     def row(self, name: str) -> np.ndarray:
+        if name not in self.names:
+            raise HaarlabError(f"unknown observable {name!r}; known: "
+                               + ", ".join(map(repr, self.names)))
         return self.samples[self.names.index(name)]
 
     def mean(self, name: str) -> complex:
@@ -781,7 +788,8 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
                       stream: str = "library") -> TraceStatistics:
     """Tr of each observable tree per replica, the whole batch reusing
     one Haar draw per replica; replicas run on _run_replicas, drawing
-    from the call site's stream (a key of STREAMS)."""
+    from the call site's stream (a key of STREAMS).  A trace that is
+    not finite raises HaarlabError naming its observable and replica."""
     items = list(observables.items() if isinstance(observables, Mapping)
                  else observables)
     names = tuple(nm for nm, _ in items)
@@ -790,6 +798,11 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
         N, replicas, seed, stream,
         lambda u: [evaluate(node, u, trace=True) for node in nodes],
         len(nodes), complex, floor=REPLICA_FLOOR)
+    bad = np.argwhere(~np.isfinite(rows.T))
+    if bad.size:
+        k, r = bad[0]
+        raise HaarlabError(f"trace of observable {names[k]!r} at replica "
+                           f"{r} is not finite")
     return TraceStatistics(names, rows.T.copy())
 
 

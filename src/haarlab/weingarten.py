@@ -44,7 +44,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, TextIO
 
-from .combinat import PAIRING_POINT_CAP, cycles, moebius_cycle_type
+from .combinat import (PAIRING_POINT_CAP, cycle_type, cycles,
+                       moebius_cycle_type)
 from .errors import CapacityError, DimensionError, HaarlabError
 
 DEFAULT_ORDER_CAP = PAIRING_POINT_CAP // 2
@@ -165,14 +166,6 @@ def wg_leading(cycle_type: Iterable[int], N: int) -> Fraction:
     return Fraction(moebius_cycle_type(ct), N ** (2 * sum(ct) - len(ct)))
 
 
-_NOT_PAIRINGS = "phi expects two fixed-point-free involutions of [n]"
-
-
-@functools.cache
-def _points(n: int) -> frozenset[int]:
-    return frozenset(range(1, n + 1))
-
-
 def phi(p: Mapping[int, int], q: Mapping[int, int]) -> CycleType:
     """The class of two pairings of [n], given as partner maps
     {k: p(k)} as the enumerators yield them: the descending tuple of
@@ -180,49 +173,21 @@ def phi(p: Mapping[int, int], q: Mapping[int, int]) -> CycleType:
     pair's Weingarten weight at dimension N is wg_table(n // 2, N) at
     that class (Collins & Sniady, CMP 264, 2006).
 
-    pq's cycles come in mate pairs of equal length, and one walk of pq
-    on [n] finds them: the mate of a cycle c is q c^{-1} q, whose points
-    are the q-partners of c's points, so each cycle started at the
-    smallest unseen point is a representative and the walk marks its
-    mate as it goes.  pq_cycle_pairs in
-    tests/oracles.py spells out the same grouping.
-    The input check rides on the walk.  Beyond the domains (maps on a
-    signed domain, or on two different ones, raise HaarlabError), each
-    step k -> q(k) = m -> p(m) = k' tests both of its edges: m != k and
-    q(m) == k, then k' != m and p(k') == m.  Two passing steps never
-    lead into one k' (q(p(k')) would name two points), so each walk
-    returns to its start, and the points it touches are closed under
-    p and q: a later walk starts off them and never meets them.  Every
-    point is touched, and the tested edges then hold every point of
-    [n], each k as the k' of the step into it and each m as the mate
-    of a step.  So the maps are pairings of [n] exactly when every step
-    passes; otherwise phi raises HaarlabError, whatever values the maps
-    hold.  On pairings the walks go round the loops that the p and q
-    edges split [n] into, marking each point once.
+    Both maps are checked up front: unless each is a fixed-point-free
+    involution of one [n], phi raises HaarlabError.  The p and q edges
+    then split [n] into loops of even length 2l, and each loop carries
+    two cycles of pq of length l, a cycle and its mate q c^{-1} q
+    (pq_cycle_pairs in tests/oracles.py spells out the grouping).  So
+    pq's cycle type lists every part of the class twice, and phi reads
+    every other part.
     """
-    n = len(p)
-    if not p.keys() == q.keys() == _points(n):
-        raise HaarlabError("phi expects two pairings of the same [n]")
-    seen = [False] * (n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while True:
-            mate = q[k]
-            if mate == k or q.get(mate) != k:
-                raise HaarlabError(_NOT_PAIRINGS)
-            seen[k] = seen[mate] = True
-            length += 1
-            k = p[mate]
-            if k == mate or p.get(k) != mate:
-                raise HaarlabError(_NOT_PAIRINGS)
-            if k == start:
-                break
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    points = set(range(1, len(p) + 1))
+    for m in (p, q):
+        if m.keys() != points or any(
+                v == k or m.get(v) != k for k, v in m.items()):
+            raise HaarlabError(
+                "phi expects two fixed-point-free involutions of one [n]")
+    return cycle_type({k: p[v] for k, v in q.items()})[::2]
 
 
 def dump_table_csv(out: TextIO, orders: Iterable[tuple[int, int]]) -> None:

@@ -315,6 +315,41 @@ OVER_CAP_WORD = "Tr({})".format(
     " ".join(["U", "U*"] * (PAIRING_POINT_CAP // 2 + 1)))
 
 
+# 1e200 is a finite double, but Tr(U A U* A) and Tr(U A U*)^2 are of
+# order 1e400
+HUGE_CSV = f"1,1,1{'0' * 200},1,0,1\n2,2,1,1,0,1\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_refuses_traces_that_are_not_finite(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text(HUGE_CSV)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["simulate", "--N", "2", "--replicas", "20", "--seed", "0",
+                 "--constant", f"A={tmp_path / 'a.csv'}", "--word",
+                 "Tr(U A U* A)", "--word", "Tr(U)", "--outdir",
+                 str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: trace of observable 'Tr(U A U* A)' at replica 0 is " \
+        "not finite" in err
+    assert "Traceback" not in err and list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("word, message", [
+    ("Tr(U A U* A)", "trace of observable 'factor 1' at replica 0 is not "
+                     "finite"),
+    ("Tr(U A U*)Tr(U A U*)", "the exact value is too large for a double")])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_moment_refuses_a_monte_carlo_value_beyond_doubles(word, message,
+                                                           tmp_path, capsys):
+    (tmp_path / "a.csv").write_text(HUGE_CSV)
+    assert main(["moment", word, "--N", "2", "--constant",
+                 f"A={tmp_path / 'a.csv'}", "--mc", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_moment_refuses_a_word_over_the_engine_cap(capsys, monkeypatch):
     from haarlab import haar_expect
     monkeypatch.setattr(haar_expect, "enumerate_alpha_pairings",

@@ -339,6 +339,20 @@ def test_ks_distance_rejects_points_that_are_not_finite(points):
     assert calls == []
 
 
+@pytest.mark.parametrize("cdf, cdf_left, shown", [
+    (lambda x: float("nan"), None, "nan"),
+    (lambda x: 7.0, None, "7.0"),
+    (lambda x: 0.5, lambda x: -0.5, "-0.5")],
+    ids=["nan", "above_one", "left_limit_below_zero"])
+def test_ks_distance_refuses_a_reference_value_outside_the_unit_interval(
+        cdf, cdf_left, shown):
+    # a NaN reference once read as a perfect fit, 0.0, and 7.0 as a
+    # distance of 7.0
+    with pytest.raises(HaarlabError,
+                       match=rf"^reference CDF at 0.1 is {shown}, outside"):
+        ks_distance([0.1, 0.2, 0.3], cdf, cdf_left)
+
+
 def test_trace_observables_deterministic_and_threaded():
     obs = [("t1", HaarU()), ("t2", Product((HaarU(), HaarU(1, -1))))]
     a = trace_observables(obs, 6, 12, seed=7)
@@ -847,6 +861,26 @@ def test_trace_statistics_csv_rows():
     name, replica, re, im = rows[0]
     assert name == "w" and replica == 0
     assert isinstance(re, float) and isinstance(im, float)
+
+
+def test_trace_statistics_row_names_an_unknown_observable():
+    stats = trace_observables({"a": HaarU()}, 4, 10, 0)
+    with pytest.raises(HaarlabError,
+                       match=r"^unknown observable 'b'; known: 'a'$"):
+        stats.row("b")
+    with pytest.raises(HaarlabError, match="unknown observable 'b'"):
+        stats.mean("b")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trace_observables_refuses_a_trace_that_is_not_finite():
+    # each entry of A is a finite double, but (A A)_11 = 1e400 is not
+    a = np.diag([1e200, 1.0]).astype(complex)
+    obs = [("ok", HaarU()), ("big", _conjugated(Product((Const("A", a),
+                                                         Const("A", a)))))]
+    with pytest.raises(HaarlabError, match=r"^trace of observable 'big' at "
+                       r"replica 0 is not finite$"):
+        trace_observables(obs, 2, 10, seed=0)
 
 
 def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
