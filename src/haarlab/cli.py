@@ -32,9 +32,9 @@ from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
                           expected_trace_product, load_matrix_csv,
                           parse_trace_product)
 from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const, HaarU,
-                  Product, Variant, check_bins, check_run, histogram,
-                  ks_distance, spectral_replicas, threading_summary,
-                  trace_observables)
+                  Variant, check_bins, check_run, histogram, ks_distance,
+                  spectral_replicas, threading_summary, trace_observables,
+                  word_product)
 from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def _load_constants(pairs, cfg: dict) -> dict:
 
 
 def _word_nodes(words) -> list:
-    """rmt observable tree for each of the trace words.  Each constant
+    """rmt.word_product tree for each of the trace words.  Each constant
     name becomes one Const, converted once and shared by every
     occurrence in every word, and a transposed letter its
     Variant(const, -1, 1), so that rmt sees At as the transpose of A."""
@@ -134,8 +134,7 @@ def _word_nodes(words) -> list:
                 consts[name] = Const(name, _complex_matrix(letter))
             factors.append(Variant(consts[name], -1, 1) if letter.transpose
                            else consts[name])
-        nodes.append(factors[0] if len(factors) == 1
-                     else Product(tuple(factors)))
+        nodes.append(word_product(factors))
     return nodes
 
 
@@ -161,11 +160,14 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
     stats = trace_observables(list(zip(names, nodes)), expr.N, replicas,
                               seed, stream="moment")
     prod = np.ones(stats.replica_count, dtype=complex)
-    for name, word in zip(names, expr.words):
-        row = stats.row(name)
-        prod = prod * (row / expr.N if word.normalized else row)
-    mean = complex(np.mean(prod))
-    se = float(np.std(prod) / math.sqrt(stats.replica_count))
+    # finite traces may still overflow in their product; cmd_moment then
+    # refuses the mean, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, word in zip(names, expr.words):
+            row = stats.row(name)
+            prod = prod * (row / expr.N if word.normalized else row)
+        mean = complex(np.mean(prod))
+        se = float(np.std(prod) / math.sqrt(stats.replica_count))
     return mean, se
 
 
@@ -209,6 +211,9 @@ def cmd_moment(args: argparse.Namespace) -> int:
         except OverflowError:
             raise HaarlabError("the exact value is too large for a "
                                "double") from None
+        if not math.isfinite(dev):
+            raise HaarlabError("the Monte Carlo mean of the trace product "
+                               "is not finite")
         print(f"monte carlo (R={replicas}, seed={seed}): "
               f"{mean.real:.8f}{mean.imag:+.8f}i +- {se:.8f} "
               f"(|dev| = {dev:.8f})")
@@ -315,31 +320,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     summary = {"N": N, "replicas": replicas, "seed": seed,
                "observables": {}}
-    cum = stats.cumulants(2)
-    for i, (text, expr) in enumerate(zip(words, exprs), start=1):
-        mean = stats.mean(text)
-        if expr.words[0].normalized:
-            mean /= N
-        summary["observables"][text] = {
-            "exact": exact_values[text],
-            "mean_re": mean.real, "mean_im": mean.imag,
-            "k2_Tr": abs(cum((i, i))),
-            "k2_se": cum.se((i, i)),
-        }
-    for i in range(1, len(words) + 1):
-        for j in range(i + 1, len(words) + 1):
-            cov = complex(cum((i, j)))
-            summary[f"cov_Tr({words[i-1]},{words[j-1]})"] = \
-                [cov.real, cov.imag]
+    # finite traces may still overflow in their moments; json_bytes then
+    # refuses the value by its key, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum = stats.cumulants(2)
+        for i, (text, expr) in enumerate(zip(words, exprs), start=1):
+            mean = stats.mean(text)
+            if expr.words[0].normalized:
+                mean /= N
+            summary["observables"][text] = {
+                "exact": exact_values[text],
+                "mean_re": mean.real, "mean_im": mean.imag,
+                "k2_Tr": abs(cum((i, i))),
+                "k2_se": cum.se((i, i)),
+            }
+        for i in range(1, len(words) + 1):
+            for j in range(i + 1, len(words) + 1):
+                cov = complex(cum((i, j)))
+                summary[f"cov_Tr({words[i-1]},{words[j-1]})"] = \
+                    [cov.real, cov.imag]
 
+    summary_bytes = json_bytes(summary)
     if outdir:
         trace_path = os.path.join(outdir, "traces.csv")
-        _write(trace_path, csv_bytes(("observable", "replica", "re", "im"),
-                                     stats.csv_rows()))
-        _write(os.path.join(outdir, "summary.json"), json_bytes(summary))
+        trace_bytes = csv_bytes(("observable", "replica", "re", "im"),
+                                stats.csv_rows())
+        _write(trace_path, trace_bytes)
+        _write(os.path.join(outdir, "summary.json"), summary_bytes)
         print(f"wrote {trace_path}")
     else:
-        sys.stdout.write(json_bytes(summary).decode())
+        sys.stdout.write(summary_bytes.decode())
     return EXIT_OK
 
 

@@ -9,7 +9,10 @@ and sorted JSON keys.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
+
+from .errors import HaarlabError
 
 
 def format_float(x: float) -> str:
@@ -30,7 +33,26 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _refuse_non_finite(value, path: str) -> None:
+    """HaarlabError naming the key path, such as ['a'][0], of the first
+    float inside value that is NaN or infinite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise HaarlabError(f"JSON value at {path or 'the root'} is {value}, "
+                           "not a finite number")
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        _refuse_non_finite(item, f"{path}[{key!r}]")
+
+
 def json_bytes(payload) -> bytes:
+    """payload as sorted, indented JSON; a NaN or infinite float, which
+    strict JSON cannot hold, raises HaarlabError naming its key path."""
+    _refuse_non_finite(payload, "")
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 

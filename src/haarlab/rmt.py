@@ -307,6 +307,12 @@ class Node:
     __slots__ = ()
 
 
+def _check_signs(eps: int, eta: int) -> None:
+    """HaarlabError unless eps and eta are each +1 or -1."""
+    if eps not in (1, -1) or eta not in (1, -1):
+        raise HaarlabError(f"eps and eta must be +1 or -1, got {eps}, {eta}")
+
+
 @dataclass(frozen=True)
 class HaarU(Node):
     """The shared Haar unitary of the replica, in one of its four
@@ -314,15 +320,18 @@ class HaarU(Node):
     eps: int = 1
     eta: int = 1
 
+    def __post_init__(self):
+        _check_signs(self.eps, self.eta)
+
 
 @dataclass(frozen=True, eq=False)
 class Const(Node):
     """A constant matrix.  diagonal holds its diagonal when every entry
     off it is zero (None otherwise), and real says whether every
     imaginary part is zero, both found once here; products then scale
-    by a diagonal instead of multiplying matrices, and a Product's
-    mirror treats a diagonal constant as its own transpose and a real
-    one as its own conjugate."""
+    by a diagonal instead of multiplying matrices, and word_product
+    treats a diagonal constant as its own transpose and a real one as
+    its own conjugate."""
     name: str
     matrix: np.ndarray
     diagonal: np.ndarray | None = field(init=False, repr=False)
@@ -359,6 +368,9 @@ class Variant(Node):
     eps: int = 1
     eta: int = 1
 
+    def __post_init__(self):
+        _check_signs(self.eps, self.eta)
+
 
 @dataclass(frozen=True)
 class Sum(Node):
@@ -370,75 +382,53 @@ class Sum(Node):
 
 @dataclass(frozen=True)
 class Product(Node):
-    """The product of factors, left to right.  mirror is (eps, eta)
-    when the factors, or a rotation of them, split into two equal halves
-    L and R with R the (eps, eta) variant of L as a matrix, for every U
-    (None otherwise), and half is that L; both are found once here.  The
-    trace is then Tr(L v(L)) from L alone."""
+    """The product of factors, left to right."""
     factors: tuple
-    mirror: tuple | None = field(init=False, repr=False, compare=False)
-    half: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
-        mirror, half = _mirror(factors)
-        object.__setattr__(self, "mirror", mirror)
-        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "factors", tuple(self.factors))
 
 
-def _canonical(node, eps: int, eta: int):
-    """The (eps, eta) variant of node with every transpose and
-    conjugation pushed down to the letters, as nested tuples: a letter
-    is (HaarU or the Const, eps, eta), a diagonal constant always with
-    eps = 1 and a real one with eta = 1, and transposing a Product
-    reverses its factors.  Equal forms are equal matrices.  None when
-    the tree holds something that is not a node."""
-    if isinstance(node, HaarU):
-        return HaarU, node.eps * eps, node.eta * eta
-    if isinstance(node, Const):
-        return (node, 1 if node.diagonal is not None else eps,
-                1 if node.real else eta)
-    if isinstance(node, Variant):
-        return _canonical(node.node, node.eps * eps, node.eta * eta)
-    if isinstance(node, Sum):
-        parts = tuple(_canonical(t, eps, eta) for t in node.terms)
-    elif isinstance(node, Product):
-        parts = _canonical_factors(node.factors, eps, eta)
-    else:
-        return None
-    return None if None in parts else (type(node), parts)
+def _canonical(letter, eps: int, eta: int):
+    """The (eps, eta) variant of a letter (HaarU, a Const or a Variant
+    of one) as (HaarU or the Const, eps, eta), a diagonal constant
+    always with eps = 1 and a real one with eta = 1, so that equal forms
+    are equal matrices; None for any other node."""
+    if isinstance(letter, HaarU):
+        return HaarU, letter.eps * eps, letter.eta * eta
+    if isinstance(letter, Const):
+        return (letter, 1 if letter.diagonal is not None else eps,
+                1 if letter.real else eta)
+    if isinstance(letter, Variant):
+        return _canonical(letter.node, letter.eps * eps, letter.eta * eta)
+    return None
 
 
-def _canonical_factors(factors: tuple, eps: int, eta: int):
-    """_canonical of each factor of the (eps, eta) variant of the
-    product of factors, in the order they multiply."""
-    if eps == -1:
-        factors = factors[::-1]
-    return tuple(_canonical(f, eps, eta) for f in factors)
-
-
-# the variants a mirrored half is tried against, in this order
-_MIRRORS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
-
-
-def _mirror(factors: tuple) -> tuple:
-    """((eps, eta), L) for the first rotation of factors, the given
-    order first, that is L + R, two halves of equal length, with R equal
-    to the (eps, eta) variant of L; (None, None) when there is none.
-    Rotating by k + n/2 swaps the halves of rotation k, and a variant
-    is its own inverse, so the first n/2 rotations are all to try."""
-    half, odd = divmod(len(factors), 2)
-    forms = [_canonical(f, 1, 1) for f in factors]
-    if odd or not half or None in forms:
-        return None, None
-    for k in range(half):
-        turned = factors[k:] + factors[:k]
-        right = tuple((forms[k:] + forms[:k])[half:])
-        for m in _MIRRORS:
-            if _canonical_factors(turned[:half], *m) == right:
-                return m, turned[:half]
-    return None, None
+def word_product(letters) -> Node:
+    """The tree of a trace word's letters (HaarU, Const, or a Variant of
+    one), for evaluate(..., trace=True).  When the letters, or else a
+    rotation of them, split into a first half H and a second that is
+    the (eps, eta) variant of H for every U, it is Product((L, L)) for
+    (1, 1) and else Product((L, Variant(L, eps, eta))), with
+    L = Product(H) one object that evaluate computes once; its matrix
+    is the rotation's product, whose trace is the word's.  A rotation
+    by k + n/2 swaps the halves of rotation k, so the first n/2 are all
+    to try.  Any other word is Product(letters), one letter itself."""
+    letters = tuple(letters)
+    if len(letters) == 1:
+        return letters[0]
+    half, odd = divmod(len(letters), 2)
+    forms = [_canonical(f, 1, 1) for f in letters]
+    for k in range(0 if odd or None in forms else half):
+        left = (letters[k:] + letters[:k])[:half]
+        right = (forms[k:] + forms[:k])[half:]
+        for eps, eta in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            if [_canonical(f, eps, eta)
+                    for f in (left[::-1] if eps == -1 else left)] == right:
+                shared = Product(left)
+                return Product((shared, shared if (eps, eta) == (1, 1)
+                                else Variant(shared, eps, eta)))
+    return Product(letters)
 
 
 # The trees of figure1's two panels, built once: U + U* and
@@ -476,26 +466,23 @@ def evaluate(node: Node, u: np.ndarray, *,
     size raises DimensionError.
 
     The trace of a Product of several factors never forms the last
-    product.  A mirrored Product, whose second half R is the first half
-    L or its transpose, conjugate or adjoint v(L) in the given order or
-    in a rotation of it (Product.mirror and Product.half, found when the
-    Product is built), folds L alone: Tr(L v(L)) = sum(L * v(L)^t), so
-    tr(U A U* Uc At Ut) = Tr(L L^t) with L = U A U* costs one matmul,
-    not two, and so does its rotation tr(A U* Uc At Ut U), with
-    L = A U* Uc.  Any other Product's trace is Tr(P L) =
-    sum(P * L^t) for the product P of all but its last factor L, O(N^2),
-    and sum(diag(P) * d) when L is a diagonal constant d.  The trace of
-    a bare Haar variant reads u's diagonal, conjugated for Uc and U*.
-    Any other node's trace is taken of its matrix.  Multiplying by a
-    diagonal constant or a Variant of one (a Product factor after the
-    first, as D in U D U* = Product((HaarU(), D, HaarU(-1, -1))))
-    scales columns instead of calling matmul; for a real diagonal the
-    bytes are those of the dense product.
+    product: it is Tr(P L) = sum(P * L^t) for the product P of all but
+    its last factor L, O(N^2), and sum(diag(P) * d) when L is a diagonal
+    constant d.  The trace of a bare Haar variant reads u's diagonal,
+    conjugated for Uc and U*.  Any other node's trace is taken of its
+    matrix.  Multiplying by a diagonal constant or a Variant of one (a
+    Product factor after the first, as D in U D U* =
+    Product((HaarU(), D, HaarU(-1, -1)))) scales columns instead of
+    calling matmul; for a real diagonal the bytes are those of the
+    dense product.
 
     Each call keeps the matrix of every Sum and Product it computes, by
-    object, so one that the tree reaches twice (figure1's U + U* in
-    U + U* + (U + U*)^t) is computed once per call.  Leaves are not
-    kept: a leaf object reached twice is evaluated twice, and a
+    object, so one that the tree reaches twice is computed once per
+    call: figure1's U + U* in U + U* + (U + U*)^t, and the half L of a
+    mirrored word built by word_product, such as
+    Product((L, Variant(L, -1, 1))) for tr(U A U* Uc At Ut) with
+    L = U A U*, whose trace then costs one matmul, not two.  Leaves are
+    not kept: a leaf object reached twice is evaluated twice, and a
     conjugate copy such as U* is freed once used, so a replica holds
     only the few N x N arrays that are live at once; in _run_replicas
     the next replica reuses their memory (_keep_heap).  Results may be
@@ -508,10 +495,6 @@ def evaluate(node: Node, u: np.ndarray, *,
         return _evaluate(node, u, memo)
     if not (isinstance(node, Product) and len(node.factors) > 1):
         return np.trace(_evaluate(node, u, memo))
-    if node.mirror is not None:
-        eps, eta = node.mirror
-        half = _fold(node.half, u, memo)
-        return np.sum(half * variant_matrix(half, -eps, eta))
     prefix = _fold(node.factors[:-1], u, memo)
     last = node.factors[-1]
     d = _diagonal_const(last, u)
@@ -759,9 +742,13 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     tag = STREAMS[stream]
     out = np.empty((replicas, width), dtype=dtype)
 
+    # an overflowing result is refused by name (trace_observables checks
+    # every trace, spectrum every matrix), so numpy need not warn about
+    # it; errstate is per thread, hence set in each worker
     def run_share(w: int):
-        for j in range(w, replicas, workers):
-            out[j] = task(sample_haar_unitary(N, [seed, tag, j]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(w, replicas, workers):
+                out[j] = task(sample_haar_unitary(N, [seed, tag, j]))
 
     setters = list(blas_thread_setters().values())
     one = [1] * len(setters)
@@ -769,8 +756,9 @@ def _run_replicas(N: int, replicas: int, seed: int, stream: str,
     previous = _set_blas_threads(setters, one)
     malloc_trim = _keep_heap()
     try:
-        (probe or task)(np.exp(1j * np.arange(1, N + 1))[:, None]
-                        * np.roll(np.eye(N), 1, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            (probe or task)(np.exp(1j * np.arange(1, N + 1))[:, None]
+                            * np.roll(np.eye(N), 1, axis=1))
         with ThreadPoolExecutor(max_workers=workers,
                                 initializer=_set_blas_threads,
                                 initargs=(setters, one)) as pool:

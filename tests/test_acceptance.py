@@ -62,9 +62,9 @@ def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
 
 def test_check08_traces_one_mirrored_node(monkeypatch):
     """Check 08's Monte Carlo word is one node times its own transpose,
-    so its trace folds half the product.  Its observed string at seeds
+    so its trace computes that node once.  Its observed string at seeds
     0-2 is the one from U A U* and U B U* built on two Consts that hold
-    the same matrix (a tree that is not mirrored): both trees run in one
+    the same matrix (halves that share no node): both trees run in one
     batch, on the same unitaries, and the check then reads each."""
     from haarlab.rmt import Const, HaarU, Product, TraceStatistics, Variant
     real = verify.trace_observables
@@ -79,7 +79,6 @@ def test_check08_traces_one_mirrored_node(monkeypatch):
         a, b = (Product((HaarU(), Const(nm, a_np), HaarU(-1, -1)))
                 for nm in "AB")
         old = Product((a, Variant(b, -1, 1)))
-        assert old.mirror is None
         stats = real({name: node, "two": old}, **kwargs)
         two_const["stats"] = TraceStatistics((name,), stats.samples[1:])
         return TraceStatistics((name,), stats.samples[:1])
@@ -90,4 +89,5 @@ def test_check08_traces_one_mirrored_node(monkeypatch):
         assert verify.CHECKS["conjugate_transpose_decay"](seed).observed \
             == observed, seed
     assert len(nodes) == 3
-    assert all(node.mirror == (-1, 1) for node in nodes)
+    assert all(node.factors[1] == Variant(node.factors[0], -1, 1)
+               and node.factors[1].node is node.factors[0] for node in nodes)

@@ -24,13 +24,18 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_python_dash_m_runs_the_command():
+def _run_module(argv, **env):
+    """`python -m haarlab argv` with this checkout's src first on the
+    path and env added to the environment."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-m", "haarlab", "wg", "--n", "2",
-                          "--N", "3"], env=env, capture_output=True,
-                         text=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    return subprocess.run([sys.executable, "-m", "haarlab", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_command():
+    out = _run_module(["wg", "--n", "2", "--N", "3"])
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("# Weingarten table n=2 N=3")
 
@@ -182,14 +187,19 @@ def test_config_with_a_byte_order_mark_loads(tmp_path, capsys):
 
 def test_word_nodes_share_one_const_per_name():
     a = qc_matrix([[1, 2], [3, 4]])
-    expr = parse_trace_product("Tr(U A U* Uc At Ut)Tr(A At)", {"A": a}, 2)
-    first, second = _word_nodes(expr.words)
-    const = first.factors[1]
+    expr = parse_trace_product("Tr(U A U* Uc At Ut)Tr(A At)Tr(U At)",
+                               {"A": a}, 2)
+    first, second, third = _word_nodes(expr.words)
+    const = third.factors[1].node
     assert isinstance(const, rmt.Const) and const.name == "A"
     assert np.array_equal(const.matrix, [[1, 2], [3, 4]])
-    assert first.factors[4] == rmt.Variant(const, -1, 1)
-    assert second.factors == (const, rmt.Variant(const, -1, 1))
-    assert first.mirror == (-1, 1) and second.mirror == (-1, 1)
+    assert third == rmt.Product((rmt.HaarU(), rmt.Variant(const, -1, 1)))
+    # the mirrored words share their first half: U A U* and A
+    for node, half in ((first, (rmt.HaarU(), const, rmt.HaarU(-1, -1))),
+                       (second, (const,))):
+        left, right = node.factors
+        assert left.factors == half
+        assert right == rmt.Variant(left, -1, 1) and right.node is left
 
 
 DENSE_CSV = "".join(f"{i},{j},{(3 * i + j) % 5 - 2},{1 + (i + j) % 3},"
@@ -315,12 +325,12 @@ OVER_CAP_WORD = "Tr({})".format(
     " ".join(["U", "U*"] * (PAIRING_POINT_CAP // 2 + 1)))
 
 
-# 1e200 is a finite double, but Tr(U A U* A) and Tr(U A U*)^2 are of
-# order 1e400
+# 1e200 is a finite double, but Tr(U A U* A), Tr(U A U*)^2 and
+# Tr(U A)^2 are of order 1e400
 HUGE_CSV = f"1,1,1{'0' * 200},1,0,1\n2,2,1,1,0,1\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_refuses_traces_that_are_not_finite(tmp_path, capsys):
     (tmp_path / "a.csv").write_text(HUGE_CSV)
     outdir = tmp_path / "out"
@@ -335,11 +345,53 @@ def test_simulate_refuses_traces_that_are_not_finite(tmp_path, capsys):
     assert "Traceback" not in err and list(outdir.iterdir()) == []
 
 
+HUGE_K2 = ("error: JSON value at ['observables']['Tr(U A U*)']['k2_Tr'] is "
+           "nan, not a finite number")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_refuses_statistics_that_are_not_finite(tmp_path, capsys):
+    """Tr(U A U*) is finite, but its square is not: the cumulants are
+    NaN, and simulate writes neither file nor anything on stdout."""
+    (tmp_path / "a.csv").write_text(HUGE_CSV)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = ["simulate", "--N", "2", "--replicas", "20", "--seed", "0",
+            "--constant", f"A={tmp_path / 'a.csv'}", "--word", "Tr(U A U*)",
+            "--word", "Tr(U)"]
+    assert main(argv + ["--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err.endswith(f"\n{HUGE_K2}\n")
+    assert list(outdir.iterdir()) == []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"\n{HUGE_K2}\n")
+
+
+@pytest.mark.parametrize("word, error", [
+    ("Tr(U A U* A)", "error: trace of observable 'Tr(U A U* A)' at replica "
+                     "0 is not finite"),
+    ("Tr(U A U*)", HUGE_K2)], ids=["trace", "statistics"])
+def test_simulate_prints_no_numpy_warning_before_a_refusal(word, error,
+                                                           tmp_path):
+    """On stderr, only the workers line and the error: numpy's overflow
+    warnings stay silent, in the pool thread too."""
+    (tmp_path / "a.csv").write_text(HUGE_CSV)
+    out = _run_module(["simulate", "--N", "2", "--replicas", "20",
+                       "--constant", f"A={tmp_path / 'a.csv'}", "--word",
+                       word, "--word", "Tr(U)"], HAARLAB_THREADS="2")
+    assert out.returncode == 2
+    workers, refusal = out.stderr.splitlines()
+    assert workers.startswith("replica workers: 2;")
+    assert refusal == error
+
+
 @pytest.mark.parametrize("word, message", [
     ("Tr(U A U* A)", "trace of observable 'factor 1' at replica 0 is not "
                      "finite"),
-    ("Tr(U A U*)Tr(U A U*)", "the exact value is too large for a double")])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    ("Tr(U A U*)Tr(U A U*)", "the exact value is too large for a double"),
+    ("Tr(U A)Tr(U A)", "the Monte Carlo mean of the trace product is not "
+                       "finite")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_moment_refuses_a_monte_carlo_value_beyond_doubles(word, message,
                                                            tmp_path, capsys):
     (tmp_path / "a.csv").write_text(HUGE_CSV)

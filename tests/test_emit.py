@@ -2,7 +2,11 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from haarlab.emit import csv_bytes, format_float, json_bytes, svg_histogram
+from haarlab.errors import HaarlabError
 
 
 def test_format_float_17_digits():
@@ -33,6 +37,19 @@ def test_json_bytes_sorted_and_stable():
     b = json_bytes({"a": [1, 2], "b": 2})
     assert a == b
     assert json.loads(a) == {"a": [1, 2], "b": 2}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 -float("inf"), np.float64("nan")])
+def test_json_bytes_refuses_a_value_that_is_not_finite_by_its_key(bad):
+    payload = {"N": 2, "observables": {"Tr(U)": {"k2": 0.5},
+                                       "Tr(A)": {"k2": 1.0, "cov": [0.0, bad]}}}
+    with pytest.raises(HaarlabError) as err:
+        json_bytes(payload)
+    assert str(err.value) == (f"JSON value at ['observables']['Tr(A)']"
+                              f"['cov'][1] is {bad}, not a finite number")
+    with pytest.raises(HaarlabError, match="^JSON value at the root is nan"):
+        json_bytes(float("nan"))
 
 
 def test_svg_histogram_structure():

@@ -40,9 +40,10 @@ def test_check09_fails_when_evaluate_drops_a_variants_transpose(
         monkeypatch):
     """evaluate reads Variant(node, -1, eta) as Variant(node, 1, eta).
     Figure 1's second panel becomes 2 (U + U*): check 09's sum-law KS
-    reads 0.176 and m2 7.99 against 4.  Checks 07, 08, 11 and 12 pass:
-    check 08's Variant sits in a mirrored Product, whose trace never
-    evaluates it."""
+    reads 0.176 and m2 7.99 against 4.  Check 08's word becomes
+    tr(L L) for the self-adjoint L = U A U*, whose square is I, so its
+    Monte Carlo mean reads 1.000 against 0.007.  Checks 07, 11 and 12
+    pass."""
     evaluate_node = rmt._evaluate
 
     def transpose_dropped(node, u, shared):
@@ -55,6 +56,9 @@ def test_check09_fails_when_evaluate_drops_a_variants_transpose(
     assert not result.passed, result.observed
     assert "('sum-law KS'," in result.observed
     assert "('arcsine KS'," not in result.observed
+    result = verify.CHECKS["conjugate_transpose_decay"](0)
+    assert not result.passed, result.observed
+    assert "mc 1.00000; failures [('mc mean'," in result.observed
 
 
 def test_checks05_and_06_fail_when_the_kernel_flips_one_letters_eps(

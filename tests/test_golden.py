@@ -5,13 +5,13 @@ Exact outputs (the `verify exact` report, the Weingarten tables and
 `moment` on the benchmark's exact_words words) are exact rationals or
 exact verdicts, so they are compared byte for byte everywhere.
 
-Monte Carlo outputs (`simulate` and `figure1` at small N) depend on the
-OpenBLAS kernels picked for the CPU, so they are recorded with an
-environment fingerprint: the numpy version and each loaded OpenBLAS
-library's configuration and core name.  On the recorded fingerprint
-they are compared byte for byte; on any other, every number within
-MC_RTOL (relative) or MC_ATOL (absolute) and all other text exactly,
-with a warning that says so.
+Monte Carlo outputs (`simulate` at N = 16 and 128, `figure1` at
+N = 32) depend on the OpenBLAS kernels picked for the CPU, so they are
+recorded with an environment fingerprint: the numpy version and each
+loaded OpenBLAS library's configuration and core name.  On the
+recorded fingerprint they are compared byte for byte; on any other,
+every number within MC_RTOL (relative) or MC_ATOL (absolute) and all
+other text exactly, with a warning that says so.
 
 `PYTHONPATH=src python tests/test_golden.py` rewrites every file; a
 change that alters one says which and why in CHANGES.md.
@@ -95,24 +95,53 @@ def _run(argv: list, outdir: str) -> dict:
     return out
 
 
+def _simulate(config: dict, a_csv: str) -> dict:
+    """{file name: bytes} of `simulate` on the config, with the constant
+    A read from a_csv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        a_path = os.path.join(tmp, "A.csv")
+        with open(a_path, "w", encoding="utf-8") as fh:
+            fh.write(a_csv)
+        cfg_path = os.path.join(tmp, "run.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({**config, "constants": {"A": a_path}}, fh)
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        return _run(["simulate", "--config", cfg_path], out)
+
+
 @functools.lru_cache(maxsize=None)
 def simulate_outputs() -> dict:
     """`simulate` on the mc_traces observables of perfbench/workloads.py
     at N = 16, 20 replicas, seed 1, with A the seed-0 balanced +-1
     diagonal.  perfbench must be on sys.path."""
     import workloads
-    with tempfile.TemporaryDirectory() as tmp:
-        a_path = os.path.join(tmp, "A.csv")
-        with open(a_path, "w", encoding="utf-8") as fh:
-            fh.write(workloads.matrix_csv(workloads.balanced_diagonal(16, 0)))
-        cfg_path = os.path.join(tmp, "run.json")
-        with open(cfg_path, "w", encoding="utf-8") as fh:
-            json.dump({"N": 16, "replicas": 20, "seed": 1,
-                       "observables": list(workloads.MC_OBSERVABLES),
-                       "constants": {"A": a_path}}, fh)
-        out = os.path.join(tmp, "out")
-        os.mkdir(out)
-        return _run(["simulate", "--config", cfg_path], out)
+    return _simulate({"N": 16, "replicas": 20, "seed": 1,
+                      "observables": list(workloads.MC_OBSERVABLES)},
+                     workloads.matrix_csv(workloads.balanced_diagonal(16, 0)))
+
+
+# A word mirrored under each variant of its first half (itself, its
+# transpose, conjugate and adjoint), the rotated tr(A U* Uc At Ut U), a
+# word with At that is not mirrored, and a bare Uc
+MIRROR_WORDS = ("Tr(U A U A)", "tr(U A U* Uc At Ut)", "Tr(U U Uc Uc)",
+                "Tr(U A U A At U* At U*)", "tr(A U* Uc At Ut U)",
+                "Tr(U A U* At)", "Tr(Uc)")
+
+
+@functools.lru_cache(maxsize=None)
+def simulate128_outputs() -> dict:
+    """`simulate` on MIRROR_WORDS at N = 128, 20 replicas, seed 1, with
+    A the dense real matrix of entries (i j + i) mod 7 - 3.  From
+    N = 128 on, numpy reuses a complex N x N temporary as the result
+    array of an elementwise product, and the result's memory order sets
+    the order in which a trace sums it, so these bytes can move where
+    the N = 16 ones do not."""
+    n = 128
+    a_csv = "".join(f"{i},{j},{(i * j + i) % 7 - 3},1,0,1\n"
+                    for i in range(1, n + 1) for j in range(1, n + 1))
+    return _simulate({"N": n, "replicas": 20, "seed": 1,
+                      "observables": list(MIRROR_WORDS)}, a_csv)
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +183,9 @@ def fingerprint_bytes() -> bytes:
     return json_bytes(environment_fingerprint())
 
 
-MC_COMMANDS = {"simulate": simulate_outputs, "figure1": figure1_outputs}
+MC_COMMANDS = {"simulate": simulate_outputs,
+               "simulate128": simulate128_outputs,
+               "figure1": figure1_outputs}
 FINGERPRINT = "mc_fingerprint.json"
 
 RECORDED = {"verify_exact.json": verify_exact_bytes,

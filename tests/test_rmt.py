@@ -23,7 +23,7 @@ from haarlab.errors import (CapacityError, DimensionError, HaarlabError,
 from haarlab.rmt import (Const, HaarU, Product, Sum, Variant, evaluate,
                          histogram, ks_distance, sample_haar_unitary,
                          spectral_replicas, spectrum, trace_observables,
-                         variant_matrix, worker_count)
+                         variant_matrix, word_product, worker_count)
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
@@ -943,54 +943,61 @@ def _constants(n):
 U, UT, UC, UH = HaarU(), HaarU(-1, 1), HaarU(1, -1), HaarU(-1, -1)
 
 
-def _mirrored_trees(n):
-    """(tree, mirror) for products whose second half is the (eps, eta)
+def _mirrored_words(n):
+    """(letters, mirror) for words whose second half is the (eps, eta)
     = mirror variant of the first, for each of the four variants."""
     b, a, _g, c, r = _constants(n)
+    return [
+        ((U, U, U, U), (1, 1)),
+        ((U, b, U, b), (1, 1)),
+        ((U, UT), (-1, 1)),
+        ((U, a, UH, UC, a, UT), (-1, 1)),
+        ((U, b, UH, UC, Variant(b, -1, 1), UT), (-1, 1)),
+        ((U, U, UC, UC), (1, -1)),
+        ((U, r, UC, r), (1, -1)),
+        ((U, b, UC, Variant(b, 1, -1)), (1, -1)),
+        ((U, c, Variant(c, -1, -1), UH), (-1, -1)),
+    ]
+
+
+def _mirrored_trees(n):
+    """Hand-built products of the mirrored words, and three whose halves
+    nest a Sum or a Product; none shares a node between its halves."""
+    b, a, _g, _c, _r = _constants(n)
     sym = Sum((U, UH))
     ubu = _conjugated(b)
     mix = Sum((a, UC))
-    return [
-        (Product((U, U, U, U)), (1, 1)),
-        (Product((U, b, U, b)), (1, 1)),
-        (Product((U, UT)), (-1, 1)),
-        (Product((U, a, UH, UC, a, UT)), (-1, 1)),
-        (Product((U, b, UH, UC, Variant(b, -1, 1), UT)), (-1, 1)),
-        (Product((sym, Variant(sym, -1, 1))), (-1, 1)),
-        (Product((Product((U, b)), Product((Variant(b, -1, 1), UT)))),
-         (-1, 1)),
-        (Product((U, U, UC, UC)), (1, -1)),
-        (Product((U, r, UC, r)), (1, -1)),
-        (Product((U, b, UC, Variant(b, 1, -1))), (1, -1)),
-        (Product((U, c, Variant(c, -1, -1), UH)), (-1, -1)),
-        (Product((ubu, mix, Variant(mix, -1, -1), Variant(ubu, -1, -1))),
-         (-1, -1)),
+    return [Product(letters) for letters, _ in _mirrored_words(n)] + [
+        Product((sym, Variant(sym, -1, 1))),
+        Product((Product((U, b)), Product((Variant(b, -1, 1), UT)))),
+        Product((ubu, mix, Variant(mix, -1, -1), Variant(ubu, -1, -1))),
     ]
 
 
 def _near_misses(n):
-    """Products that look mirrored but are not: odd length, halves that
+    """Words that look mirrored but are not: odd length, halves that
     differ in one constant, a dense constant where its transpose would
     be, complex constants under conjugation."""
     b, a, g, c, r = _constants(n)
     return [
-        Product((U, a, UH, UC, a)),
-        Product((U, a, UH, UC, g, UT)),
-        Product((U, b, U, r)),
-        Product((U, b, UH, UC, b, UT)),
-        Product((U, b, UC, b)),
-        Product((U, c, UC, c)),
+        (U, a, UH, UC, a),
+        (U, a, UH, UC, g, UT),
+        (U, b, U, r),
+        (U, b, UH, UC, b, UT),
+        (U, b, UC, b),
+        (U, c, UC, c),
     ]
 
 
 def _trace_trees(n):
     """Trees whose trace the fast path takes: products ending in a
     Haar letter, a dense or diagonal constant, a Sum, a Variant or a
-    U X U* product, with subtrees shared by object; mirrored products
-    and their near misses."""
+    U X U* product, with subtrees shared by object; mirrored words as
+    word_product builds them and as plain products, and near misses."""
     dense, signs, gauss, cplx, _real = _constants(n)
     sym = Sum((HaarU(), HaarU(-1, -1)))
     conj_a = _conjugated(signs)
+    words = [w for w, _ in _mirrored_words(n)] + _near_misses(n)
     return [
         Product((HaarU(), HaarU(-1, 1))),
         Product((HaarU(), signs, HaarU(-1, -1), HaarU(1, -1), gauss,
@@ -1006,7 +1013,7 @@ def _trace_trees(n):
         Sum((Product((HaarU(), signs)), dense)),
         _conjugated(signs),
         HaarU(1, -1),
-    ] + [tree for tree, _ in _mirrored_trees(n)] + _near_misses(n)
+    ] + _mirrored_trees(n) + [word_product(letters) for letters in words]
 
 
 @pytest.mark.parametrize("n", [4, 16, 33])
@@ -1019,11 +1026,26 @@ def test_trace_path_matches_trace_of_evaluate(n):
         assert abs(got - want) <= 1e-12 * max(abs(want), n), node
 
 
+def _shared_half(tree):
+    """((eps, eta), factors of L) when tree is Product((L, L)) or
+    Product((L, Variant(L, eps, eta))) with L one object; else None."""
+    if not (isinstance(tree, Product) and len(tree.factors) == 2):
+        return None
+    left, right = tree.factors
+    if right is left:
+        return (1, 1), left.factors
+    if isinstance(right, Variant) and right.node is left:
+        return (right.eps, right.eta), left.factors
+    return None
+
+
 def test_mirrored_halves_are_found_when_the_product_is_built():
-    for tree, mirror in _mirrored_trees(4):
-        assert tree.mirror == mirror, tree
-    for tree in _near_misses(4):
-        assert tree.mirror is None, tree
+    for letters, mirror in _mirrored_words(4):
+        assert _shared_half(word_product(letters)) == \
+            (mirror, letters[:len(letters) // 2]), letters
+    for letters in _near_misses(4):
+        assert word_product(letters) == Product(letters), letters
+    assert word_product((UC,)) is UC
 
 
 def test_a_mirrored_word_folds_only_its_left_half(monkeypatch):
@@ -1031,18 +1053,24 @@ def test_a_mirrored_word_folds_only_its_left_half(monkeypatch):
     inner = rmt._fold
 
     def counting(factors, *args):
-        folded.append(len(factors))
+        folded.append(factors)
         return inner(factors, *args)
 
     monkeypatch.setattr(rmt, "_fold", counting)
     u = sample_haar_unitary(8, seed=4)
     _b, a, g, _c, _r = _constants(8)
-    evaluate(Product((U, a, UH, UC, a, UT)), u, trace=True)
-    assert folded == [3]
+    tree = word_product((U, a, UH, UC, a, UT))
+    evaluate(tree, u, trace=True)
+    # the prefix is the shared half, whose three factors fold once
+    assert folded == [tree.factors[:1], (U, a, UH)]
     folded.clear()
     # one constant differs: the prefix path folds all but the last
-    evaluate(Product((U, a, UH, UC, g, UT)), u, trace=True)
-    assert folded == [5]
+    evaluate(word_product((U, a, UH, UC, g, UT)), u, trace=True)
+    assert folded == [(U, a, UH, UC, g)]
+    folded.clear()
+    # so does a mirrored product whose halves share no node
+    evaluate(Product((U, a, UH, UC, a, UT)), u, trace=True)
+    assert folded == [(U, a, UH, UC, a)]
 
 
 def _rotations(factors):
@@ -1053,25 +1081,22 @@ def _rotations(factors):
 def test_every_rotation_of_a_mirrored_word_is_mirrored(n):
     """The six rotations of tr(U R U* Uc Rt Ut) with a dense real R,
     four of which the given split alone missed, and every rotation of
-    the other mirrored trees: each is mirrored, and its trace is the
-    trace of its matrix."""
+    the other mirrored words: word_product shares a half of each, and
+    its trace is the trace of the word's matrix."""
     r = _constants(n)[4]
     u = sample_haar_unitary(n, seed=[3, n])
     word = (U, r, UH, UC, Variant(r, -1, 1), UT)
-    trees = [(word, (-1, 1))] + [(tree.factors, mirror)
-                                 for tree, mirror in _mirrored_trees(n)]
-    for factors, mirror in trees:
-        for turned in _rotations(factors):
-            tree = Product(turned)
-            assert tree.mirror is not None, turned
-            assert len(tree.half) == len(turned) // 2
+    for letters, mirror in [(word, (-1, 1))] + _mirrored_words(n):
+        for turned in _rotations(letters):
+            tree = word_product(turned)
+            _mirror, half = _shared_half(tree)
+            assert len(half) == len(turned) // 2
             got = evaluate(tree, u, trace=True)
-            want = np.trace(evaluate(tree, u))
+            want = np.trace(evaluate(Product(turned), u))
             assert abs(got - want) <= 1e-12 * max(abs(want), n), turned
         # the given split comes first, so its bytes do not move
-        tree = Product(factors)
-        assert (tree.mirror, tree.half) == (mirror,
-                                            factors[:len(factors) // 2])
+        assert _shared_half(word_product(letters)) == \
+            (mirror, letters[:len(letters) // 2])
 
 
 def test_a_rotated_mirrored_word_folds_only_its_rotated_half(monkeypatch):
@@ -1088,12 +1113,22 @@ def test_a_rotated_mirrored_word_folds_only_its_rotated_half(monkeypatch):
     rt = Variant(r, -1, 1)
     # tr(A U* Uc At Ut U) is mirrored two rotations on, about the
     # split Uc At Ut | U A U*
-    evaluate(Product((r, UH, UC, rt, UT, U)), u, trace=True)
-    assert folded == [(UC, rt, UT)]
+    tree = word_product((r, UH, UC, rt, UT, U))
+    evaluate(tree, u, trace=True)
+    assert folded == [tree.factors[:1], (UC, rt, UT)]
     folded.clear()
     # tr(Ut U A U* Uc At), one rotation on: U A U* | Uc At Ut
-    evaluate(Product((UT, U, r, UH, UC, rt)), u, trace=True)
-    assert folded == [(U, r, UH)]
+    tree = word_product((UT, U, r, UH, UC, rt))
+    evaluate(tree, u, trace=True)
+    assert folded == [tree.factors[:1], (U, r, UH)]
+
+
+def test_haar_letters_refuse_signs_other_than_plus_or_minus_one():
+    for make in (lambda: HaarU(0, 5), lambda: HaarU(1, 2),
+                 lambda: Variant(HaarU(), 2, 7),
+                 lambda: Variant(Sum((HaarU(),)), -1, 0)):
+        with pytest.raises(HaarlabError, match="must be \\+1 or -1"):
+            make()
 
 
 @pytest.mark.parametrize("n", [1, 3, 128])
