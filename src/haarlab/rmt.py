@@ -46,12 +46,13 @@ _ROW_BLOCK = 64     # rows per block of hermitian_deviation
 # host's noise of the fastest at N = 512 and 1024
 _HOUSEHOLDER_BLOCK = 32
 THREADS_ENV = "HAARLAB_THREADS"
-# Caps, CapacityError beyond them: the largest N _run_replicas samples
-# (one N x N complex matrix is then 1 GiB, and each worker holds a few)
-# and the most values its result array holds (1 GiB of doubles), both
-# in check_run; the most bins of a histogram (check_bins); and the most
-# replica workers HAARLAB_THREADS may ask for (a run starts one thread
-# per worker after the first, which is the caller).
+# Caps, CapacityError beyond them: the largest N sample_haar_unitary
+# draws (one N x N complex matrix is then 1 GiB, and each worker holds a
+# few), in check_dimension; the most values a replica run's result
+# array holds (1 GiB of doubles), in check_run; the most bins of a
+# histogram (check_bins); and the most replica workers (a run starts
+# one thread per worker after the first, which is the caller), which
+# HAARLAB_THREADS may not exceed and worker_count cuts the cores to.
 DIMENSION_CAP = 8192
 VALUE_CAP = 2 ** 27
 BIN_CAP = 10 ** 4
@@ -110,9 +111,9 @@ def sample_haar_unitary(N: int, seed) -> np.ndarray:
     et al., "Accumulating Householder transformations, revisited", ACM
     TOMS 32, 2006).  seed is
     anything numpy's default_rng takes: an int, or a sequence of them
-    such as _run_replicas's [seed, stream tag, replica]."""
-    if N < 1:
-        raise DimensionError("N must be at least 1")
+    such as _run_replicas's [seed, stream tag, replica].  check_dimension
+    refuses a bad N before any allocation."""
+    check_dimension(N)
     rng = np.random.default_rng(seed)
     # row k holds x_{k+1} in columns k..N-1, zeros to its left
     v = np.zeros((N, N), dtype=complex)
@@ -141,16 +142,28 @@ def sample_haar_unitary(N: int, seed) -> np.ndarray:
     return q
 
 
+def check_dimension(N: int) -> None:
+    """DimensionError for N below 1, CapacityError for N above
+    DIMENSION_CAP."""
+    if N < 1:
+        raise DimensionError("N must be at least 1")
+    if N > DIMENSION_CAP:
+        raise CapacityError(
+            f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
+
+
 def worker_count() -> int:
     """Replica workers of _run_replicas: HAARLAB_THREADS when set,
-    else the cores this process may run on.  A HAARLAB_THREADS that is
-    not a positive integer raises WordParseError, and one above
-    WORKER_CAP CapacityError, before any worker starts."""
+    else the cores this process may run on, at most WORKER_CAP.  A
+    HAARLAB_THREADS that is not a positive integer raises
+    WordParseError, and one above WORKER_CAP CapacityError, before any
+    worker starts."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        return min(cores, WORKER_CAP)
     try:
         count = int(raw)
     except ValueError:
@@ -694,19 +707,15 @@ def check_run(N: int, replicas: int, width: int, seed: int,
               floor: int = REPLICA_FLOOR) -> int:
     """Admit a run and return its workers, min(worker_count(), replicas);
     worker_count refuses a bad HAARLAB_THREADS.  Fewer than floor replicas
-    raise InsufficientSamplesError, N below 1 DimensionError, N above
-    DIMENSION_CAP or replicas * width above VALUE_CAP CapacityError, and a
-    negative seed WordParseError.  _run_replicas and each command call it
-    before any allocation or work."""
+    raise InsufficientSamplesError, a bad N check_dimension's error,
+    replicas * width above VALUE_CAP CapacityError, and a negative seed
+    WordParseError.  _run_replicas and each command call it before any
+    allocation or work."""
     if replicas < floor:
         raise InsufficientSamplesError(
             f"need at least {floor} {'replica' if floor == 1 else 'replicas'}"
             f", got {replicas}")
-    if N < 1:
-        raise DimensionError("N must be at least 1")
-    if N > DIMENSION_CAP:
-        raise CapacityError(
-            f"N = {N} exceeds the Monte Carlo cap {DIMENSION_CAP}")
+    check_dimension(N)
     if replicas * width > VALUE_CAP:
         raise CapacityError(
             f"{replicas} replicas of {width} values exceed the cap of "
@@ -776,11 +785,17 @@ def trace_observables(observables, N: int, replicas: int, seed: int,
                       stream: str = "library") -> TraceStatistics:
     """Tr of each observable tree per replica, the whole batch reusing
     one Haar draw per replica; replicas run on _run_replicas, drawing
-    from the call site's stream (a key of STREAMS).  A trace that is
-    not finite raises HaarlabError naming its observable and replica."""
+    from the call site's stream (a key of STREAMS).  No observables, or
+    a name given twice, raise HaarlabError before any draw; a trace
+    that is not finite raises it naming its observable and replica."""
     items = list(observables.items() if isinstance(observables, Mapping)
                  else observables)
     names = tuple(nm for nm, _ in items)
+    if not names:
+        raise HaarlabError("no observables to trace")
+    for i, nm in enumerate(names):
+        if nm in names[:i]:
+            raise HaarlabError(f"observable {nm!r} is given twice")
     nodes = [node for _, node in items]
     rows = _run_replicas(
         N, replicas, seed, stream,

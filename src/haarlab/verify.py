@@ -37,9 +37,9 @@ from .haar_expect import (VARIANT_NAMES, _key_trace, _trace_key,
                           expected_trace_product, first_order_limit,
                           invariance_counterexample as counterexample_values,
                           parse_trace_product)
-from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Product,
-                  Variant, histogram, ks_distance, spectral_replicas,
-                  trace_observables)
+from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Variant,
+                  histogram, ks_distance, spectral_replicas,
+                  trace_observables, word_product)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            real_spoke_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
@@ -349,8 +349,7 @@ def conjugate_transpose_decay(seed: int) -> tuple:
     values = {}
     for N in (16, 32, 64):
         d = _balanced_diag_qc(N)
-        values[N] = complex(_exact("tr(U A U* Uc Bt Ut)", N,
-                                   {"A": d, "B": d}))
+        values[N] = complex(_exact("tr(U A U* Uc At Ut)", N, {"A": d}))
     r1 = abs(values[32]) / abs(values[16])
     r2 = abs(values[64]) / abs(values[32])
     if not (0.4 <= r1 <= 0.6 and 0.4 <= r2 <= 0.6):
@@ -358,9 +357,11 @@ def conjugate_transpose_decay(seed: int) -> tuple:
 
     n_mc = 128
     a_np = np.diag([1.0] * (n_mc // 2) + [-1.0] * (n_mc // 2))
-    # U A U* (U B U*)^t with B = A, one node, so the trace is mirrored
-    a = Product((HaarU(), Const("A", a_np), HaarU(-1, -1)))
-    node = Product((a, Variant(a, -1, 1)))
+    # the word's letters as cli._word_nodes writes them: one Const A,
+    # At its transpose, so word_product finds the mirrored half U A U*
+    a = Const("A", a_np)
+    node = word_product([HaarU(), a, HaarU(-1, -1), HaarU(1, -1),
+                         Variant(a, -1, 1), HaarU(-1, 1)])
     stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed,
                               stream="check08")
     mean_tr = stats.mean("w") / n_mc
@@ -476,7 +477,7 @@ def cumulant_algebra(seed: int) -> tuple:
 # 12: byte determinism of repeated runs
 
 def determinism(seed: int) -> tuple:
-    obs = {"u": HaarU(), "uubar": Product((HaarU(), HaarU(1, -1)))}
+    obs = {"u": HaarU(), "uubar": word_product([HaarU(), HaarU(1, -1)])}
 
     def trace_csv() -> bytes:
         stats = trace_observables(obs, N=16, replicas=50, seed=seed,

@@ -9,10 +9,13 @@ The checks live in haarlab.verify so the CLI `haarlab verify all`
 exercises the identical code paths.
 """
 
+import numpy as np
 import pytest
 
 from haarlab import haar_expect, verify
 from haarlab.exact import mat_mul, mat_trace, mat_transpose
+from haarlab.rmt import (Const, HaarU, Product, TraceStatistics, Variant,
+                         trace_observables, word_product)
 
 CRITERIA = [
     ("01_weingarten_exact_small_orders", "weingarten_exactness"),
@@ -60,34 +63,57 @@ def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
     assert not result.passed, result.observed
 
 
-def test_check08_traces_one_mirrored_node(monkeypatch):
-    """Check 08's Monte Carlo word is one node times its own transpose,
-    so its trace computes that node once.  Its observed string at seeds
-    0-2 is the one from U A U* and U B U* built on two Consts that hold
-    the same matrix (halves that share no node): both trees run in one
-    batch, on the same unitaries, and the check then reads each."""
-    from haarlab.rmt import Const, HaarU, Product, TraceStatistics, Variant
-    real = verify.trace_observables
-    nodes, two_const = [], {}
+def _check08_tree(monkeypatch):
+    """Run check 08 with a stand-in for trace_observables that draws no
+    replica; return the tree it sampled, the run's keywords, and the
+    trees word_product built for it."""
+    built, runs = [], []
 
-    def both_trees(observables, **kwargs):
-        if two_const:
-            return two_const.pop("stats")
+    def recording_product(letters):
+        built.append(word_product(letters))
+        return built[-1]
+
+    def standin(observables, **kwargs):
         (name, node), = observables.items()
-        nodes.append(node)
-        a_np = node.factors[0].factors[1].matrix
-        a, b = (Product((HaarU(), Const(nm, a_np), HaarU(-1, -1)))
-                for nm in "AB")
-        old = Product((a, Variant(b, -1, 1)))
-        stats = real({name: node, "two": old}, **kwargs)
-        two_const["stats"] = TraceStatistics((name,), stats.samples[1:])
-        return TraceStatistics((name,), stats.samples[:1])
+        runs.append((node, kwargs))
+        return TraceStatistics((name,),
+                               np.zeros((1, kwargs["replicas"]), complex))
 
-    monkeypatch.setattr(verify, "trace_observables", both_trees)
+    monkeypatch.setattr(verify, "word_product", recording_product)
+    monkeypatch.setattr(verify, "trace_observables", standin)
+    assert verify.CHECKS["conjugate_transpose_decay"](SEED).passed
+    (node, kwargs), = runs
+    return node, kwargs, built
+
+
+def test_check08_samples_the_word_product_tree(monkeypatch):
+    """Check 08's Monte Carlo tree is word_product of the letters of
+    tr(U A U* Uc At Ut) on one Const A: the half U A U* times its
+    transpose, the two halves one object."""
+    node, kwargs, built = _check08_tree(monkeypatch)
+    assert len(built) == 1 and built[0] is node
+    assert kwargs == {"N": 128, "replicas": 2000, "seed": SEED,
+                      "stream": "check08"}
+    half, mirror = node.factors
+    assert mirror == Variant(half, -1, 1) and mirror.node is half
+    u, a, u_star = half.factors
+    assert (u, a.name, u_star) == (HaarU(), "A", HaarU(-1, -1))
+    assert a.matrix.tobytes() == np.diag(
+        [1.0] * 64 + [-1.0] * 64).astype(complex).tobytes()
+
+
+def test_check08_tree_traces_the_bytes_of_two_equal_consts(monkeypatch):
+    """Sharing the half changes no byte: on the same 40 unitaries of
+    check 08's stream at N = 128 and seeds 0-2, check 08's tree and
+    U A U* times the transpose of U B U*, with B another Const holding
+    A's matrix (halves that share no node), give identical traces."""
+    node, kwargs, _ = _check08_tree(monkeypatch)
+    a = node.factors[0].factors[1]
+    b = Const("B", a.matrix)
+    two = Product((Product((HaarU(), a, HaarU(-1, -1))),
+                   Variant(Product((HaarU(), b, HaarU(-1, -1))), -1, 1)))
     for seed in range(3):
-        observed = verify.CHECKS["conjugate_transpose_decay"](seed).observed
-        assert verify.CHECKS["conjugate_transpose_decay"](seed).observed \
-            == observed, seed
-    assert len(nodes) == 3
-    assert all(node.factors[1] == Variant(node.factors[0], -1, 1)
-               and node.factors[1].node is node.factors[0] for node in nodes)
+        stats = trace_observables({"shared": node, "two": two},
+                                  N=kwargs["N"], replicas=40, seed=seed,
+                                  stream=kwargs["stream"])
+        assert stats.row("shared").tobytes() == stats.row("two").tobytes()

@@ -390,6 +390,22 @@ def test_worker_count_above_the_cap_is_refused_before_any_thread(
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["sched_getaffinity", "cpu_count"])
+def test_default_worker_count_is_cut_to_the_cap(affinity, monkeypatch):
+    """300 usable cores and no HAARLAB_THREADS: WORKER_CAP workers.
+    Only the count is asked for, so no thread starts."""
+    monkeypatch.delenv("HAARLAB_THREADS", raising=False)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(300)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 300)
+    assert worker_count() == rmt.WORKER_CAP == 256
+    assert rmt.check_run(64, 4000, 1, 0) == 256
+
+
 
 def _counted_thread_starts(monkeypatch) -> list:
     """threading.Thread.start wrapped to record each thread it starts."""
@@ -742,6 +758,20 @@ def test_run_caps_admit_the_cap_and_refuse_one_past_before_allocating(
     assert len(shapes) == 2
 
 
+def test_sampler_refuses_n_above_the_cap_before_drawing(monkeypatch):
+    """sample_haar_unitary at N = DIMENSION_CAP reaches numpy's generator
+    (replaced by one that raises), and one past it is refused first."""
+    def reached(seed):
+        raise _AllocationReached
+
+    monkeypatch.setattr(np.random, "default_rng", reached)
+    with pytest.raises(_AllocationReached):
+        sample_haar_unitary(rmt.DIMENSION_CAP, seed=0)
+    with pytest.raises(CapacityError, match=r"^N = 8193 exceeds the Monte "
+                                            r"Carlo cap 8192$"):
+        sample_haar_unitary(rmt.DIMENSION_CAP + 1, seed=0)
+
+
 def test_library_runs_refuse_a_negative_seed_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(rmt, "sample_haar_unitary",
@@ -766,6 +796,24 @@ def test_an_unknown_stream_is_named_before_numpy_is_called(monkeypatch):
     with pytest.raises(HaarlabError, match=r"^stream 'nope' is not one of "
                                            r"\['library', 'simulate', "):
         trace_observables({"t": HaarU()}, 4, 10, seed=0, stream="nope")
+    assert draws == []
+
+
+@pytest.mark.parametrize("observables, message", [
+    ({}, r"^no observables to trace$"),
+    ([], r"^no observables to trace$"),
+    ([("a", HaarU()), ("a", HaarU(1, -1))], r"^observable 'a' is given "
+                                             r"twice$"),
+    ([("a", HaarU()), ("b", HaarU()), ("b", HaarU(-1, 1))],
+     r"^observable 'b' is given twice$")],
+    ids=["empty-mapping", "empty-list", "repeated-first", "repeated-later"])
+def test_trace_observables_refuses_no_or_repeated_names_before_any_draw(
+        observables, message, monkeypatch):
+    draws = []
+    monkeypatch.setattr(rmt, "sample_haar_unitary",
+                        lambda N, seed: draws.append(seed))
+    with pytest.raises(HaarlabError, match=message):
+        trace_observables(observables, 64, 200, seed=0)
     assert draws == []
 
 
