@@ -44,7 +44,9 @@ EXIT_IO = 3
 EXIT_CHECKS_FAILED = 4
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: tuple) -> dict:
+    """The JSON object in path ({} for no path); a key not in keys, the
+    command's own, is a usage error naming it."""
     if not path:
         return {}
     try:
@@ -54,6 +56,10 @@ def _load_config(path: str | None) -> dict:
         raise WordParseError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise WordParseError("config root must be a JSON object")
+    for key in cfg:
+        if key not in keys:
+            raise WordParseError(f"unknown config key {key!r}; have "
+                                 f"{list(keys)}")
     return cfg
 
 
@@ -73,10 +79,9 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None,
 
 
 def _int_option(args: argparse.Namespace, cfg: dict, key: str, default=None,
-                required: bool = False, minimum: int | None = None):
+                required: bool = False):
     """_merged, read as an integer (None stays None).  A value that is
-    not an integer, or one below minimum, is a usage error naming the
-    key."""
+    not an integer is a usage error naming the key."""
     val = _merged(args, cfg, key, default, required)
     if val is None:
         return None
@@ -87,8 +92,6 @@ def _int_option(args: argparse.Namespace, cfg: dict, key: str, default=None,
     if num is None or isinstance(val, bool) or \
             (isinstance(val, float) and num != val):
         raise WordParseError(f"{key} must be an integer, got {val!r}")
-    if minimum is not None and num < minimum:
-        raise WordParseError(f"{key} must be at least {minimum}, got {num}")
     return num
 
 
@@ -175,7 +178,7 @@ def _mc_trace_product(expr: TraceProductExpr, replicas: int,
 # subcommands
 
 def cmd_wg(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("n", "N"))
     n = _int_option(args, cfg, "n", required=True)
     N = _int_option(args, cfg, "N", required=True)
     kind = "pseudo-inverse" if N < n else "exact"
@@ -194,7 +197,7 @@ def cmd_wg(args: argparse.Namespace) -> int:
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("N", "mc", "seed", "constants"))
     consts = _load_constants(args.constant, cfg)
     expr = parse_trace_product(args.word, consts, _int_option(args, cfg, "N"))
     replicas = _int_option(args, cfg, "mc", 0)
@@ -226,7 +229,8 @@ def _write(path: str, data: bytes) -> None:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config,
+                       ("N", "replicas", "seed", "bins", "outdir"))
     N = _int_option(args, cfg, "N", 256)
     replicas = _int_option(args, cfg, "replicas", 10)
     seed = _int_option(args, cfg, "seed", 0)
@@ -278,7 +282,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("N", "replicas", "seed", "observables",
+                                     "constants", "outdir"))
     N = _int_option(args, cfg, "N", required=True)
     replicas = _int_option(args, cfg, "replicas", 100)
     seed = _int_option(args, cfg, "seed", 0)
@@ -294,6 +299,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise WordParseError("observables must be a string or a list of "
                              f"strings, got {words!r}")
     for i, text in enumerate(words):
+        # a line break would split the observable's traces.csv rows
+        if "\n" in text or "\r" in text:
+            raise WordParseError(f"observable {text!r} holds a line break")
         if text in words[:i]:
             raise WordParseError(f"observable {text!r} is given twice")
     # batch standard errors need two replicas per batch
@@ -354,9 +362,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = _int_option(args, {}, "seed", 0, minimum=0)
+    seed = args.seed
+    if seed < 0:
+        raise WordParseError(f"seed must be at least 0, got {seed}")
+    # an unknown suite and an unwritable report path are refused before
+    # any check runs, the suite first so that it leaves no empty report
+    verify_mod.check_suite(args.suite)
     if args.out:
-        # an unwritable report path is refused before any check runs
         with open(args.out, "ab"):
             pass
     results = verify_mod.run_suite(args.suite, seed)

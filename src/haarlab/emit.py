@@ -56,14 +56,13 @@ def json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def svg_histogram(edges, density, overlay, title: str,
-                  width: int = 640, height: int = 400) -> bytes:
-    """Histogram bars plus an overlay curve as a standalone SVG.
+def svg_histogram(edges, density, overlay, title: str) -> bytes:
+    """Histogram bars plus an overlay curve as a standalone 640 x 400 SVG.
 
     edges/density describe the bars; overlay is a sequence of (x, y)
     pairs drawn as a polyline over the same axes.
     """
-    margin = 50.0
+    width, height, margin = 640, 400, 50.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     x_lo = float(edges[0])

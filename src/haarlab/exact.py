@@ -225,7 +225,3 @@ def mat_trace_product(a: QCMatrix, b: QCMatrix) -> QC:
     re, im = _product_parts(a, b, lambda x, y: (x * y.T).sum())
     den = a.den * b.den
     return QC(Fraction(re, den), Fraction(im, den))
-
-
-def mat_is_identity(a: QCMatrix) -> bool:
-    return a.shape[0] == a.shape[1] and a == identity_qc(a.shape[0])

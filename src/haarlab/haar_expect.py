@@ -57,9 +57,8 @@ import numpy as np
 from .combinat import (PAIRING_POINT_CAP, enumerate_alpha_pairings,
                        pi_epsilon)
 from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
-from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_is_identity, mat_mul,
-                    mat_trace, mat_trace_product, mat_transpose, mat_unit,
-                    qc_matrix)
+from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_mul, mat_trace,
+                    mat_trace_product, mat_transpose, mat_unit, qc_matrix)
 from .weingarten import CycleType, phi, wg_table
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
@@ -198,33 +197,34 @@ def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
 # ----------------------------------------------------------------------
 # trace products
 
-def _constant_product(letters) -> QCMatrix | None:
-    """The product of the letters' resolved matrices, in order; None for
-    no letters."""
-    prod = None
-    for l in letters:
-        m = l.resolved()
-        prod = m if prod is None else mat_mul(prod, m)
+def _product(mats: Sequence[QCMatrix]) -> QCMatrix:
+    """The product of mats, multiplied left to right."""
+    prod = mats[0]
+    for m in mats[1:]:
+        prod = mat_mul(prod, m)
     return prod
+
+
+def _trace_of_product(mats: Sequence[QCMatrix]) -> QC:
+    """Tr of the product of mats; the last product is never formed."""
+    if len(mats) == 1:
+        return mat_trace(mats[0])
+    return mat_trace_product(_product(mats[:-1]), mats[-1])
 
 
 def _rotate_to_haar_form(letters: tuple) -> list[tuple[HaarLetter, QCMatrix | None]]:
     """The word read from its first Haar letter as U_1 B_1 U_2 B_2 ...
-    U_M B_M, each B_i the collapsed constant run after U_i (B_M wraps
-    round to the word's start), None for an empty or identity run;
-    assumes at least one Haar letter."""
+    U_M B_M, each B_i the product of the constant run after U_i (B_M
+    wraps round to the word's start), None for an empty run; assumes at
+    least one Haar letter."""
     first = next(i for i, l in enumerate(letters) if isinstance(l, HaarLetter))
     runs: list[tuple[HaarLetter, list]] = []
     for l in letters[first:] + letters[:first]:
         if isinstance(l, HaarLetter):
             runs.append((l, []))
         else:
-            runs[-1][1].append(l)
-    out = []
-    for u, run in runs:
-        b = _constant_product(run)
-        out.append((u, None if b is not None and mat_is_identity(b) else b))
-    return out
+            runs[-1][1].append(l.resolved())
+    return [(u, _product(run) if run else None) for u, run in runs]
 
 
 def _trace_key(cycles: Sequence[Sequence[int]], lam: Sequence[int],
@@ -256,13 +256,7 @@ def _key_trace(key: tuple, mats: Sequence[QCMatrix | None], N: int) -> QC:
     for cycle in carried:
         factors = [mat_transpose(mats[j - 1]) if transposed else mats[j - 1]
                    for j, transposed in cycle]
-        if len(factors) == 1:
-            total = total * mat_trace(factors[0])
-        else:
-            prod = factors[0]
-            for b in factors[1:-1]:
-                prod = mat_mul(prod, b)
-            total = total * mat_trace_product(prod, factors[-1])
+        total = total * _trace_of_product(factors)
         if not total:
             break
     return total
@@ -315,8 +309,8 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
         if word.normalized:
             norm_divisor /= N
         if word.haar_count() == 0:
-            const_factor = const_factor * mat_trace(
-                _constant_product(word.letters))
+            const_factor = const_factor * _trace_of_product(
+                [l.resolved() for l in word.letters])
         else:
             haar_words.append(word)
     if not const_factor:

@@ -516,8 +516,13 @@ SUITES = {"exact": tuple(check.__name__ for check in EXACT),
 SUITES["all"] = SUITES["exact"] + SUITES["mc"]
 
 
-def run_suite(suite: str, seed: int = 0) -> list:
+def check_suite(suite: str) -> None:
+    """WordParseError for a suite name not in SUITES."""
     if suite not in SUITES:
         raise WordParseError(
             f"unknown suite {suite!r}; have {sorted(SUITES)}")
+
+
+def run_suite(suite: str, seed: int = 0) -> list:
+    check_suite(suite)
     return [CHECKS[name](seed) for name in SUITES[suite]]

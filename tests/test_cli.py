@@ -446,6 +446,14 @@ def test_verify_unknown_suite(capsys):
     assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
 
 
+def test_verify_unknown_suite_leaves_no_report(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["verify", "nope", "--out", str(report)]) == 1
+    assert capsys.readouterr().err == ("error: unknown suite 'nope'; have "
+                                       "['all', 'exact', 'mc']\n")
+    assert not report.exists()
+
+
 def test_bad_config_json(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -464,6 +472,8 @@ def test_negative_seed_is_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err
     assert "Traceback" not in err
+    if argv[0] == "verify":
+        assert err == "error: seed must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -474,7 +484,9 @@ def test_negative_seed_is_usage_error(argv, capsys):
 ])
 def test_non_integer_config_value_is_usage_error(command, key, value,
                                                   tmp_path, capsys):
-    values = {"N": 8, "n": 2, "observables": ["Tr(U)"], key: value}
+    # each config holds only keys its command reads
+    base = {"wg": {"n": 2}, "simulate": {"N": 8, "observables": ["Tr(U)"]}}
+    values = {**base.get(command, {"N": 8}), key: value}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
     argv = [command] + (["Tr(U)"] if command == "moment" else []) + \
@@ -612,7 +624,10 @@ def test_simulate_refuses_a_missing_outdir_before_sampling(tmp_path, capsys,
 ])
 def test_config_value_of_wrong_type_is_usage_error(command, key, value,
                                                    tmp_path, capsys):
-    values = {"N": 32, "replicas": 20, "observables": ["Tr(U)"], key: value}
+    # each config holds only keys its command reads
+    base = {"moment": {"N": 32}, "figure1": {"N": 32, "replicas": 20},
+            "simulate": {"N": 32, "replicas": 20, "observables": ["Tr(U)"]}}
+    values = {**base[command], key: value}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
     argv = [command] + (["Tr(U)"] if command == "moment" else []) + \
@@ -758,3 +773,60 @@ def test_file_that_is_not_utf8_is_parse_error(option, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "utf-8" in err
     assert "Traceback" not in err
+
+
+def _record_work(monkeypatch) -> list:
+    """Stand-ins that record every reference law, exact value and Haar
+    draw the commands ask for, and then do it."""
+    work = []
+    for module, name in ((cli, "arcsine_law"), (cli, "kesten_mckay_law"),
+                         (cli, "expected_trace_product"),
+                         (rmt, "sample_haar_unitary")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name:
+                            work.append(_name) or _real(*a))
+    return work
+
+
+@pytest.mark.parametrize("command, config, key, keys", [
+    ("wg", {"n": 2, "N": 3, "m": 1}, "m", ["n", "N"]),
+    ("moment", {"N": 2, "mc": 10, "sed": 1}, "sed",
+     ["N", "mc", "seed", "constants"]),
+    ("figure1", {"N": 64, "replica": 3, "seed": 1}, "replica",
+     ["N", "replicas", "seed", "bins", "outdir"]),
+    ("simulate", {"N": 4, "replicas": 20, "seeds": 1}, "seeds",
+     ["N", "replicas", "seed", "observables", "constants", "outdir"]),
+])
+def test_config_key_the_command_does_not_read_is_refused(
+        command, config, key, keys, tmp_path, capsys, monkeypatch):
+    work = _record_work(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = {"wg": ["wg"], "moment": ["moment", "Tr(U)Tr(Uc)"],
+            "figure1": ["figure1", "--outdir", str(outdir)],
+            "simulate": ["simulate", "--word", "Tr(U)",
+                         "--outdir", str(outdir)]}[command]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key {key!r}; have {keys}\n"
+    assert work == [] and list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("word", ["Tr(U)\n", "Tr(\rU)", "Tr(U\r\nUc)"],
+                         ids=["LF", "CR", "CRLF"])
+def test_simulate_refuses_an_observable_with_a_line_break(
+        word, tmp_path, capsys, monkeypatch):
+    """A line break inside an observable would split its traces.csv rows;
+    it is refused before any exact value or draw."""
+    work = _record_work(monkeypatch)
+    assert main(["simulate", "--N", "4", "--replicas", "20", "--seed", "0",
+                 "--word", word, "--word", "Tr(Uc)",
+                 "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: observable {word!r} holds a line break\n"
+    assert work == [] and list(tmp_path.iterdir()) == []

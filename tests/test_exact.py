@@ -8,9 +8,8 @@ import pytest
 
 from haarlab.errors import DimensionError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, QCMatrix, as_qc, identity_qc,
-                           mat_is_identity, mat_mul, mat_trace,
-                           mat_trace_product, mat_transpose, mat_unit,
-                           qc_matrix)
+                           mat_mul, mat_trace, mat_trace_product,
+                           mat_transpose, mat_unit, qc_matrix)
 
 
 def test_qc_field_ops():
@@ -105,20 +104,15 @@ def test_matrix_ops_match_entrywise_reference(rows, inner):
         if rows != inner:
             continue
         assert mat_trace(a) == _ref_trace(a_rows)
-        assert mat_is_identity(a) == (a_rows == [[QC(int(i == j))
-                                                  for j in range(rows)]
-                                                 for i in range(rows)])
 
 
 def test_identity_and_matrix_units():
     for n in (1, 2, 5):
         eye = [[QC(int(i == j)) for j in range(n)] for i in range(n)]
         assert _entries(identity_qc(n)) == eye
-        assert mat_is_identity(identity_qc(n))
-        assert mat_is_identity(QCMatrix([[3 * (i == j) for j in range(n)]
-                                         for i in range(n)], [[0] * n] * n, 3))
-    assert not mat_is_identity(qc_matrix([[1, 0, 0], [0, 1, 0]]))
-    assert not mat_is_identity(qc_matrix([[1, 0], [0, QC(1, 1)]]))
+        assert QCMatrix([[3 * (i == j) for j in range(n)] for i in range(n)],
+                        [[0] * n] * n, 3) == identity_qc(n)
+    assert qc_matrix([[1, 0], [0, QC(1, 1)]]) != identity_qc(2)
     assert _entries(mat_unit(3, 0, 2)) == [[QC(int((i, j) == (0, 2)))
                                             for j in range(3)]
                                            for i in range(3)]

@@ -279,6 +279,17 @@ def test_engine_cap_is_checked_before_any_constant_product(monkeypatch):
         expected_trace_product(_expr(words, 2))
 
 
+def test_a_run_whose_product_is_the_identity_is_carried():
+    """Only an empty run reads None: B B^-1 is carried as the identity
+    matrix, and E Tr(U B B^-1 U*) is E Tr(U U*) = N all the same."""
+    b = ConstantLetter("B", qc_matrix([[1, 1], [0, 1]]))
+    b_inv = ConstantLetter("C", qc_matrix([[1, -1], [0, 1]]))
+    assert _rotate_to_haar_form((U, b, b_inv, US)) == [(U, identity_qc(2)),
+                                                       (US, None)]
+    assert expected_trace_product(_expr([_word([U, b, b_inv, US])], 2)) \
+        == QC(2)
+
+
 # -- limits and the invariance gap --------------------------------------
 
 def test_first_order_limit_table():
