@@ -24,7 +24,7 @@ from .densities import (arcsine_law, free_self_convolution,
                         kesten_mckay_law)
 from .rmt import (HaarU, Sum, Variant, histogram, ks_distance,
                   sample_haar_unitary, spectral_replicas, trace_observables)
-from .verify import run_suite
+from .verify import run_suite, word_nodes
 
 __version__ = "0.1.0"
 
@@ -37,5 +37,5 @@ __all__ = [
     "FirstOrderTable", "complex_spoke_prediction", "real_spoke_prediction",
     "arcsine_law", "free_self_convolution", "kesten_mckay_law", "HaarU",
     "Sum", "Variant", "histogram", "ks_distance", "sample_haar_unitary",
-    "spectral_replicas", "trace_observables", "run_suite",
+    "spectral_replicas", "trace_observables", "run_suite", "word_nodes",
 ]

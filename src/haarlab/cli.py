@@ -28,13 +28,11 @@ from .cumulants import BATCH_COUNT
 from .densities import arcsine_law, kesten_mckay_law, pdf_table
 from .emit import csv_bytes, json_bytes, svg_histogram
 from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
-from .haar_expect import (ConstantLetter, HaarLetter, TraceProductExpr,
-                          expected_trace_product, load_matrix_csv,
-                          parse_trace_product)
-from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, Const, HaarU,
-                  Variant, check_bins, check_run, histogram, ks_distance,
-                  spectral_replicas, threading_summary, trace_observables,
-                  word_product)
+from .haar_expect import (TraceProductExpr, expected_trace_product,
+                          load_matrix_csv, parse_trace_product)
+from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, STREAMS, check_bins,
+                  check_run, histogram, ks_distance, spectral_replicas,
+                  threading_summary, trace_observables)
 from .weingarten import dump_table_csv, wg_leading, wg_table
 
 EXIT_OK = 0
@@ -119,46 +117,10 @@ def _load_constants(pairs, cfg: dict) -> dict:
     return consts
 
 
-def _word_nodes(words) -> list:
-    """rmt.word_product tree for each of the trace words.  Each constant
-    name becomes one Const, converted once and shared by every
-    occurrence in every word, and a transposed letter its
-    Variant(const, -1, 1), so that rmt sees At as the transpose of A."""
-    consts: dict = {}
-    nodes = []
-    for word in words:
-        factors = []
-        for letter in word.letters:
-            if isinstance(letter, HaarLetter):
-                factors.append(HaarU(letter.eps, letter.eta))
-                continue
-            name = letter.name
-            if name not in consts:
-                consts[name] = Const(name, _complex_matrix(letter))
-            factors.append(Variant(consts[name], -1, 1) if letter.transpose
-                           else consts[name])
-        nodes.append(word_product(factors))
-    return nodes
-
-
-def _complex_matrix(letter: ConstantLetter) -> np.ndarray:
-    """A constant letter's exact matrix, untransposed, in complex
-    doubles, each part correctly rounded; an entry beyond the double
-    range raises HaarlabError."""
-    m = letter.matrix
-    out = np.empty(m.shape, dtype=complex)
-    try:
-        out.real, out.imag = m.re / m.den, m.im / m.den
-    except OverflowError:
-        raise HaarlabError(f"constant {letter.name!r} has an entry too "
-                           "large for a double") from None
-    return out
-
-
 def _mc_trace_product(expr: TraceProductExpr, replicas: int,
                       seed: int) -> tuple:
     """Monte Carlo mean and standard error of the trace product."""
-    nodes = _word_nodes(expr.words)
+    nodes = verify_mod.word_nodes(expr.words)
     names = [f"factor {i + 1}" for i in range(len(nodes))]
     stats = trace_observables(list(zip(names, nodes)), expr.N, replicas,
                               seed, stream="moment")
@@ -181,17 +143,20 @@ def cmd_wg(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, ("n", "N"))
     n = _int_option(args, cfg, "n", required=True)
     N = _int_option(args, cfg, "N", required=True)
+    # a bad order or dimension and an unwritable dump print nothing
+    table = wg_table(n, N)
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            dump_table_csv(fh, [(n, N)])
     kind = "pseudo-inverse" if N < n else "exact"
     print(f"# Weingarten table n={n} N={N} ({kind})")
     print(f"{'cycle_type':>12}  {'value':>24}  {'leading':>20}  ratio")
-    for ctype, value in wg_table(n, N).items():
+    for ctype, value in table.items():
         lead = wg_leading(ctype, N)
         ratio = float(value / lead) if lead else float("nan")
         print(f"{'+'.join(map(str, ctype)):>12}  {str(value):>24}  "
               f"{str(lead):>20}  {ratio:.6f}")
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            dump_table_csv(fh, [(n, N)])
         print(f"wrote {args.dump}")
     return EXIT_OK
 
@@ -315,7 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if len(exprs[-1].words) != 1:
             raise WordParseError(
                 f"simulate observables are single trace factors, got {text!r}")
-    nodes = _word_nodes(expr.words[0] for expr in exprs)
+    nodes = verify_mod.word_nodes(expr.words[0] for expr in exprs)
     print(threading_summary(), file=sys.stderr)
     exact_values = {}
     for text, expr in zip(words, exprs):

@@ -39,8 +39,9 @@ floated.
 
 That kernel is the only pairing sum: entry products go through it too,
 each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
-unit.  A product of more than PAIRING_POINT_CAP Haar letters raises
-CapacityError.
+unit.  A product whose Haar letters' eta signs do not sum to 0 is 0 at
+any length; a balanced one of more than PAIRING_POINT_CAP Haar letters
+raises CapacityError.
 """
 
 from __future__ import annotations
@@ -318,7 +319,11 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     if not haar_words:
         return const_factor * QC(norm_divisor)
 
-    # the cap comes before any constant run of a Haar word is multiplied
+    # an unbalanced word is 0 at any length, and the cap comes before any
+    # constant run of a Haar word is multiplied
+    if sum(l.eta for word in haar_words for l in word.letters
+           if isinstance(l, HaarLetter)) != 0:
+        return QC_ZERO
     M = sum(word.haar_count() for word in haar_words)
     if M > PAIRING_POINT_CAP:
         raise CapacityError(f"trace product with {M} Haar letters exceeds "
@@ -326,8 +331,6 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
     segments = [_rotate_to_haar_form(word.letters) for word in haar_words]
     flat = [pair for seg in segments for pair in seg]
     eta = [u.eta for u, _ in flat]
-    if sum(eta) != 0:
-        return QC_ZERO
     eps = [u.eps for u, _ in flat]
     mats = [b for _, b in flat]
 

@@ -11,9 +11,11 @@ Suites: "exact" for the deterministic checks, "mc" for everything
 stochastic, "all" for both; a new check is one function here plus one
 entry in EXACT or MONTE_CARLO.
 
-Exact words are written in the word grammar users type and go through
-_exact, which parses and evaluates them; check 03 traces its cycles
-with the pairing kernel's own _trace_key and _key_trace.
+Words are written in the grammar users type: exact words go through
+_exact, which parses and evaluates them, and Monte Carlo words through
+_sampled, which samples the trees word_nodes builds for `moment --mc`
+and `simulate`.  Check 03 traces its cycles with the pairing kernel's
+own _trace_key and _key_trace, and check 09 samples figure 1's trees.
 """
 
 from __future__ import annotations
@@ -33,18 +35,19 @@ from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
                         moment_by_quadrature)
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
                     mat_transpose, qc_matrix)
-from .haar_expect import (VARIANT_NAMES, _key_trace, _trace_key,
-                          expected_trace_product, first_order_limit,
+from .haar_expect import (VARIANT_NAMES, ConstantLetter, HaarLetter,
+                          _key_trace, _trace_key, expected_trace_product,
+                          first_order_limit,
                           invariance_counterexample as counterexample_values,
                           parse_trace_product)
 from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Variant,
-                  histogram, ks_distance, spectral_replicas,
+                  TraceStatistics, histogram, ks_distance, spectral_replicas,
                   trace_observables, word_product)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            real_spoke_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
 from .emit import csv_bytes
-from .errors import WordParseError
+from .errors import HaarlabError, WordParseError
 
 
 @dataclass
@@ -78,6 +81,52 @@ def _recorded(check):
 def _exact(word: str, N: int, constants=None) -> QC:
     """E of the trace-product word, exactly, at dimension N."""
     return expected_trace_product(parse_trace_product(word, constants, N))
+
+
+def word_nodes(words) -> list:
+    """rmt.word_product tree for each of the parsed trace words.  Each
+    constant name becomes one Const, converted once and shared by every
+    occurrence in every word, and a transposed letter its
+    Variant(const, -1, 1), so that rmt sees At as the transpose of A."""
+    consts: dict = {}
+    nodes = []
+    for word in words:
+        factors = []
+        for letter in word.letters:
+            if isinstance(letter, HaarLetter):
+                factors.append(HaarU(letter.eps, letter.eta))
+                continue
+            name = letter.name
+            if name not in consts:
+                consts[name] = Const(name, _complex_matrix(letter))
+            factors.append(Variant(consts[name], -1, 1) if letter.transpose
+                           else consts[name])
+        nodes.append(word_product(factors))
+    return nodes
+
+
+def _complex_matrix(letter: ConstantLetter) -> np.ndarray:
+    """A constant letter's exact matrix, untransposed, in complex
+    doubles, each part correctly rounded; an entry beyond the double
+    range raises HaarlabError."""
+    m = letter.matrix
+    out = np.empty(m.shape, dtype=complex)
+    try:
+        out.real, out.imag = m.re / m.den, m.im / m.den
+    except OverflowError:
+        raise HaarlabError(f"constant {letter.name!r} has an entry too "
+                           "large for a double") from None
+    return out
+
+
+def _sampled(words, N: int, replicas: int, seed: int, stream: str,
+             constants=None) -> TraceStatistics:
+    """Tr of each single-factor word at dimension N by sampling:
+    trace_observables of the word_nodes trees, named by the words."""
+    nodes = word_nodes(parse_trace_product(word, constants, N).words[0]
+                       for word in words)
+    return trace_observables(dict(zip(words, nodes)), N=N, replicas=replicas,
+                             seed=seed, stream=stream)
 
 
 def _perms(n):
@@ -320,9 +369,7 @@ def transpose_second_order(seed: int) -> tuple:
     if pred.value != 1 or sum(pred.spoke_terms) != 0:
         failures.append(("reversed term", pred))
 
-    stats = trace_observables(
-        {"tr_u": HaarU(), "tr_ubar": HaarU(1, -1)}, N=64,
-        replicas=4000, seed=seed, stream="check07")
+    stats = _sampled(("Tr(U)", "Tr(Uc)"), 64, 4000, seed, "check07")
     cum = stats.cumulants(2)
     k2 = cum((1, 2))
     se = cum.se((1, 2))
@@ -346,25 +393,19 @@ def _balanced_diag_qc(N: int) -> QCMatrix:
 
 def conjugate_transpose_decay(seed: int) -> tuple:
     failures = []
+    word = "tr(U A U* Uc At Ut)"
     values = {}
     for N in (16, 32, 64):
-        d = _balanced_diag_qc(N)
-        values[N] = complex(_exact("tr(U A U* Uc At Ut)", N, {"A": d}))
+        values[N] = complex(_exact(word, N, {"A": _balanced_diag_qc(N)}))
     r1 = abs(values[32]) / abs(values[16])
     r2 = abs(values[64]) / abs(values[32])
     if not (0.4 <= r1 <= 0.6 and 0.4 <= r2 <= 0.6):
         failures.append(("ratios", r1, r2))
 
     n_mc = 128
-    a_np = np.diag([1.0] * (n_mc // 2) + [-1.0] * (n_mc // 2))
-    # the word's letters as cli._word_nodes writes them: one Const A,
-    # At its transpose, so word_product finds the mirrored half U A U*
-    a = Const("A", a_np)
-    node = word_product([HaarU(), a, HaarU(-1, -1), HaarU(1, -1),
-                         Variant(a, -1, 1), HaarU(-1, 1)])
-    stats = trace_observables({"w": node}, N=n_mc, replicas=2000, seed=seed,
-                              stream="check08")
-    mean_tr = stats.mean("w") / n_mc
+    stats = _sampled((word,), n_mc, 2000, seed, "check08",
+                     {"A": _balanced_diag_qc(n_mc)})
+    mean_tr = stats.mean(word) / n_mc
     if abs(mean_tr) >= 0.02:
         failures.append(("mc mean", mean_tr))
     return (
@@ -456,10 +497,8 @@ def cumulant_algebra(seed: int) -> tuple:
     if moments_to_cumulants(gauss, (1, 1, 1, 1)) != 0:
         failures.append("gaussian k4")
 
-    stats = trace_observables(
-        {"u": HaarU(), "ut": HaarU(-1, 1), "ubar": HaarU(1, -1),
-         "ustar": HaarU(-1, -1)},
-        N=64, replicas=4000, seed=seed, stream="check11")
+    stats = _sampled(("Tr(U)", "Tr(Ut)", "Tr(Uc)", "Tr(U*)"), 64, 4000,
+                     seed, "check11")
     cum = stats.cumulants(3)
     worst = max(abs(cum(combo)) for combo in multisets(4, 3)
                 if len(combo) == 3)
@@ -477,11 +516,9 @@ def cumulant_algebra(seed: int) -> tuple:
 # 12: byte determinism of repeated runs
 
 def determinism(seed: int) -> tuple:
-    obs = {"u": HaarU(), "uubar": word_product([HaarU(), HaarU(1, -1)])}
-
     def trace_csv() -> bytes:
-        stats = trace_observables(obs, N=16, replicas=50, seed=seed,
-                                  stream="check12.traces")
+        stats = _sampled(("Tr(U)", "Tr(U Uc)"), 16, 50, seed,
+                         "check12.traces")
         return csv_bytes(("observable", "replica", "re", "im"),
                          stats.csv_rows())
 

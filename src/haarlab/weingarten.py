@@ -161,7 +161,9 @@ def wg_table(n: int, N: int) -> Mapping[CycleType, Fraction]:
 
 def wg_leading(cycle_type: Iterable[int], N: int) -> Fraction:
     """First-order asymptotics N^{-2n+#sigma} Moeb(sigma), with n the
-    sum of the cycle type."""
+    sum of the cycle type, for N >= 1 (DimensionError below)."""
+    if N < 1:
+        raise DimensionError("dimension N must be at least 1")
     ct = normalize_cycle_type(cycle_type)
     return Fraction(moebius_cycle_type(ct), N ** (2 * sum(ct) - len(ct)))
 

@@ -14,6 +14,7 @@ import pytest
 
 from haarlab import haar_expect, verify
 from haarlab.exact import mat_mul, mat_trace, mat_transpose
+from haarlab.haar_expect import parse_trace_product
 from haarlab.rmt import (Const, HaarU, Product, TraceStatistics, Variant,
                          trace_observables, word_product)
 
@@ -117,3 +118,28 @@ def test_check08_tree_traces_the_bytes_of_two_equal_consts(monkeypatch):
                                   N=kwargs["N"], replicas=40, seed=seed,
                                   stream=kwargs["stream"])
         assert stats.row("shared").tobytes() == stats.row("two").tobytes()
+
+
+@pytest.mark.parametrize("check_name,words", [
+    ("transpose_second_order", ("Tr(U)", "Tr(Uc)")),
+    ("cumulant_algebra", ("Tr(U)", "Tr(Ut)", "Tr(Uc)", "Tr(U*)")),
+    ("determinism", ("Tr(U)", "Tr(U Uc)")),
+])
+def test_checks_sample_their_words_through_word_nodes(monkeypatch,
+                                                      check_name, words):
+    """Checks 07, 11 and 12 name their observables by the words they
+    sample, in order, and sample the trees word_nodes builds for those
+    words, as `moment --mc` and `simulate` do."""
+    runs = []
+
+    def standin(observables, **kwargs):
+        runs.append(dict(observables))
+        return TraceStatistics(tuple(observables), np.zeros(
+            (len(observables), kwargs["replicas"]), complex))
+
+    monkeypatch.setattr(verify, "trace_observables", standin)
+    verify.CHECKS[check_name](SEED)
+    assert runs and all(list(run) == list(words) for run in runs)
+    want = verify.word_nodes(parse_trace_product(word, N=2).words[0]
+                             for word in words)
+    assert all(list(run.values()) == want for run in runs)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from haarlab import cli, rmt
-from haarlab.cli import _word_nodes, main
+from haarlab.cli import main
 from haarlab.combinat import PAIRING_POINT_CAP
 from haarlab.exact import qc_matrix
 from haarlab.haar_expect import parse_trace_product
+from haarlab.verify import word_nodes
 
 A_CSV = ("row,col,re_num,re_den,im_num,im_den\n"
          "1,1,1,1,0,1\n1,2,2,1,0,1\n2,1,3,1,0,1\n2,2,4,1,0,1\n")
@@ -57,6 +58,21 @@ def test_wg_labels_pseudo_inverse_tables(n, N, kind, capsys):
     assert main(["wg", "--n", n, "--N", N]) == 0
     assert capsys.readouterr().out.startswith(
         f"# Weingarten table n={n} N={N} ({kind})\n")
+
+
+@pytest.mark.parametrize("n, dump, code", [
+    ("0", None, 2), ("7", None, 2), ("0", "x.csv", 2), ("7", "x.csv", 2),
+    ("2", "missing/x.csv", 3)])
+def test_wg_prints_nothing_before_it_fails(tmp_path, capsys, n, dump, code):
+    """A bad order and an unwritable dump are refused before the table's
+    header is printed, and a bad order writes no dump."""
+    argv = ["wg", "--n", n, "--N", "3"]
+    if dump:
+        argv += ["--dump", str(tmp_path / dump)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["wg", "--N", "5"], ["wg", "--n", "2"],
@@ -189,7 +205,7 @@ def test_word_nodes_share_one_const_per_name():
     a = qc_matrix([[1, 2], [3, 4]])
     expr = parse_trace_product("Tr(U A U* Uc At Ut)Tr(A At)Tr(U At)",
                                {"A": a}, 2)
-    first, second, third = _word_nodes(expr.words)
+    first, second, third = word_nodes(expr.words)
     const = third.factors[1].node
     assert isinstance(const, rmt.Const) and const.name == "A"
     assert np.array_equal(const.matrix, [[1, 2], [3, 4]])
@@ -410,6 +426,18 @@ def test_moment_refuses_a_word_over_the_engine_cap(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and "exceeds engine cap" in err
     assert f"{PAIRING_POINT_CAP + 2} Haar letters" in err
+
+
+def test_unbalanced_word_over_the_engine_cap_is_zero(capsys):
+    """Haar letters whose eta signs do not balance make the word 0 at
+    any length, so the cap does not apply to them."""
+    word = "Tr({})".format(" ".join(["U"] * (PAIRING_POINT_CAP + 1)))
+    assert main(["moment", word, "--N", "2"]) == 0
+    assert capsys.readouterr().out == "exact: 0\n"
+    assert main(["simulate", "--N", "2", "--replicas", "20",
+                 "--word", word]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["observables"][word]["exact"] == "0"
 
 
 def test_simulate_reports_a_word_over_the_engine_cap(capsys):

@@ -2,7 +2,7 @@
 
 Each word's exact expectation comes from expected_trace_product; its
 Monte Carlo mean goes through the `moment --mc` translation,
-cli._word_nodes, into trace_observables.  The words are seeded: one or
+verify.word_nodes, into trace_observables.  The words are seeded: one or
 two trace factors, at most six Haar letters with eta balanced (so the
 exact value need not vanish), and up to two constants with small
 Gaussian-integer entries, each transposed or not, at N = 2, 3 and 4.
@@ -15,12 +15,12 @@ import random
 
 import numpy as np
 
-from haarlab.cli import _word_nodes
 from haarlab.exact import QC, qc_matrix
 from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  TraceProductExpr, TraceWord,
                                  expected_trace_product)
 from haarlab.rmt import trace_observables
+from haarlab.verify import word_nodes
 
 SEED = 18
 REPLICAS = 1000
@@ -63,7 +63,7 @@ def _samples(exprs: list) -> list:
     for N in DIMENSIONS:
         batch = [(i, expr) for i, expr in enumerate(exprs) if expr.N == N]
         observables = [(f"{i}.{k}", node) for i, expr in batch
-                       for k, node in enumerate(_word_nodes(expr.words))]
+                       for k, node in enumerate(word_nodes(expr.words))]
         stats = trace_observables(observables, N, REPLICAS, SEED,
                                   stream="moment")
         for i, expr in batch:

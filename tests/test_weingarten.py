@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from haarlab.combinat import cycle_type, enumerate_pairings
-from haarlab.errors import CapacityError
+from haarlab.errors import CapacityError, DimensionError
 from haarlab.weingarten import (dump_table_csv, gram_entry,
                                 integer_partitions, normalize_cycle_type,
                                 phi, wg_leading, wg_table)
@@ -143,6 +143,13 @@ def test_wg_leading_validates_partition():
     for bad in ((2, 0), (3, -1)):
         with pytest.raises(ValueError):
             wg_leading(bad, 10)
+
+
+def test_wg_leading_refuses_a_dimension_below_one():
+    for ct, N in (((1,), 0), ((2,), -2)):
+        with pytest.raises(DimensionError,
+                           match="^dimension N must be at least 1$"):
+            wg_leading(ct, N)
 
 
 def test_capacity_cap():
