@@ -9,6 +9,8 @@ HaarlabError to 2.  HaarlabError derives from ValueError, so callers
 that catch ValueError keep working.  TypeError for an argument of the
 wrong Python type, and RuntimeError for a broken internal invariant,
 stay as they are: neither is a problem with the input's values.
+require_int is that TypeError for an order or a dimension: a float or
+a bool there is a wrong type, not a value to round.
 """
 
 from __future__ import annotations
@@ -50,3 +52,9 @@ class MissingMomentError(HaarlabError):
 
 class InsufficientSamplesError(HaarlabError):
     """Too few replicas (or inconsistent replica counts) for estimation."""
+
+
+def require_int(value, name: str) -> None:
+    """TypeError naming the argument unless value is an int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")

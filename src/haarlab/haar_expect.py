@@ -41,7 +41,9 @@ That kernel is the only pairing sum: entry products go through it too,
 each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
 unit.  A product whose Haar letters' eta signs do not sum to 0 is 0 at
 any length; a balanced one of more than PAIRING_POINT_CAP Haar letters
-raises CapacityError.
+raises CapacityError.  pairing_trace is the kernel's trace of one
+signed pairing, public for the index-sum oracle.  N is an int: a float
+or a bool raises TypeError.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ import numpy as np
 
 from .combinat import (PAIRING_POINT_CAP, enumerate_alpha_pairings,
                        pi_epsilon)
-from .errors import CapacityError, DimensionError, HaarlabError, WordParseError
+from .errors import (CapacityError, DimensionError, HaarlabError,
+                     WordParseError, require_int)
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_mul, mat_trace,
                     mat_trace_product, mat_transpose, mat_unit, qc_matrix)
 from .weingarten import CycleType, phi, wg_table
@@ -139,8 +142,8 @@ class TraceWord:
 
 @dataclass(frozen=True)
 class TraceProductExpr:
-    """A product of trace factors evaluated at one dimension N; every
-    constant letter must be N x N."""
+    """A product of trace factors evaluated at one dimension N, an int;
+    every constant letter must be N x N."""
 
     words: tuple
     N: int
@@ -148,6 +151,7 @@ class TraceProductExpr:
     def __post_init__(self):
         words = tuple(self.words)
         object.__setattr__(self, "words", words)
+        require_int(self.N, "dimension N")
         if self.N < 1:
             raise DimensionError("dimension N must be at least 1")
         for w in words:
@@ -261,6 +265,17 @@ def _key_trace(key: tuple, mats: Sequence[QCMatrix | None], N: int) -> QC:
         if not total:
             break
     return total
+
+
+def pairing_trace(partner: Mapping[int, int], mats: Sequence[QCMatrix],
+                  N: int) -> QC:
+    """The kernel's trace for the signed pairing partner of [+-n] when
+    all n = len(mats) letters carry a constant: over the cycles of
+    pi_epsilon(partner), the traces of their letters' products, letter
+    k transposed where eps flips it."""
+    cycles, lam = pi_epsilon(partner)
+    key = _trace_key(cycles, lam, frozenset(range(1, len(mats) + 1)))
+    return _key_trace(key, mats, N)
 
 
 def _pair_classes(alpha: Sequence[int], pairings: Sequence[Mapping[int, int]]
@@ -394,7 +409,7 @@ def expected_trace_product(expr: TraceProductExpr) -> QC:
 
 
 # ----------------------------------------------------------------------
-# limits and the invariance counterexample
+# limits
 
 def first_order_limit(m: int, variant: tuple[int, int],
                       n: int, variant2: tuple[int, int]) -> int:
@@ -408,46 +423,6 @@ def first_order_limit(m: int, variant: tuple[int, int],
         if s not in (1, -1):
             raise HaarlabError("variant signs must be +1 or -1")
     return int(m == n and e1 == -e2 and h1 == -h2)
-
-
-def invariance_counterexample(cos_sq: Fraction, N: int) -> tuple[Fraction, Fraction]:
-    """The pair (E(u_11 ubar_22), E(b_11 b'_22)) where b, b' are the
-    entries of U and U-bar conjugated by the fixed non-orthogonal
-    unitary built from the angle with cos^2(theta) = cos_sq.
-
-    The first value is always 0; the second is 4 cos^2 sin^2 / N, so it
-    differs from the first whenever cos(theta) sin(theta) != 0.  The
-    sixteen cross terms carry coefficients a + b*x with x = i cos sin,
-    x^2 = -cos^2 sin^2; only rational combinations survive.
-    """
-    cos_sq = Fraction(cos_sq)
-    if not 0 <= cos_sq <= 1:
-        raise HaarlabError("cos^2(theta) must lie in [0, 1]")
-    if N < 2:
-        raise DimensionError("need N >= 2 for 2x2 corner indices")
-    sin_sq = 1 - cos_sq
-    x_sq = -cos_sq * sin_sq
-
-    lhs = entry_product_expectation([1, -1], [1, 2], [1, 2], N)
-
-    # coefficients (rational part, x part) of b_11 over u_{rc} and of
-    # b'_22 over ubar_{rc}
-    coeff1 = {(1, 1): (sin_sq, Fraction(0)), (2, 1): (Fraction(0), Fraction(1)),
-              (1, 2): (Fraction(0), Fraction(-1)), (2, 2): (cos_sq, Fraction(0))}
-    coeff2 = {(1, 1): (cos_sq, Fraction(0)), (2, 1): (Fraction(0), Fraction(-1)),
-              (1, 2): (Fraction(0), Fraction(1)), (2, 2): (sin_sq, Fraction(0))}
-    rational = Fraction(0)
-    x_part = Fraction(0)
-    for (r1, c1), (a1, b1) in coeff1.items():
-        for (r2, c2), (a2, b2) in coeff2.items():
-            ev = entry_product_expectation([1, -1], [r1, r2], [c1, c2], N)
-            if not ev:
-                continue
-            rational += (a1 * a2 + b1 * b2 * x_sq) * ev
-            x_part += (a1 * b2 + a2 * b1) * ev
-    if x_part != 0:
-        raise RuntimeError("irrational residue in the sixteen-term expansion")
-    return lhs, rational
 
 
 # ----------------------------------------------------------------------

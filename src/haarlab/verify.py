@@ -14,8 +14,9 @@ entry in EXACT or MONTE_CARLO.
 Words are written in the grammar users type: exact words go through
 _exact, which parses and evaluates them, and Monte Carlo words through
 _sampled, which samples the trees word_nodes builds for `moment --mc`
-and `simulate`.  Check 03 traces its cycles with the pairing kernel's
-own _trace_key and _key_trace, and check 09 samples figure 1's trees.
+and `simulate`; check 04's conjugated entries are values of the word
+Tr(U B)Tr(Uc C).  Check 03 traces its pairings with the kernel's public
+pairing_trace, and check 09 samples figure 1's trees.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinat import cycle_type, enumerate_pairings, pi_epsilon
+from .combinat import cycle_type, enumerate_pairings
 from .cumulants import (CumulantFunctional, MomentFunctional,
                         cumulants_to_moments, moments_to_cumulants, multisets)
 from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
@@ -36,9 +37,8 @@ from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
                     mat_transpose, qc_matrix)
 from .haar_expect import (VARIANT_NAMES, ConstantLetter, HaarLetter,
-                          _key_trace, _trace_key, expected_trace_product,
-                          first_order_limit,
-                          invariance_counterexample as counterexample_values,
+                          entry_product_expectation, expected_trace_product,
+                          first_order_limit, pairing_trace,
                           parse_trace_product)
 from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Variant,
                   TraceStatistics, histogram, ks_distance, spectral_replicas,
@@ -220,11 +220,7 @@ def index_sum_oracle(seed: int) -> tuple:
             for k in range(1, n + 1):
                 term *= rows[k - 1][idx[k]][idx[-k]]
             total += term
-        cycles, eps = pi_epsilon(p)
-        mats = [qc_matrix(r) for r in rows]
-        rhs = _key_trace(_trace_key(cycles, eps, frozenset(range(1, n + 1))),
-                         mats, N)
-        if QC(total) != rhs:
+        if QC(total) != pairing_trace(p, [qc_matrix(r) for r in rows], N):
             mismatches += 1
     return (
         "for a signed pairing p, the index sum constrained by i = i o p of "
@@ -256,11 +252,37 @@ def _random_word(rng: random.Random, N: int, length: int) -> tuple:
     return f"{trace}({' '.join(letters)})", constants
 
 
+def _counterexample(cos_sq: Fraction, N: int) -> tuple:
+    """(E(u_11 ubar_22), E(b_11 b'_22)) at N >= 2, b and b' the entries
+    of U and Ubar conjugated by the unitary of the angle theta with
+    cos^2(theta) = cos_sq.  With x = i cos sin, b_11 = Tr(U (R + x X))
+    and b'_22 = Tr(Uc (S + x Xt)) for the corners R = diag(sin^2, cos^2),
+    S = diag(cos^2, sin^2) and X = [[0, 1], [-1, 0]]: four values of the
+    word Tr(U B)Tr(Uc C), whose cross terms, x times a value, must cancel
+    (x^2 = -cos^2 sin^2 is rational, x is not)."""
+    sin_sq = 1 - cos_sq
+
+    def term(b, c):
+        corners = {name: qc_matrix([[m[i][j] if max(i, j) < 2 else 0
+                                     for j in range(N)] for i in range(N)])
+                   for name, m in (("B", b), ("C", c))}
+        return _exact("Tr(U B)Tr(Uc C)", N, corners)
+
+    R, S = ((sin_sq, 0), (0, cos_sq)), ((cos_sq, 0), (0, sin_sq))
+    X, Xt = ((0, 1), (-1, 0)), ((0, -1), (1, 0))
+    cross = term(R, Xt) + term(X, S)
+    rhs = term(R, S) - QC(cos_sq * sin_sq) * term(X, Xt)
+    if cross or rhs.im:
+        raise RuntimeError(f"E(b_11 b'_22) leaves cross terms {cross} and "
+                           f"an imaginary part {rhs.im}")
+    return entry_product_expectation([1, -1], [1, 2], [1, 2], N), rhs.re
+
+
 def invariance_counterexample(seed: int) -> tuple:
     failures = []
     for cos_sq in (Fraction(1, 4), Fraction(1, 2)):
         for N in (2, 4, 10):
-            lhs, rhs = counterexample_values(cos_sq, N)
+            lhs, rhs = _counterexample(cos_sq, N)
             want = 4 * cos_sq * (1 - cos_sq) / N
             if lhs != 0 or rhs != want:
                 failures.append((cos_sq, N, lhs, rhs, want))

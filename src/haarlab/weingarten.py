@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, TextIO
 
 from .combinat import (PAIRING_POINT_CAP, cycle_type, cycles,
                        moebius_cycle_type)
-from .errors import CapacityError, DimensionError, HaarlabError
+from .errors import CapacityError, DimensionError, HaarlabError, require_int
 
 DEFAULT_ORDER_CAP = PAIRING_POINT_CAP // 2
 
@@ -124,8 +124,11 @@ def wg_exact(n: int, N: int) -> Mapping[CycleType, Fraction]:
     and every n up to DEFAULT_ORDER_CAP (CapacityError beyond it).
 
     Sums the character formula over partitions with at most N rows;
-    for N < n that is the pseudo-inverse table.
+    for N < n that is the pseudo-inverse table.  An n or N that is not
+    an int (a float, a bool) raises TypeError.
     """
+    require_int(n, "order n")
+    require_int(N, "dimension N")
     if n < 1:
         raise DimensionError("order n must be at least 1")
     if n > DEFAULT_ORDER_CAP:
@@ -152,16 +155,20 @@ def wg_exact(n: int, N: int) -> Mapping[CycleType, Fraction]:
 wg_pseudo = wg_exact
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def wg_table(n: int, N: int) -> Mapping[CycleType, Fraction]:
     """Cached table used by the expectation engine.  Every caller shares
-    the one mapping, which is why it is read-only."""
+    the one mapping, which is why it is read-only.  The cache keys on
+    the arguments' types, so a float or bool n or N, equal to a cached
+    int, still reaches wg_exact's TypeError."""
     return wg_exact(n, N)
 
 
 def wg_leading(cycle_type: Iterable[int], N: int) -> Fraction:
     """First-order asymptotics N^{-2n+#sigma} Moeb(sigma), with n the
-    sum of the cycle type, for N >= 1 (DimensionError below)."""
+    sum of the cycle type, for an int N >= 1 (DimensionError below,
+    TypeError for a float or a bool)."""
+    require_int(N, "dimension N")
     if N < 1:
         raise DimensionError("dimension N must be at least 1")
     ct = normalize_cycle_type(cycle_type)

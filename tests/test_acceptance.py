@@ -9,11 +9,13 @@ The checks live in haarlab.verify so the CLI `haarlab verify all`
 exercises the identical code paths.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from haarlab import haar_expect, verify
-from haarlab.exact import mat_mul, mat_trace, mat_transpose
+from haarlab.exact import QC, mat_mul, mat_trace, mat_transpose
 from haarlab.haar_expect import parse_trace_product
 from haarlab.rmt import (Const, HaarU, Product, TraceStatistics, Variant,
                          trace_observables, word_product)
@@ -62,6 +64,45 @@ def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
                         lambda a, b: mat_trace(mat_mul(a, mat_transpose(b))))
     result = verify.CHECKS["index_sum_oracle"](SEED)
     assert not result.passed, result.observed
+
+
+def test_counterexample_values(monkeypatch):
+    """Over a grid of angles and N = 2..10, E(u_11 ubar_22) = 0 and
+    E(b_11 b'_22) = 4 cos^2 sin^2 / N as Fractions (no gap at the
+    orthogonal angles cos^2 = 0, 1), from four values of Tr(U B)Tr(Uc C)
+    whose two cross terms (one corner diagonal, the other not) are each
+    0."""
+    exact = verify._exact
+    terms = []
+
+    def recording(word, N, constants):
+        terms.append((word, constants, exact(word, N, constants)))
+        return terms[-1][2]
+
+    def diagonal(m):
+        return m.re[0, 1] == m.re[1, 0] == 0
+
+    monkeypatch.setattr(verify, "_exact", recording)
+    for c in map(Fraction, ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")):
+        for N in range(2, 11):
+            terms.clear()
+            lhs, rhs = verify._counterexample(c, N)
+            assert type(lhs) is type(rhs) is Fraction
+            assert (lhs, rhs) == (0, 4 * c * (1 - c) / N)
+            assert len(terms) == 4
+            assert {word for word, _, _ in terms} == {"Tr(U B)Tr(Uc C)"}
+            cross = [value for _, m, value in terms
+                     if diagonal(m["B"]) != diagonal(m["C"])]
+            assert cross == [0, 0]
+
+
+def test_counterexample_refuses_cross_terms_that_do_not_cancel(
+        monkeypatch):
+    exact = verify._exact
+    monkeypatch.setattr(verify, "_exact",
+                        lambda *args: exact(*args) + QC(1))
+    with pytest.raises(RuntimeError, match="cross terms 2 "):
+        verify._counterexample(Fraction(1, 4), 4)
 
 
 def _check08_tree(monkeypatch):

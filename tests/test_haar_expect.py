@@ -1,5 +1,5 @@
 """The exact trace-expectation engine: entry products, closed-form
-moments, the grammar, the invariance gap."""
+moments, the grammar, the per-pairing trace."""
 
 import math
 import random
@@ -10,7 +10,8 @@ import pytest
 
 from haarlab import haar_expect
 from haarlab.combinat import enumerate_alpha_pairings, pi_epsilon
-from haarlab.errors import CapacityError, DimensionError, WordParseError
+from haarlab.errors import (CapacityError, DimensionError, HaarlabError,
+                            WordParseError)
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
                            mat_trace, mat_transpose, qc_matrix)
 from haarlab.haar_expect import (ConstantLetter, HaarLetter,
@@ -18,7 +19,7 @@ from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  _rotate_to_haar_form,
                                  entry_product_expectation,
                                  expected_trace_product, first_order_limit,
-                                 invariance_counterexample, load_matrix_csv,
+                                 load_matrix_csv, pairing_trace,
                                  parse_trace_product)
 from haarlab.rmt import sample_haar_unitary
 from haarlab.weingarten import phi, wg_table
@@ -290,7 +291,7 @@ def test_a_run_whose_product_is_the_identity_is_carried():
         == QC(2)
 
 
-# -- limits and the invariance gap --------------------------------------
+# -- limits and the per-pairing trace ---------------------------------
 
 def test_first_order_limit_table():
     variants = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
@@ -306,22 +307,26 @@ def test_first_order_limit_table():
         first_order_limit(1, (1, 0), 1, (1, 1))
 
 
-def test_invariance_counterexample_values():
-    lhs, rhs = invariance_counterexample(Fraction(1, 4), 10)
-    assert lhs == 0
-    assert rhs == Fraction(4, 10) * Fraction(1, 4) * Fraction(3, 4)
-    lhs, rhs = invariance_counterexample(Fraction(1, 2), 2)
-    assert (lhs, rhs) == (0, Fraction(1, 2))
-    # orthogonal angles leave no gap
-    for c in (Fraction(0), Fraction(1)):
-        assert invariance_counterexample(c, 5) == (0, 0)
-    with pytest.raises(ValueError):
-        invariance_counterexample(Fraction(3, 2), 5)
-    with pytest.raises(ValueError):
-        invariance_counterexample(Fraction(1, 2), 1)
+def test_pairing_trace_traces_the_cycles_of_pi_epsilon():
+    """[+-1] has one signed pairing, whose trace is Tr A; matching 1
+    with 2 and -1 with -2 sums A[i, j] B[i, j], which is Tr(A B^t)."""
+    assert pairing_trace({1: -1, -1: 1}, [A_MAT], 2) == mat_trace(A_MAT)
+    assert pairing_trace({1: 2, 2: 1, -1: -2, -2: -1}, [A_MAT, B_MAT], 2) \
+        == mat_trace(mat_mul(A_MAT, mat_transpose(B_MAT))) == QC(7)
+    with pytest.raises(HaarlabError):
+        pairing_trace({1: 1, -1: -1}, [A_MAT], 2)
 
 
 # -- grammar ------------------------------------------------------------
+
+def test_dimension_must_be_an_int():
+    """A float or a bool N raises TypeError naming it, where True would
+    otherwise be read as N = 1."""
+    for N in (2.0, True):
+        with pytest.raises(TypeError,
+                           match="^dimension N must be an int, not "):
+            parse_trace_product("Tr(U)Tr(Uc)", N=N)
+
 
 def test_parse_all_haar_tokens():
     e = parse_trace_product("Tr(U Ut Uc U*)", N=4)

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, no
-definition in the package goes unused, and the runtime needs only numpy."""
+"""Source hygiene: no module imports a name it never uses or a private
+name of another package module, no definition in the package goes
+unused, and the runtime needs only numpy."""
 
 import ast
 import os
@@ -133,6 +134,31 @@ def test_no_unreferenced_definitions():
                    for p, line, attribute in reached[name]):
                 unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Package modules reach one another through public names only: no
+    `from .module import _name`, and no `module._name` on a module
+    imported from the package.  What an oracle needs of a private step
+    is offered publicly, as haar_expect.pairing_trace is for check 03."""
+    found = []
+    for path in sorted((ROOT / "src" / "haarlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        internal = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (
+                        node.level or node.module.split(".")[0] == "haarlab")]
+        modules = {alias.asname or alias.name for node in internal
+                   if node.module in (None, "haarlab")
+                   for alias in node.names}
+        found += [f"{path.name}:{node.lineno}: {alias.name}"
+                  for node in internal for alias in node.names
+                  if alias.name.startswith("_")]
+        found += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []
 
 
 def test_no_qr_factorization_in_the_package():

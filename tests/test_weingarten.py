@@ -116,7 +116,7 @@ def test_pseudo_inverse_is_moore_penrose(n, N):
 
 
 def test_tables_are_read_only_mappings():
-    # functools.cache hands every caller the same table object
+    # the cache hands every caller the same table object
     table = wg_table(2, 5)
     assert table is wg_table(2, 5)
     assert dict(table) == {(2,): Fraction(-1, 120), (1, 1): Fraction(1, 24)}
@@ -150,6 +150,22 @@ def test_wg_leading_refuses_a_dimension_below_one():
         with pytest.raises(DimensionError,
                            match="^dimension N must be at least 1$"):
             wg_leading(ct, N)
+
+
+def test_order_and_dimension_must_be_ints():
+    """A float or a bool n or N raises TypeError naming it, whether or
+    not the int table of the same value is cached."""
+    cases = ((3, 29.0, "dimension N"), (3, True, "dimension N"),
+             (3.0, 29, "order n"), (True, 29, "order n"))
+    for _ in range(2):
+        for n, N, name in cases:
+            with pytest.raises(TypeError, match=f"^{name} must be an int, "):
+                wg_table(n, N)
+            wg_table(int(n), int(N))    # cached for the second pass
+    for N in (1.5, 2.0, True):
+        with pytest.raises(TypeError,
+                           match="^dimension N must be an int, not "):
+            wg_leading((1,), N)
 
 
 def test_capacity_cap():
