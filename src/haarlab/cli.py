@@ -8,9 +8,9 @@ word lists), verify (acceptance suites).
 Options can come from a JSON config file (--config); explicit flags win
 over config values.  Exit codes: 0 success, 1 usage or parse problem,
 2 capacity or domain problem, 3 I/O problem, 4 verification checks
-failed.  HAARLAB_THREADS sets the replica workers of figure1, simulate
-and moment --mc (default: the usable cores); each worker runs BLAS on
-one thread.
+failed.  HAARLAB_THREADS sets the replica workers of figure1, simulate,
+moment --mc and verify's Monte Carlo checks (default: the usable
+cores); each worker runs BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -328,11 +328,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed
-    if seed < 0:
-        raise WordParseError(f"seed must be at least 0, got {seed}")
-    # an unknown suite and an unwritable report path are refused before
-    # any check runs, the suite first so that it leaves no empty report
-    verify_mod.check_suite(args.suite)
+    # a bad suite, seed or HAARLAB_THREADS and an unwritable report path
+    # are refused before any check runs, the report last so that the
+    # others leave no empty report
+    verify_mod.check_suite(args.suite, seed)
     if args.out:
         with open(args.out, "ab"):
             pass

@@ -174,13 +174,6 @@ def identity_qc(n: int) -> QCMatrix:
     return QCMatrix(np.eye(n, dtype=object), np.zeros((n, n), dtype=object), 1)
 
 
-def mat_unit(n: int, i: int, j: int) -> QCMatrix:
-    """The n x n matrix unit with its one 1 at 0-based (i, j)."""
-    unit = np.zeros((n, n), dtype=object)
-    unit[i, j] = 1
-    return QCMatrix(unit, np.zeros((n, n), dtype=object), 1)
-
-
 def _product_parts(a: QCMatrix, b: QCMatrix, product) -> tuple:
     """The real and imaginary numerators of a times b, re re - im im and
     re im + im re, where product multiplies two integer parts.  A term

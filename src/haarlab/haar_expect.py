@@ -1,6 +1,7 @@
-"""Exact expectations of entry products and trace products of words in
-a Haar unitary's four variants U, Ut, U-bar, U*, interleaved with
-deterministic constant matrices.
+"""Exact expectations of trace products of words in a Haar unitary's
+four variants U, Ut, U-bar, U*, interleaved with deterministic constant
+matrices.  An entry moment is such a product too: u_rc = Tr(U E_cr)
+for the matrix unit E_cr.
 
 The trace-product evaluator follows the pairing bookkeeping that makes
 these integrals finite sums: letters are numbered 1..M, the one-cycle-
@@ -37,9 +38,7 @@ once per key.  No Fraction is built or hashed per pair.  Everything
 stays exact; the numpy arrays hold integers only, and nothing is
 floated.
 
-That kernel is the only pairing sum: entry products go through it too,
-each entry being the one-letter trace u_rc = Tr(U E_cr) of a matrix
-unit.  A product whose Haar letters' eta signs do not sum to 0 is 0 at
+A product whose Haar letters' eta signs do not sum to 0 is 0 at
 any length; a balanced one of more than PAIRING_POINT_CAP Haar letters
 raises CapacityError.  pairing_trace is the kernel's trace of one
 signed pairing, public for the index-sum oracle.  N is an int: a float
@@ -62,7 +61,7 @@ from .combinat import (PAIRING_POINT_CAP, enumerate_alpha_pairings,
 from .errors import (CapacityError, DimensionError, HaarlabError,
                      WordParseError, require_int)
 from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, mat_mul, mat_trace,
-                    mat_trace_product, mat_transpose, mat_unit, qc_matrix)
+                    mat_trace_product, mat_transpose, qc_matrix)
 from .weingarten import CycleType, phi, wg_table
 
 # The four Haar variants, (eps, eta) -> the word grammar's token; the
@@ -163,40 +162,6 @@ class TraceProductExpr:
 
     def __repr__(self) -> str:
         return "".join(repr(w) for w in self.words) + f" @N={self.N}"
-
-
-# ----------------------------------------------------------------------
-# entry products
-
-def entry_product_expectation(alpha: Sequence[int], rows: Sequence[int],
-                              cols: Sequence[int], N: int) -> Fraction:
-    """E(u^(alpha_1)_{rows_1, cols_1} ... u^(alpha_n)_{rows_n, cols_n}).
-
-    alpha_k = +1 stands for an entry of U, -1 for an entry of U-bar.
-    Each entry is a one-letter trace, u_rc = Tr(U E_cr) with E_cr the
-    matrix unit, so the value is the trace product
-    Tr(U^(alpha_1) E_(c_1 r_1)) ... Tr(U^(alpha_n) E_(c_n r_n)) from
-    expected_trace_product; it is real, and an imaginary part raises.
-    """
-    n = len(alpha)
-    if n == 0:
-        return Fraction(1)
-    if len(rows) != n or len(cols) != n:
-        raise DimensionError("alpha, rows and cols must have equal length")
-    if any(a not in (1, -1) for a in alpha):
-        raise HaarlabError("alpha entries must be +1 or -1")
-    if any(not (1 <= i <= N) for i in list(rows) + list(cols)):
-        raise DimensionError(f"matrix indices must lie in 1..{N}")
-    if n % 2 or sum(alpha) != 0:
-        return Fraction(0)
-    words = tuple(
-        TraceWord((HaarLetter(1, a),
-                   ConstantLetter(f"E{c},{r}", mat_unit(N, c - 1, r - 1))))
-        for a, r, c in zip(alpha, rows, cols))
-    value = expected_trace_product(TraceProductExpr(words, N))
-    if value.im:
-        raise RuntimeError(f"entry product has imaginary part {value.im}")
-    return value.re
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ calling thread is worker 0 and W - 1 pool threads are the rest.  Every
 BLAS and LAPACK call inside runs on one thread (the workers are the
 only parallelism).  Each replica's result lands in its own row, so the
 numbers depend neither on HAARLAB_THREADS nor on OPENBLAS_NUM_THREADS.
+A run's N, replicas and seed and a histogram's bins are ints: a float,
+a bool or a numpy integer raises TypeError before any draw.
 Under glibc each run raises the heap's mmap and trim thresholds, and
 they stay raised, so a replica reuses the pages the one before it freed
 instead of faulting in new ones; each run ends by handing free memory
@@ -37,7 +39,7 @@ import numpy as np
 from .cumulants import CumulantFunctional, empirical_cumulants
 from .errors import (CapacityError, DimensionError, HaarlabError,
                      InsufficientSamplesError, NotSelfAdjointError,
-                     WordParseError)
+                     WordParseError, require_int)
 
 HERMITIAN_TOL = 1e-8
 _ROW_BLOCK = 64     # rows per block of hermitian_deviation
@@ -143,8 +145,9 @@ def sample_haar_unitary(N: int, seed) -> np.ndarray:
 
 
 def check_dimension(N: int) -> None:
-    """DimensionError for N below 1, CapacityError for N above
-    DIMENSION_CAP."""
+    """TypeError for an N that is not an int, DimensionError for N below
+    1, CapacityError for N above DIMENSION_CAP."""
+    require_int(N, "dimension N")
     if N < 1:
         raise DimensionError("N must be at least 1")
     if N > DIMENSION_CAP:
@@ -598,8 +601,10 @@ def spectrum(matrix: np.ndarray) -> np.ndarray:
 
 
 def check_bins(bins: int) -> None:
-    """WordParseError for fewer than 10 histogram bins, CapacityError for
-    more than BIN_CAP; figure1 calls it before any law or sample."""
+    """TypeError for bins that are not an int, WordParseError for fewer
+    than 10 histogram bins, CapacityError for more than BIN_CAP; figure1
+    calls it before any law or sample."""
+    require_int(bins, "bins")
     if bins < 10:
         raise WordParseError(f"bins must be at least 10, got {bins}")
     if bins > BIN_CAP:
@@ -706,11 +711,14 @@ class TraceStatistics:
 def check_run(N: int, replicas: int, width: int, seed: int,
               floor: int = REPLICA_FLOOR) -> int:
     """Admit a run and return its workers, min(worker_count(), replicas);
-    worker_count refuses a bad HAARLAB_THREADS.  Fewer than floor replicas
-    raise InsufficientSamplesError, a bad N check_dimension's error,
+    worker_count refuses a bad HAARLAB_THREADS.  replicas or a seed that
+    is not an int raise TypeError, fewer than floor replicas
+    InsufficientSamplesError, a bad N check_dimension's error,
     replicas * width above VALUE_CAP CapacityError, and a negative seed
     WordParseError.  _run_replicas and each command call it before any
     allocation or work."""
+    require_int(replicas, "replicas")
+    require_int(seed, "seed")
     if replicas < floor:
         raise InsufficientSamplesError(
             f"need at least {floor} {'replica' if floor == 1 else 'replicas'}"

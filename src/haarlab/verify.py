@@ -9,13 +9,17 @@ returns a CheckResult carrying that outcome, the seed it was given and
 the wall time.  The checks that never use their seed still record it.
 Suites: "exact" for the deterministic checks, "mc" for everything
 stochastic, "all" for both; a new check is one function here plus one
-entry in EXACT or MONTE_CARLO.
+entry in EXACT or MONTE_CARLO.  check_suite refuses a bad run before
+any check: the suite name, then the seed, then, for a suite with Monte
+Carlo checks, HAARLAB_THREADS.
 
 Words are written in the grammar users type: exact words go through
 _exact, which parses and evaluates them, and Monte Carlo words through
 _sampled, which samples the trees word_nodes builds for `moment --mc`
-and `simulate`; check 04's conjugated entries are values of the word
-Tr(U B)Tr(Uc C).  Check 03 traces its pairings with the kernel's public
+and `simulate`.  Check 04 is written in words throughout: its entries
+are values of the word Tr(U B)Tr(Uc C), since u_rc = Tr(U E_cr), and
+its orthogonal rotation O is one more constant, written Ot X O around
+each constant X.  Check 03 traces its pairings with the kernel's public
 pairing_trace, and check 09 samples figure 1's trees.
 """
 
@@ -34,20 +38,18 @@ from .cumulants import (CumulantFunctional, MomentFunctional,
                         cumulants_to_moments, moments_to_cumulants, multisets)
 from .densities import (arcsine_law, free_self_convolution, kesten_mckay_law,
                         moment_by_quadrature)
-from .exact import (QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, mat_mul,
-                    mat_transpose, qc_matrix)
+from .exact import QC, QC_ONE, QC_ZERO, QCMatrix, identity_qc, qc_matrix
 from .haar_expect import (VARIANT_NAMES, ConstantLetter, HaarLetter,
-                          entry_product_expectation, expected_trace_product,
-                          first_order_limit, pairing_trace,
-                          parse_trace_product)
+                          expected_trace_product, first_order_limit,
+                          pairing_trace, parse_trace_product)
 from .rmt import (FIGURE1_ARCSINE, FIGURE1_SUM_LAW, Const, HaarU, Variant,
                   TraceStatistics, histogram, ks_distance, spectral_replicas,
-                  trace_observables, word_product)
+                  trace_observables, word_product, worker_count)
 from .second_order import (FirstOrderTable, complex_spoke_prediction,
                            real_spoke_prediction)
 from .weingarten import gram_entry, integer_partitions, wg_leading, wg_table
 from .emit import csv_bytes
-from .errors import HaarlabError, WordParseError
+from .errors import HaarlabError, WordParseError, require_int
 
 
 @dataclass
@@ -233,7 +235,8 @@ def index_sum_oracle(seed: int) -> tuple:
 # 4: conjugation-variance counterexample + orthogonal invariance
 
 def _random_word(rng: random.Random, N: int, length: int) -> tuple:
-    """A random word in the grammar and its constants by name."""
+    """A random word in the grammar as (trace, letters, constants): its
+    trace token, its letter tokens and its constants by name."""
     letters = []
     constants = {}
     variants = list(VARIANT_NAMES.values())
@@ -249,17 +252,20 @@ def _random_word(rng: random.Random, N: int, length: int) -> tuple:
         letters[rng.randrange(len(letters))] = "C"
         constants["C"] = identity_qc(N)
     trace = "tr" if rng.random() < 0.5 else "Tr"
-    return f"{trace}({' '.join(letters)})", constants
+    return trace, letters, constants
 
 
 def _counterexample(cos_sq: Fraction, N: int) -> tuple:
     """(E(u_11 ubar_22), E(b_11 b'_22)) at N >= 2, b and b' the entries
     of U and Ubar conjugated by the unitary of the angle theta with
-    cos^2(theta) = cos_sq.  With x = i cos sin, b_11 = Tr(U (R + x X))
-    and b'_22 = Tr(Uc (S + x Xt)) for the corners R = diag(sin^2, cos^2),
-    S = diag(cos^2, sin^2) and X = [[0, 1], [-1, 0]]: four values of the
-    word Tr(U B)Tr(Uc C), whose cross terms, x times a value, must cancel
-    (x^2 = -cos^2 sin^2 is rational, x is not)."""
+    cos^2(theta) = cos_sq, all values of the word Tr(U B)Tr(Uc C) on
+    2 x 2 corners B and C.  An entry is a trace, u_rc = Tr(U E_cr), so
+    u_11 ubar_22 is the word at B = E_11, C = E_22.  With x = i cos sin,
+    b_11 = Tr(U (R + x X)) and b'_22 = Tr(Uc (S + x Xt)) for
+    R = diag(sin^2, cos^2), S = diag(cos^2, sin^2) and
+    X = [[0, 1], [-1, 0]]: four values, whose cross terms, x times a
+    value, must cancel (x^2 = -cos^2 sin^2 is rational, x is not).  Both
+    sides must be real."""
     sin_sq = 1 - cos_sq
 
     def term(b, c):
@@ -270,12 +276,13 @@ def _counterexample(cos_sq: Fraction, N: int) -> tuple:
 
     R, S = ((sin_sq, 0), (0, cos_sq)), ((cos_sq, 0), (0, sin_sq))
     X, Xt = ((0, 1), (-1, 0)), ((0, -1), (1, 0))
+    lhs = term(((1, 0), (0, 0)), ((0, 0), (0, 1)))
     cross = term(R, Xt) + term(X, S)
     rhs = term(R, S) - QC(cos_sq * sin_sq) * term(X, Xt)
-    if cross or rhs.im:
-        raise RuntimeError(f"E(b_11 b'_22) leaves cross terms {cross} and "
-                           f"an imaginary part {rhs.im}")
-    return entry_product_expectation([1, -1], [1, 2], [1, 2], N), rhs.re
+    if cross or lhs.im or rhs.im:
+        raise RuntimeError(f"check 04 leaves cross terms {cross} and "
+                           f"imaginary parts {lhs.im} and {rhs.im}")
+    return lhs.re, rhs.re
 
 
 def invariance_counterexample(seed: int) -> tuple:
@@ -288,17 +295,17 @@ def invariance_counterexample(seed: int) -> tuple:
                 failures.append((cos_sq, N, lhs, rhs, want))
 
     # exact orthogonal invariance of the Haar family: conjugating the
-    # unitary by a fixed real orthogonal O moves O onto the constants
+    # unitary by a fixed real orthogonal O moves O onto the constants,
+    # so the word equals the one that writes each constant X as Ot X O
     o = qc_matrix([[Fraction(3, 5), Fraction(-4, 5)],
                    [Fraction(4, 5), Fraction(3, 5)]])
-    ot = mat_transpose(o)
     rng = random.Random(seed)
     for _trial in range(25):
-        word, constants = _random_word(rng, 2, rng.randint(1, 4))
-        moved = {name: mat_mul(ot, mat_mul(c, o))
-                 for name, c in constants.items()}
+        trace, letters, constants = _random_word(rng, 2, rng.randint(1, 4))
+        moved = [f"Ot {x} O" if x in constants else x for x in letters]
+        word = f"{trace}({' '.join(letters)})"
         a = _exact(word, 2, constants)
-        b = _exact(word, 2, moved)
+        b = _exact(f"{trace}({' '.join(moved)})", 2, {**constants, "O": o})
         if a != b:
             failures.append(("orthogonal", word, str(a), str(b)))
     return (
@@ -575,13 +582,21 @@ SUITES = {"exact": tuple(check.__name__ for check in EXACT),
 SUITES["all"] = SUITES["exact"] + SUITES["mc"]
 
 
-def check_suite(suite: str) -> None:
-    """WordParseError for a suite name not in SUITES."""
+def check_suite(suite: str, seed: int) -> None:
+    """Refuse a bad run before any check: WordParseError for a suite name
+    not in SUITES, TypeError for a seed that is not an int, and
+    WordParseError for a negative one.  A suite with Monte Carlo checks
+    then asks rmt.worker_count, which refuses a bad HAARLAB_THREADS."""
     if suite not in SUITES:
         raise WordParseError(
             f"unknown suite {suite!r}; have {sorted(SUITES)}")
+    require_int(seed, "seed")
+    if seed < 0:
+        raise WordParseError(f"seed must be at least 0, got {seed}")
+    if suite in ("mc", "all"):
+        worker_count()
 
 
 def run_suite(suite: str, seed: int = 0) -> list:
-    check_suite(suite)
+    check_suite(suite, seed)
     return [CHECKS[name](seed) for name in SUITES[suite]]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from haarlab import haar_expect, verify
-from haarlab.exact import QC, mat_mul, mat_trace, mat_transpose
+from haarlab.exact import QC, mat_mul, mat_trace, mat_transpose, qc_matrix
 from haarlab.haar_expect import parse_trace_product
 from haarlab.rmt import (Const, HaarU, Product, TraceStatistics, Variant,
                          trace_observables, word_product)
@@ -66,12 +66,18 @@ def test_index_sum_oracle_checks_the_kernel_trace(monkeypatch):
     assert not result.passed, result.observed
 
 
+def _unit(N, k):
+    """The N x N matrix unit E_kk, 0-based."""
+    return qc_matrix([[int(i == j == k) for j in range(N)]
+                      for i in range(N)])
+
+
 def test_counterexample_values(monkeypatch):
     """Over a grid of angles and N = 2..10, E(u_11 ubar_22) = 0 and
     E(b_11 b'_22) = 4 cos^2 sin^2 / N as Fractions (no gap at the
-    orthogonal angles cos^2 = 0, 1), from four values of Tr(U B)Tr(Uc C)
-    whose two cross terms (one corner diagonal, the other not) are each
-    0."""
+    orthogonal angles cos^2 = 0, 1), from five values of Tr(U B)Tr(Uc C):
+    the left side at the unit corners B = E_11, C = E_22, and four whose
+    two cross terms (one corner diagonal, the other not) are each 0."""
     exact = verify._exact
     terms = []
 
@@ -89,8 +95,12 @@ def test_counterexample_values(monkeypatch):
             lhs, rhs = verify._counterexample(c, N)
             assert type(lhs) is type(rhs) is Fraction
             assert (lhs, rhs) == (0, 4 * c * (1 - c) / N)
-            assert len(terms) == 4
+            assert len(terms) == 5
             assert {word for word, _, _ in terms} == {"Tr(U B)Tr(Uc C)"}
+            # at cos^2 = 0 the corners R and S are the unit corners too
+            units = [value for _, m, value in terms
+                     if (m["B"], m["C"]) == (_unit(N, 0), _unit(N, 1))]
+            assert units and all(value == lhs for value in units)
             cross = [value for _, m, value in terms
                      if diagonal(m["B"]) != diagonal(m["C"])]
             assert cross == [0, 0]
@@ -102,6 +112,20 @@ def test_counterexample_refuses_cross_terms_that_do_not_cancel(
     monkeypatch.setattr(verify, "_exact",
                         lambda *args: exact(*args) + QC(1))
     with pytest.raises(RuntimeError, match="cross terms 2 "):
+        verify._counterexample(Fraction(1, 4), 4)
+
+
+def test_counterexample_refuses_an_imaginary_left_side(monkeypatch):
+    """E(u_11 ubar_22), the word at B = E_11 and C = E_22, must be real:
+    an imaginary part there raises, though the right side is fine."""
+    exact = verify._exact
+
+    def shifted(word, N, constants):
+        value = exact(word, N, constants)
+        return value + QC(0, 1) if constants["B"] == _unit(N, 0) else value
+
+    monkeypatch.setattr(verify, "_exact", shifted)
+    with pytest.raises(RuntimeError, match="imaginary parts 1 and 0$"):
         verify._counterexample(Fraction(1, 4), 4)
 
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarlab import cli, rmt
+from haarlab import cli, rmt, verify
 from haarlab.cli import main
 from haarlab.combinat import PAIRING_POINT_CAP
+from haarlab.errors import WordParseError
 from haarlab.exact import qc_matrix
 from haarlab.haar_expect import parse_trace_product
 from haarlab.verify import word_nodes
@@ -480,6 +481,63 @@ def test_verify_unknown_suite_leaves_no_report(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: unknown suite 'nope'; have "
                                        "['all', 'exact', 'mc']\n")
     assert not report.exists()
+
+
+def _stand_in_checks(monkeypatch) -> list:
+    """verify's checks replaced by stand-ins that pass at once; returns
+    the list of the names they are run under, in order."""
+    ran = []
+
+    def stand_in(name):
+        def run(seed):
+            ran.append(name)
+            return verify.CheckResult(name, "", "", "", "", True, seed, 0.0)
+        return run
+
+    monkeypatch.setattr(verify, "CHECKS",
+                        {name: stand_in(name) for name in verify.CHECKS})
+    return ran
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (True, TypeError, "seed must be an int, not bool"),
+    (2.5, TypeError, "seed must be an int, not float"),
+    (-1, WordParseError, "seed must be at least 0, got -1"),
+])
+def test_run_suite_refuses_a_bad_seed_before_any_check(seed, error, message,
+                                                       monkeypatch):
+    ran = _stand_in_checks(monkeypatch)
+    with pytest.raises(error, match=f"^{message}$"):
+        verify.run_suite("all", seed)
+    assert ran == []
+
+
+def test_run_suite_refuses_a_bad_thread_count_only_for_monte_carlo(
+        monkeypatch):
+    """A suite with Monte Carlo checks asks for the worker count before
+    any check; the exact suite never reads HAARLAB_THREADS."""
+    ran = _stand_in_checks(monkeypatch)
+    monkeypatch.setenv("HAARLAB_THREADS", "abc")
+    for suite in ("mc", "all"):
+        with pytest.raises(WordParseError, match="HAARLAB_THREADS"):
+            verify.run_suite(suite, 0)
+    assert ran == []
+    assert [r.name for r in verify.run_suite("exact", 0)] == ran \
+        == list(verify.SUITES["exact"])
+
+
+@pytest.mark.parametrize("threads, code", [("abc", 1), ("0", 1), ("999", 2)])
+@pytest.mark.parametrize("suite", ["mc", "all"])
+def test_verify_refuses_a_bad_thread_count_before_any_check_or_report(
+        suite, threads, code, tmp_path, capsys, monkeypatch):
+    ran = _stand_in_checks(monkeypatch)
+    monkeypatch.setenv("HAARLAB_THREADS", threads)
+    report = tmp_path / "r.json"
+    assert main(["verify", suite, "--out", str(report)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: HAARLAB_THREADS")
+    assert ran == [] and not report.exists()
 
 
 def test_bad_config_json(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from haarlab.errors import DimensionError
 from haarlab.exact import (QC, QC_ONE, QC_ZERO, QCMatrix, as_qc, identity_qc,
                            mat_mul, mat_trace, mat_trace_product,
-                           mat_transpose, mat_unit, qc_matrix)
+                           mat_transpose, qc_matrix)
 
 
 def test_qc_field_ops():
@@ -113,9 +113,6 @@ def test_identity_and_matrix_units():
         assert QCMatrix([[3 * (i == j) for j in range(n)] for i in range(n)],
                         [[0] * n] * n, 3) == identity_qc(n)
     assert qc_matrix([[1, 0], [0, QC(1, 1)]]) != identity_qc(2)
-    assert _entries(mat_unit(3, 0, 2)) == [[QC(int((i, j) == (0, 2)))
-                                            for j in range(3)]
-                                           for i in range(3)]
     # a product that cancels its denominator equals the literal identity
     half = qc_matrix([[Fraction(1, 2), 0], [0, QC(0, Fraction(1, 2))]])
     double = qc_matrix([[2, 0], [0, QC(0, -2)]])

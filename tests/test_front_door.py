@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarlab import cumulants, densities, haar_expect, weingarten
+from haarlab import cumulants, densities, weingarten
 from haarlab.cli import main
 from haarlab.combinat import cycles, enumerate_pairings, pi_epsilon
 from haarlab.errors import CapacityError, DimensionError, HaarlabError
@@ -87,8 +87,6 @@ seeds = st.sampled_from(["0", "7", "-1", "x", "1.5"])
     (lambda: parse_trace_product("Tr(U)", {}, 0), DimensionError),
     (lambda: weingarten.wg_exact(0, 2), DimensionError),
     (lambda: next(enumerate_pairings(-1)), DimensionError),
-    (lambda: haar_expect.entry_product_expectation([1], [1, 2], [1], 2),
-     DimensionError),
     (lambda: densities.moments_from_free_cumulants([1] * 9), CapacityError),
     (lambda: cumulants.empirical_cumulants([[1, 2]], max_order=5),
      CapacityError),

@@ -1,5 +1,5 @@
-"""The exact trace-expectation engine: entry products, closed-form
-moments, the grammar, the per-pairing trace."""
+"""The exact trace-expectation engine: entry moments posed as words,
+closed-form moments, the grammar, the per-pairing trace."""
 
 import math
 import random
@@ -17,7 +17,6 @@ from haarlab.exact import (QC, QC_ONE, QC_ZERO, identity_qc, mat_mul,
 from haarlab.haar_expect import (ConstantLetter, HaarLetter,
                                  TraceProductExpr, TraceWord,
                                  _rotate_to_haar_form,
-                                 entry_product_expectation,
                                  expected_trace_product, first_order_limit,
                                  load_matrix_csv, pairing_trace,
                                  parse_trace_product)
@@ -42,40 +41,45 @@ def _word(letters, normalized=False):
     return TraceWord(tuple(letters), normalized=normalized)
 
 
-# -- entry products -----------------------------------------------------
+# -- entry moments ------------------------------------------------------
+
+def _entry_moment(alpha, rows, cols, N):
+    """E(u^(alpha_1)_{rows_1, cols_1} ... u^(alpha_n)_{rows_n, cols_n}),
+    alpha_k = +1 for an entry of U and -1 for one of U-bar, posed as the
+    word Tr(U E1)Tr(Uc E2)...: u_rc = Tr(U E_cr) with E_cr the matrix
+    unit.  The value must be real."""
+    factors, constants = [], {}
+    for k, (a, r, c) in enumerate(zip(alpha, rows, cols), start=1):
+        factors.append(f"Tr({'U' if a == 1 else 'Uc'} E{k})")
+        constants[f"E{k}"] = qc_matrix(
+            [[int((i, j) == (c - 1, r - 1)) for j in range(N)]
+             for i in range(N)])
+    value = expected_trace_product(
+        parse_trace_product("".join(factors), constants, N))
+    assert value.im == 0
+    return value.re
+
 
 def test_entry_product_basics():
     # E u_11 ubar_11 = 1/N; unbalanced alphas vanish
-    assert entry_product_expectation([1, -1], [1, 1], [1, 1], 3) \
-        == Fraction(1, 3)
-    assert entry_product_expectation([1, -1], [1, 2], [1, 1], 3) == 0
-    assert entry_product_expectation([1, 1], [1, 1], [1, 1], 3) == 0
-    assert entry_product_expectation([1], [1], [1], 3) == 0
-    assert entry_product_expectation([], [], [], 3) == 1
+    assert _entry_moment([1, -1], [1, 1], [1, 1], 3) == Fraction(1, 3)
+    assert _entry_moment([1, -1], [1, 2], [1, 1], 3) == 0
+    assert _entry_moment([1, 1], [1, 1], [1, 1], 3) == 0
+    assert _entry_moment([1], [1], [1], 3) == 0
 
 
 def test_entry_product_degree_four():
     N = 4
     # E |u_11|^4 = 2/(N(N+1))
-    assert entry_product_expectation([1, 1, -1, -1], [1, 1, 1, 1],
-                                     [1, 1, 1, 1], N) \
+    assert _entry_moment([1, 1, -1, -1], [1, 1, 1, 1], [1, 1, 1, 1], N) \
         == Fraction(2, N * (N + 1))
     # distinct rows and columns kill the swap term; only the identity
     # permutation pair survives, leaving Wg(1,1) = 1/(N^2-1)
-    got = entry_product_expectation([1, 1, -1, -1], [1, 2, 1, 2],
-                                    [1, 2, 1, 2], N)
+    got = _entry_moment([1, 1, -1, -1], [1, 2, 1, 2], [1, 2, 1, 2], N)
     assert got == Fraction(1, N ** 2 - 1)
     # E |u_11 u_12|^2 shares a row, so both permutations contribute
-    got = entry_product_expectation([1, 1, -1, -1], [1, 1, 1, 1],
-                                    [1, 2, 1, 2], N)
+    got = _entry_moment([1, 1, -1, -1], [1, 1, 1, 1], [1, 2, 1, 2], N)
     assert got == Fraction(1, N ** 2 - 1) - Fraction(1, N * (N ** 2 - 1))
-
-
-def test_entry_product_validates():
-    with pytest.raises(ValueError):
-        entry_product_expectation([1, -1], [1, 5], [1, 1], 3)
-    with pytest.raises(ValueError):
-        entry_product_expectation([1, 2], [1, 1], [1, 1], 3)
 
 
 def _entry_pair_loop(alpha, rows, cols, N):
@@ -110,20 +114,12 @@ def test_entry_product_matches_pair_loop_on_random_tuples():
         rng.shuffle(alpha)
         rows = [rng.randint(1, N) for _ in alpha]
         cols = [rng.randint(1, N) for _ in alpha]
-        got = entry_product_expectation(alpha, rows, cols, N)
+        got = _entry_moment(alpha, rows, cols, N)
         assert isinstance(got, Fraction)
         assert got == _entry_pair_loop(alpha, rows, cols, N), \
             (alpha, rows, cols, N)
         nonzero += bool(got)
     assert nonzero > 50
-
-
-def test_entry_product_rejects_an_imaginary_part(monkeypatch):
-    from haarlab import haar_expect
-    monkeypatch.setattr(haar_expect, "expected_trace_product",
-                        lambda expr: QC(0, 1))
-    with pytest.raises(RuntimeError):
-        entry_product_expectation([1, -1], [1, 1], [1, 1], 2)
 
 
 def test_entry_product_brute_force_oracle():
@@ -137,8 +133,7 @@ def test_entry_product_brute_force_oracle():
         rng.shuffle(alpha)
         rows = rng.integers(1, N + 1, size=4)
         cols = rng.integers(1, N + 1, size=4)
-        exact = entry_product_expectation(alpha, rows.tolist(),
-                                          cols.tolist(), N)
+        exact = _entry_moment(alpha, rows.tolist(), cols.tolist(), N)
         acc = 0.0 + 0.0j
         for u in us:
             term = 1.0 + 0.0j

@@ -725,6 +725,39 @@ def test_trace_observables_sample_floor():
         trace_observables([("t", HaarU())], 4, 9, seed=0)
 
 
+@pytest.mark.parametrize("N, replicas, seed, message", [
+    (8, 10, True, "seed must be an int, not bool"),
+    (8, 10, 1.5, "seed must be an int, not float"),
+    (8, 10, np.int64(1), "seed must be an int, not int64"),
+    (8.0, 10, 1, "dimension N must be an int, not float"),
+    (8, 10.0, 1, "replicas must be an int, not float"),
+])
+def test_a_run_takes_int_arguments_only(N, replicas, seed, message,
+                                        monkeypatch):
+    """seed=True would run seed 1's streams, and a float would fail in
+    numpy without naming its argument: each is a TypeError that names
+    it, before any draw (the sampler is a stand-in that refuses to
+    draw)."""
+    def sampler(N, seed):
+        raise AssertionError(f"drew {seed}")
+
+    monkeypatch.setattr(rmt, "sample_haar_unitary", sampler)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        trace_observables([("t", HaarU())], N, replicas, seed=seed)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        spectral_replicas(rmt.FIGURE1_ARCSINE, N, replicas, seed=seed)
+
+
+def test_histogram_and_sampler_take_int_sizes_only():
+    with pytest.raises(TypeError, match="^bins must be an int, not bool$"):
+        histogram([0.5], True, (0, 1))
+    with pytest.raises(TypeError, match="^bins must be an int, not float$"):
+        histogram([0.5], 20.0, (0, 1))
+    with pytest.raises(TypeError,
+                       match="^dimension N must be an int, not float$"):
+        sample_haar_unitary(4.0, 0)
+
+
 class _AllocationReached(Exception):
     pass
 
